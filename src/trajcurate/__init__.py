@@ -41,9 +41,6 @@ from .states import (
 from .surrogate import (
     ExperimentResult,
     ExperimentRow,
-    ObservedPrefix,
-    knn_predict,
-    min_ade_k,
     run_al_experiment,
     stratified_holdout,
 )
@@ -64,7 +61,6 @@ __all__ = [
     "Merge",
     "MetricWeights",
     "MotifSpec",
-    "ObservedPrefix",
     "SamplingConfig",
     "Selection",
     "SelectionManifest",
@@ -79,8 +75,6 @@ __all__ = [
     "flat_clusters",
     "format_dendrogram",
     "generate_synthetic_pool",
-    "knn_predict",
-    "min_ade_k",
     "pairwise_distances",
     "plan_experiment_grid",
     "read_distance_matrix",

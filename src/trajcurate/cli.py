@@ -142,7 +142,7 @@ def _load_pool(args) -> TrajectoryPool:
 
 
 def _check_tau(tau: float) -> None:
-    if tau < 0:
+    if not tau >= 0:  # also rejects NaN
         raise InvalidFlagValue(f"--tau must be >= 0, got {tau}")
 
 
@@ -150,7 +150,7 @@ def cmd_cluster(args) -> int:
     _check_tau(args.tau)
     weights = parse_weights(args.weights)
     pool = _load_pool(args)
-    matrix = pairwise_distances(pool.items, weights)
+    matrix = pairwise_distances(pool, weights)
     if args.matrix_out:
         write_distance_matrix(matrix, args.matrix_out)
     tree = upgma_linkage(matrix)
@@ -196,6 +196,10 @@ def cmd_simulate(args) -> int:
     weights = parse_weights(args.weights)
     if args.seeds < 1:
         raise InvalidFlagValue(f"--seeds must be >= 1, got {args.seeds}")
+    if args.k_modes < 1:
+        raise InvalidFlagValue(f"--k-modes must be >= 1, got {args.k_modes}")
+    if not 0.0 <= args.holdout < 1.0:
+        raise InvalidFlagValue(f"--holdout must be in [0, 1), got {args.holdout}")
     if args.grid == "default":
         alphas, betas, budgets = DEFAULT_GRID_ALPHAS, DEFAULT_GRID_BETAS, DEFAULT_GRID_BUDGETS
     else:
@@ -229,7 +233,7 @@ def cmd_stats(args) -> int:
     _check_tau(args.tau)
     weights = parse_weights(args.weights)
     pool = _load_pool(args)
-    tree = upgma_linkage(pairwise_distances(pool.items, weights))
+    tree = upgma_linkage(pairwise_distances(pool, weights))
     part = flat_clusters(tree, args.tau, labeled_ids=pool.labeled_ids, leaf_ids=pool.ids)
 
     sizes = sorted(len(m) for m in part.members_by_label.values())

@@ -256,7 +256,7 @@ def flat_clusters(
     (inclusive). ``leaf_ids`` names leaf i; by default leaves are their own
     integer ids. Labeled ids not present among the leaves are ignored.
     """
-    if tau < 0:
+    if not tau >= 0:  # also rejects NaN
         raise ParseError(f"tau must be >= 0, got {tau}")
     n = t.n_leaves
     ids: Sequence[Hashable] = tuple(range(n)) if leaf_ids is None else tuple(leaf_ids)

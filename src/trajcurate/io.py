@@ -78,7 +78,10 @@ def load_trajectories(path, fmt: str | None = None) -> TrajectoryPool:
 
     items, labeled, seen = [], set(), set()
     for lineno, rec, is_labeled in records:
-        state = validate_trajectory_state(rec)
+        try:
+            state = validate_trajectory_state(rec)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: line {lineno}: malformed record ({exc})") from exc
         if state.id in seen:
             raise DuplicateId(f"{path}: duplicate id {state.id!r} (line {lineno})")
         seen.add(state.id)
@@ -109,7 +112,10 @@ def _read_jsonl(path):
                     f"{path}: line {lineno}: expected {TRAJECTORY_LEN} points, "
                     f"got {len(points) if isinstance(points, list) else type(points).__name__}"
                 )
-            out.append((lineno, obj, bool(obj.get("labeled", False))))
+            labeled = obj.get("labeled", False)
+            if not isinstance(labeled, bool):
+                raise ParseError(f"{path}: line {lineno}: labeled must be true or false")
+            out.append((lineno, obj, labeled))
     return out
 
 

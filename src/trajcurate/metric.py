@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonFiniteValue, ParseError
-from .states import TrajectoryState
+from .states import TRAJECTORY_LEN, TrajectoryPool, TrajectoryState, pack_states
 
 _MATRIX_MAGIC = b"TSDM"
 _MATRIX_VERSION = 1
@@ -106,28 +106,30 @@ def condensed_index(n: int, i: int, j: int) -> int:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
-def _pool_arrays(states: Sequence[TrajectoryState]) -> tuple[np.ndarray, np.ndarray]:
-    """Pack states into (n, 12, 2) points and (n, 3) [v, a, h] arrays."""
-    pts = np.asarray([s.points for s in states], dtype=np.float64)
-    dyn = np.asarray([(s.v, s.a, s.h) for s in states], dtype=np.float64)
-    return pts, dyn
+def _distance(pa, da, pb, db, w: MetricWeights, prefix_len: int = TRAJECTORY_LEN) -> np.ndarray:
+    """Distances between broadcastable ``(..., 12, 2)`` points ``pa``/``pb``
+    with ``(..., 3)`` ``[v, a, h]`` rows ``da``/``db``, over the first
+    ``prefix_len`` timesteps.
+
+    Every distance in the package is computed here, so pointwise and
+    batched results agree bit for bit. The reduction order is fixed: per
+    timestep the sqrt of the summed squared x/y differences, the sum over
+    timesteps, then the a, v and h terms added in place in that order.
+    """
+    d = np.sqrt(((pa[..., :prefix_len, :] - pb[..., :prefix_len, :]) ** 2).sum(axis=-1))
+    d = d.sum(axis=-1)
+    d += w.k_a * np.abs(da[..., 1] - db[..., 1])
+    d += w.k_v * np.abs(da[..., 0] - db[..., 0])
+    d += w.k_h * np.abs(da[..., 2] - db[..., 2])
+    return d
 
 
 def trajectory_state_distance(
     a: TrajectoryState, b: TrajectoryState, w: MetricWeights = DEFAULT_WEIGHTS
 ) -> float:
-    """Distance between two trajectory-states.
-
-    The operation order mirrors the vectorized pairwise kernel exactly so
-    pointwise and batched results agree bit for bit.
-    """
-    pa = np.asarray(a.points, dtype=np.float64)
-    pb = np.asarray(b.points, dtype=np.float64)
-    total = np.sqrt(((pa - pb) ** 2).sum(axis=1)).sum()
-    total = total + w.k_a * abs(a.a - b.a)
-    total = total + w.k_v * abs(a.v - b.v)
-    total = total + w.k_h * abs(a.h - b.h)
-    return float(total)
+    """Distance between two trajectory-states."""
+    pts, dyn = pack_states((a, b))
+    return float(_distance(pts[0], dyn[0], pts[1], dyn[1], w))
 
 
 def _row_block(
@@ -146,33 +148,26 @@ def _row_block(
     """
     n = pts.shape[0]
     for i in range(i0, i1):
-        m = n - 1 - i
-        if m <= 0:
-            continue
         start = condensed_index(n, i, i + 1)
-        d = np.sqrt(((pts[i + 1 :] - pts[i]) ** 2).sum(axis=2)).sum(axis=1)
-        d += w.k_a * np.abs(dyn[i + 1 :, 1] - dyn[i, 1])
-        d += w.k_v * np.abs(dyn[i + 1 :, 0] - dyn[i, 0])
-        d += w.k_h * np.abs(dyn[i + 1 :, 2] - dyn[i, 2])
-        out[start : start + m] = d
+        out[start : start + n - 1 - i] = _distance(pts[i + 1 :], dyn[i + 1 :], pts[i], dyn[i], w)
 
 
 def pairwise_distances(
-    pool: Sequence[TrajectoryState],
+    pool: TrajectoryPool | Sequence[TrajectoryState],
     w: MetricWeights = DEFAULT_WEIGHTS,
     workers: int | None = None,
 ) -> CondensedDistanceMatrix:
     """Condensed pairwise distance matrix over a pool.
 
-    ``workers`` threads partition the row space; numpy kernels release the
-    GIL so this scales on multicore boxes, and the output is byte-identical
-    for any worker count.
+    A ``TrajectoryPool`` supplies its own columns; a plain sequence of
+    states is packed first. ``workers`` threads partition the row space;
+    numpy kernels release the GIL so this scales on multicore boxes, and
+    the output is byte-identical for any worker count.
     """
-    states = list(pool)
-    n = len(states)
+    pts, dyn = pool.columns if isinstance(pool, TrajectoryPool) else pack_states(tuple(pool))
+    n = len(pts)
     if n < 1:
         raise ParseError("pairwise_distances needs at least one trajectory-state")
-    pts, dyn = _pool_arrays(states)
     out = np.empty(n * (n - 1) // 2, dtype=np.float64)
     if workers is None:
         workers = max(1, min(4, os.cpu_count() or 1))

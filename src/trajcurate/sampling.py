@@ -97,7 +97,7 @@ class SamplingConfig:
             raise InvalidFlagValue(
                 f"fractional budget must be in (0, 1], got {self.budget}"
             )
-        if self.tau < 0:
+        if not self.tau >= 0:  # also rejects NaN
             raise InvalidFlagValue(f"tau must be >= 0, got {self.tau}")
 
 
@@ -299,7 +299,7 @@ def sampling_round(
 
 def upgma_linkage_for_pool(pool: TrajectoryPool, weights: MetricWeights) -> Dendrogram:
     """Convenience: condensed distances then linkage for a pool's items."""
-    return upgma_linkage(pairwise_distances(pool.items, weights))
+    return upgma_linkage(pairwise_distances(pool, weights))
 
 
 def plan_experiment_grid(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -70,13 +71,7 @@ def validate_trajectory_state(raw: Mapping | TrajectoryState) -> TrajectoryState
     """
     if isinstance(raw, TrajectoryState):
         return raw
-    return TrajectoryState(
-        id=raw["id"],
-        points=tuple(tuple(p) for p in raw["points"]),
-        v=raw["v"],
-        a=raw["a"],
-        h=raw["h"],
-    )
+    return TrajectoryState(id=raw["id"], points=raw["points"], v=raw["v"], a=raw["a"], h=raw["h"])
 
 
 def estimate_dynamics(
@@ -123,6 +118,15 @@ def _wrap_angle(theta: float) -> float:
     return wrapped - math.pi
 
 
+def pack_states(states: Sequence[TrajectoryState]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(n, 12, 2)`` points and ``(n, 3)`` ``[v, a, h]`` columns."""
+    pts = np.asarray([s.points for s in states], dtype=np.float64).reshape(-1, TRAJECTORY_LEN, 2)
+    dyn = np.asarray([(s.v, s.a, s.h) for s in states], dtype=np.float64).reshape(-1, 3)
+    pts.flags.writeable = False
+    dyn.flags.writeable = False
+    return pts, dyn
+
+
 @dataclass(frozen=True)
 class TrajectoryPool:
     """An ordered pool of trajectory-states with a labeled subset.
@@ -137,17 +141,22 @@ class TrajectoryPool:
     def __post_init__(self) -> None:
         items = tuple(self.items)
         object.__setattr__(self, "items", items)
-        ids = [s.id for s in items]
-        seen: set[str] = set()
-        for i in ids:
-            if i in seen:
-                raise DuplicateId(f"duplicate trajectory id {i!r} in pool")
-            seen.add(i)
+        rows: dict[str, int] = {}
+        for row, s in enumerate(items):
+            if s.id in rows:
+                raise DuplicateId(f"duplicate trajectory id {s.id!r} in pool")
+            rows[s.id] = row
         labeled = frozenset(self.labeled_ids)
-        unknown = labeled - set(ids)
+        unknown = labeled.difference(rows)
         if unknown:
             raise UnknownId(f"labeled ids not present in pool: {sorted(unknown)[:5]}")
         object.__setattr__(self, "labeled_ids", labeled)
+        object.__setattr__(self, "_rows", rows)
+
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (n, 12, 2) points and (n, 3) [v, a, h] rows, packed on first use."""
+        return pack_states(self.items)
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -155,16 +164,20 @@ class TrajectoryPool:
 
     @property
     def unlabeled_ids(self) -> frozenset[str]:
-        return frozenset(s.id for s in self.items) - self.labeled_ids
+        return frozenset(self._rows) - self.labeled_ids
 
     def __len__(self) -> int:
         return len(self.items)
 
+    def row(self, id_: str) -> int:
+        """Index of ``id_`` in ``items`` and in the columns."""
+        try:
+            return self._rows[id_]
+        except KeyError:
+            raise UnknownId(f"no trajectory with id {id_!r}") from None
+
     def by_id(self, id_: str) -> TrajectoryState:
-        for s in self.items:
-            if s.id == id_:
-                return s
-        raise UnknownId(f"no trajectory with id {id_!r}")
+        return self.items[self.row(id_)]
 
     def with_labeled(self, extra: Iterable[str]) -> "TrajectoryPool":
         """Return a copy with ``extra`` ids moved into the labeled set."""

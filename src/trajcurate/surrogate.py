@@ -17,12 +17,12 @@ split, writing rows suitable for budget/alpha/beta curves.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EmptyTrainingPool, InsufficientPool, NoPredictions, ParseError
-from .metric import DEFAULT_WEIGHTS, MetricWeights
+from .errors import InsufficientPool, ParseError
+from .metric import MetricWeights, _distance
 from .sampling import (
     BASELINE_STREAM,
     SamplingConfig,
@@ -34,75 +34,6 @@ from .states import TrajectoryPool, TrajectoryState
 from .synth import largest_remainder, motif_key
 
 PREFIX_LEN = 2
-
-
-@dataclass(frozen=True)
-class ObservedPrefix:
-    """What the surrogate sees of a query: 2 points plus (v, a, h)."""
-
-    points: tuple[tuple[float, float], ...]
-    v: float
-    a: float
-    h: float
-
-    @classmethod
-    def from_state(cls, s: TrajectoryState) -> "ObservedPrefix":
-        return cls(points=s.points[:PREFIX_LEN], v=s.v, a=s.a, h=s.h)
-
-
-def prefix_distance(
-    q: ObservedPrefix, s: TrajectoryState, w: MetricWeights = DEFAULT_WEIGHTS
-) -> float:
-    """The trajectory-state distance restricted to the observable prefix."""
-    qp = np.asarray(q.points, dtype=np.float64)
-    sp = np.asarray(s.points[:PREFIX_LEN], dtype=np.float64)
-    total = np.sqrt(((qp - sp) ** 2).sum(axis=1)).sum()
-    total = total + w.k_a * abs(q.a - s.a)
-    total = total + w.k_v * abs(q.v - s.v)
-    total = total + w.k_h * abs(q.h - s.h)
-    return float(total)
-
-
-def knn_predict(
-    query: ObservedPrefix | TrajectoryState,
-    labeled: Sequence[TrajectoryState],
-    k_modes: int,
-    w: MetricWeights = DEFAULT_WEIGHTS,
-) -> list[np.ndarray]:
-    """Full trajectories of the nearest labeled neighbors, nearest first.
-
-    Returns min(k_modes, len(labeled)) modes; prefix-distance ties are
-    broken by id so the mode order is deterministic.
-    """
-    if isinstance(query, TrajectoryState):
-        query = ObservedPrefix.from_state(query)
-    if not labeled:
-        raise EmptyTrainingPool("knn_predict needs at least one labeled trajectory")
-    if k_modes < 1:
-        raise ValueError(f"k_modes must be >= 1, got {k_modes}")
-    ranked = sorted(labeled, key=lambda s: (prefix_distance(query, s, w), s.id))
-    return [np.asarray(s.points, dtype=np.float64) for s in ranked[:k_modes]]
-
-
-def min_ade_k(
-    predictions: Sequence[np.ndarray], truth: Sequence[Sequence[float]], k: int
-) -> float:
-    """Minimum average displacement error over the first K modes."""
-    if len(predictions) == 0:
-        raise NoPredictions("min_ade_k needs at least one prediction")
-    if k < 1:
-        raise ValueError(f"K must be >= 1, got {k}")
-    truth_arr = np.asarray(truth, dtype=np.float64)
-    best = np.inf
-    for pred in list(predictions)[:k]:
-        pred_arr = np.asarray(pred, dtype=np.float64)
-        if pred_arr.shape != truth_arr.shape:
-            raise ParseError(
-                f"prediction shape {pred_arr.shape} != truth shape {truth_arr.shape}"
-            )
-        ade = float(np.sqrt(((pred_arr - truth_arr) ** 2).sum(axis=1)).mean())
-        best = min(best, ade)
-    return best
 
 
 @dataclass(frozen=True)
@@ -208,25 +139,24 @@ def stratified_holdout(
 
 
 def _score_split(
-    queries: Sequence[TrajectoryState],
-    labeled: Sequence[TrajectoryState],
+    qp: np.ndarray,
+    qd: np.ndarray,
+    train: TrajectoryPool,
+    labeled_rows: Sequence[int],
     k_modes: int,
     w: MetricWeights,
 ) -> tuple[float, float]:
-    """Mean minADE_5 and minADE_10 of the surrogate over the queries."""
-    labeled = sorted(labeled, key=lambda s: s.id)
-    lp = np.asarray([s.points for s in labeled], dtype=np.float64)
-    ls = np.asarray([(s.v, s.a, s.h) for s in labeled], dtype=np.float64)
-    qp = np.asarray([s.points for s in queries], dtype=np.float64)
-    qs = np.asarray([(s.v, s.a, s.h) for s in queries], dtype=np.float64)
+    """Mean minADE_5 and minADE_10 of the surrogate over the queries.
 
-    diff = qp[:, None, :PREFIX_LEN, :] - lp[None, :, :PREFIX_LEN, :]
-    dist = np.sqrt((diff**2).sum(axis=3)).sum(axis=2)
-    dist += w.k_a * np.abs(qs[:, None, 1] - ls[None, :, 1])
-    dist += w.k_v * np.abs(qs[:, None, 0] - ls[None, :, 0])
-    dist += w.k_h * np.abs(qs[:, None, 2] - ls[None, :, 2])
+    ``qp``/``qd`` are the queries' point and ``[v, a, h]`` columns;
+    ``labeled_rows`` index ``train`` in id order, which breaks distance
+    ties by id.
+    """
+    points, dyn = train.columns
+    lp, ld = points[labeled_rows], dyn[labeled_rows]
+    dist = _distance(qp[:, None], qd[:, None], lp[None], ld[None], w, PREFIX_LEN)
 
-    k = min(k_modes, len(labeled))
+    k = min(k_modes, len(labeled_rows))
     order = np.argsort(dist, axis=1, kind="stable")[:, :k]
     modes = lp[order]  # (nq, k, 12, 2)
     ade = np.sqrt(((modes - qp[:, None, :, :]) ** 2).sum(axis=3)).mean(axis=2)
@@ -255,7 +185,8 @@ def run_al_experiment(
     train_idx, holdout_idx = stratified_holdout(
         pool.items, holdout_fraction, split_seed, group_key
     )
-    holdout_states = [pool.items[i] for i in holdout_idx]
+    points, dyn = pool.columns
+    qp, qd = points[holdout_idx], dyn[holdout_idx]
     train_items = tuple(pool.items[i] for i in train_idx)
     train_ids = {s.id for s in train_items}
     working = TrajectoryPool(train_items, pool.labeled_ids & train_ids)
@@ -269,8 +200,9 @@ def run_al_experiment(
                 f"budget {cfg.budget} exceeds the unlabeled pool ({len(unlabeled0)})"
             )
 
-    by_id: Mapping[str, TrajectoryState] = {s.id: s for s in working.items}
-    initial_labeled = [by_id[i] for i in sorted(working.labeled_ids)]
+    def score(picked: Sequence[str], w: MetricWeights) -> tuple[float, float]:
+        labeled_rows = [working.row(i) for i in sorted(working.labeled_ids.union(picked))]
+        return _score_split(qp, qd, working, labeled_rows, k_modes, w)
 
     linkage_cache: dict[MetricWeights, object] = {}
     rows: list[ExperimentRow] = []
@@ -283,17 +215,14 @@ def run_al_experiment(
         )
         for seed in seeds:
             manifest = sampling_round(working, replace(cfg, seed=seed), dendrogram=tree)
-            active_labeled = initial_labeled + [by_id[i] for i in manifest.ids()]
-
             rng = phase_rng(seed, BASELINE_STREAM)
             take = len(manifest.selected)
             baseline_ids = [
                 unlabeled0[int(i)] for i in rng.permutation(len(unlabeled0))[:take]
             ]
-            baseline_labeled = initial_labeled + [by_id[i] for i in baseline_ids]
 
-            made5a, made10a = _score_split(holdout_states, active_labeled, k_modes, cfg.weights)
-            made5r, made10r = _score_split(holdout_states, baseline_labeled, k_modes, cfg.weights)
+            made5a, made10a = score(manifest.ids(), cfg.weights)
+            made5r, made10r = score(baseline_ids, cfg.weights)
             rows.append(
                 ExperimentRow(budget_frac, cfg.alpha, cfg.beta, seed, "active", made5a, made10a)
             )

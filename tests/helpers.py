@@ -1,11 +1,17 @@
-"""Shared test fixtures and the independent UPGMA oracle."""
+"""Shared test fixtures and the independent oracles: UPGMA, distance, k-NN surrogate."""
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from trajcurate import (
+    DEFAULT_WEIGHTS,
     CondensedDistanceMatrix,
+    MetricWeights,
     TrajectoryPool,
     TrajectoryState,
     flat_clusters,
@@ -14,6 +20,7 @@ from trajcurate import (
     sampling_round,
     upgma_linkage,
 )
+from trajcurate.errors import EmptyTrainingPool, NoPredictions, ParseError
 from trajcurate.sampling import (
     PHASE_FALLBACK,
     PHASE_FAMILIAR,
@@ -23,6 +30,7 @@ from trajcurate.sampling import (
     cluster_cap,
     round_half_up,
 )
+from trajcurate.surrogate import PREFIX_LEN
 
 BASE_LINE = tuple((float(k), 0.0) for k in range(12))
 
@@ -55,6 +63,83 @@ def random_states(rng, n, scale=50.0):
 def random_condensed(rng, n, lo=1.0, hi=10.0):
     values = rng.uniform(lo, hi, size=n * (n - 1) // 2)
     return CondensedDistanceMatrix(n=n, values=values)
+
+
+def reference_distance(a, b, w=DEFAULT_WEIGHTS, prefix_len=12):
+    """Loop-and-math trajectory-state distance over the first ``prefix_len`` points."""
+    total = 0.0
+    for (ax, ay), (bx, by) in zip(a.points[:prefix_len], b.points[:prefix_len]):
+        total += math.sqrt((ax - bx) ** 2 + (ay - by) ** 2)
+    return total + w.k_a * abs(a.a - b.a) + w.k_v * abs(a.v - b.v) + w.k_h * abs(a.h - b.h)
+
+
+@dataclass(frozen=True)
+class ObservedPrefix:
+    """What the surrogate sees of a query: 2 points plus (v, a, h)."""
+
+    points: tuple[tuple[float, float], ...]
+    v: float
+    a: float
+    h: float
+
+    @classmethod
+    def from_state(cls, s: TrajectoryState) -> "ObservedPrefix":
+        return cls(points=s.points[:PREFIX_LEN], v=s.v, a=s.a, h=s.h)
+
+
+def prefix_distance(
+    q: ObservedPrefix, s: TrajectoryState, w: MetricWeights = DEFAULT_WEIGHTS
+) -> float:
+    """The trajectory-state distance restricted to the observable prefix."""
+    qp = np.asarray(q.points, dtype=np.float64)
+    sp = np.asarray(s.points[:PREFIX_LEN], dtype=np.float64)
+    total = np.sqrt(((qp - sp) ** 2).sum(axis=1)).sum()
+    total = total + w.k_a * abs(q.a - s.a)
+    total = total + w.k_v * abs(q.v - s.v)
+    total = total + w.k_h * abs(q.h - s.h)
+    return float(total)
+
+
+def knn_predict(
+    query: ObservedPrefix | TrajectoryState,
+    labeled: Sequence[TrajectoryState],
+    k_modes: int,
+    w: MetricWeights = DEFAULT_WEIGHTS,
+) -> list[np.ndarray]:
+    """Full trajectories of the nearest labeled neighbors, nearest first.
+
+    Returns min(k_modes, len(labeled)) modes; prefix-distance ties are
+    broken by id so the mode order is deterministic.
+    """
+    if isinstance(query, TrajectoryState):
+        query = ObservedPrefix.from_state(query)
+    if not labeled:
+        raise EmptyTrainingPool("knn_predict needs at least one labeled trajectory")
+    if k_modes < 1:
+        raise ValueError(f"k_modes must be >= 1, got {k_modes}")
+    ranked = sorted(labeled, key=lambda s: (prefix_distance(query, s, w), s.id))
+    return [np.asarray(s.points, dtype=np.float64) for s in ranked[:k_modes]]
+
+
+def min_ade_k(
+    predictions: Sequence[np.ndarray], truth: Sequence[Sequence[float]], k: int
+) -> float:
+    """Minimum average displacement error over the first K modes."""
+    if len(predictions) == 0:
+        raise NoPredictions("min_ade_k needs at least one prediction")
+    if k < 1:
+        raise ValueError(f"K must be >= 1, got {k}")
+    truth_arr = np.asarray(truth, dtype=np.float64)
+    best = np.inf
+    for pred in list(predictions)[:k]:
+        pred_arr = np.asarray(pred, dtype=np.float64)
+        if pred_arr.shape != truth_arr.shape:
+            raise ParseError(
+                f"prediction shape {pred_arr.shape} != truth shape {truth_arr.shape}"
+            )
+        ade = float(np.sqrt(((pred_arr - truth_arr) ** 2).sum(axis=1)).mean())
+        best = min(best, ade)
+    return best
 
 
 def upgma_oracle(square):

@@ -293,6 +293,20 @@ def test_simulate_custom_grid_requires_lists(synth_file, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--tau", "-1"], ["--tau", "nan"], ["--k-modes", "0"], ["--holdout", "1.5"]],
+    ids=["tau-negative", "tau-nan", "k-modes-0", "holdout-1.5"],
+)
+def test_simulate_bad_flag_values_exit_2(synth_file, tmp_path, capsys, flags):
+    code = dispatch(
+        ["simulate", "--input", str(synth_file), "--seeds", "1", "--out", str(tmp_path / "r.csv")]
+        + flags
+    )
+    assert code == 2
+    assert flags[0] in capsys.readouterr().err
+
+
 def test_stats_command(pool_file, tmp_path, capsys):
     out = tmp_path / "stats.txt"
     code = dispatch(["stats", "--input", str(pool_file), "--out", str(out)])

@@ -98,6 +98,12 @@ def test_flat_clusters_extremes():
     assert shattered.novel_clusters == frozenset()
 
 
+@pytest.mark.parametrize("tau", [-1.0, float("nan")])
+def test_flat_clusters_rejects_bad_tau(tau):
+    with pytest.raises(ParseError):
+        flat_clusters(upgma_linkage(THREE_LEAF), tau)
+
+
 def test_flat_clusters_three_leaf_split():
     tree = upgma_linkage(THREE_LEAF)
     p = flat_clusters(tree, tau=2.0, leaf_ids=["A", "B", "C"])

@@ -80,6 +80,24 @@ def test_jsonl_errors(tmp_path):
         load_trajectories(path)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("labeled", "false"), ("points", [[0.0, 0.0, 0.0]] + [[0.0, 0.0]] * 11), ("v", "abc")],
+    ids=["labeled-string", "point-3d", "v-string"],
+)
+def test_jsonl_mistyped_field_names_file_and_line(tmp_path, field, value):
+    path = tmp_path / "pool.jsonl"
+    write_trajectories(fixture_pool(), path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    record[field] = value
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_trajectories(path)
+    assert str(path) in str(err.value) and "line 2" in str(err.value)
+
+
 def test_jsonl_duplicate_id(tmp_path):
     pool = fixture_pool()
     path = tmp_path / "dupe.jsonl"

@@ -13,9 +13,10 @@ from trajcurate import (
     write_distance_matrix,
 )
 from trajcurate.errors import NonFiniteValue, ParseError
-from trajcurate.metric import condensed_index
+from trajcurate.metric import _distance, condensed_index
+from trajcurate.states import pack_states
 
-from helpers import BASE_LINE, make_state, random_states
+from helpers import BASE_LINE, make_state, random_states, reference_distance
 
 
 def test_default_weights():
@@ -105,6 +106,17 @@ def test_pairwise_matches_pointwise_exactly():
             assert m.get(i, j) == expected
     assert m.get(4, 4) == 0.0
     assert m.get(7, 2) == m.get(2, 7)
+
+
+@pytest.mark.parametrize("prefix_len", [2, 12])
+def test_kernel_matches_loop_reference(prefix_len):
+    rng = np.random.default_rng(6)
+    xs, ys = random_states(rng, 300), random_states(rng, 300)
+    w = MetricWeights(k_a=0.3, k_v=0.2, k_h=1.7)
+    (px, dx), (py, dy) = pack_states(xs), pack_states(ys)
+    got = _distance(px, dx, py, dy, w, prefix_len)
+    for d, x, y in zip(got, xs, ys):
+        assert d == pytest.approx(reference_distance(x, y, w, prefix_len), rel=1e-12)
 
 
 def test_pairwise_worker_determinism():

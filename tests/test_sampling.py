@@ -49,6 +49,8 @@ def test_config_validation():
         SamplingConfig(alpha=0.5, beta=0.5, budget=1.5)
     with pytest.raises(InvalidFlagValue):
         SamplingConfig(alpha=0.5, beta=0.5, budget=5, tau=-1.0)
+    with pytest.raises(InvalidFlagValue):
+        SamplingConfig(alpha=0.5, beta=0.5, budget=5, tau=float("nan"))
 
 
 def test_quota_and_cap_arithmetic():

@@ -30,9 +30,3 @@ def test_phase_transition_script_runs(tmp_path):
     assert "best alpha per budget" in proc.stdout
     assert len(out.read_text().splitlines()) == 1 + 2 * 2 * 2 * 2
 
-
-def test_scale_benchmark_script_runs():
-    proc = run("scale_benchmark.py", "--size", "300")
-    assert proc.returncode == 0, proc.stderr
-    assert "linkage" in proc.stdout
-    assert "peak RSS" in proc.stdout

@@ -5,13 +5,10 @@ from trajcurate import (
     ExperimentResult,
     ExperimentRow,
     MetricWeights,
-    ObservedPrefix,
     SamplingConfig,
     TrajectoryPool,
     canonical_pool_spec,
     generate_synthetic_pool,
-    knn_predict,
-    min_ade_k,
     run_al_experiment,
     stratified_holdout,
 )
@@ -21,9 +18,9 @@ from trajcurate.errors import (
     NoPredictions,
     ParseError,
 )
-from trajcurate.surrogate import prefix_distance
+from trajcurate.surrogate import _score_split
 
-from helpers import make_state
+from helpers import ObservedPrefix, knn_predict, make_state, min_ade_k, prefix_distance
 
 
 def shifted(id_, dx, v=0.0):
@@ -138,6 +135,28 @@ def test_stratified_holdout_counts():
         got = sum(1 for i in members if i in held_set)
         base = math.floor(0.2 * len(members))
         assert got in (base, base + 1)
+
+
+@pytest.mark.parametrize("k_modes", [3, 10])
+def test_score_split_matches_knn_oracle(k_modes):
+    items = generate_synthetic_pool(canonical_pool_spec(total_count=200, seed=3))
+    pool = TrajectoryPool(tuple(items))
+    train, held = stratified_holdout(items, fraction=0.2, seed=1)
+    rng = np.random.default_rng(0)
+    labeled_rows = sorted(rng.choice(train, size=60, replace=False), key=lambda r: items[r].id)
+    w = MetricWeights(k_a=0.1, k_v=0.05, k_h=2.0)
+
+    points, dyn = pool.columns
+    qp, qd = points[held], dyn[held]
+    made5, made10 = _score_split(qp, qd, pool, labeled_rows, k_modes, w)
+
+    labeled = [items[r] for r in labeled_rows]
+    queries = [items[i] for i in held]
+    preds = [knn_predict(q, labeled, k_modes, w) for q in queries]
+    want5 = np.mean([min_ade_k(p, q.points, 5) for p, q in zip(preds, queries)])
+    want10 = np.mean([min_ade_k(p, q.points, 10) for p, q in zip(preds, queries)])
+    assert made5 == pytest.approx(want5, rel=1e-12)
+    assert made10 == pytest.approx(want10, rel=1e-12)
 
 
 def test_experiment_row_accounting_and_pairing():

@@ -25,6 +25,7 @@ from pathlib import Path
 from . import __version__
 from .cluster import ClusterPartition, Dendrogram, format_dendrogram
 from .errors import (
+    CurationError,
     DuplicateId,
     ParseError,
     SchemaVersionMismatch,
@@ -82,6 +83,8 @@ def load_trajectories(path, fmt: str | None = None) -> TrajectoryPool:
             state = validate_trajectory_state(rec)
         except (TypeError, ValueError) as exc:
             raise ParseError(f"{path}: line {lineno}: malformed record ({exc})") from exc
+        except CurationError as exc:
+            raise type(exc)(f"{path}: line {lineno}: {exc}") from exc
         if state.id in seen:
             raise DuplicateId(f"{path}: duplicate id {state.id!r} (line {lineno})")
         seen.add(state.id)
@@ -112,6 +115,10 @@ def _read_jsonl(path):
                     f"{path}: line {lineno}: expected {TRAJECTORY_LEN} points, "
                     f"got {len(points) if isinstance(points, list) else type(points).__name__}"
                 )
+            # a JSON boolean would pass float() as 0.0 or 1.0
+            for key in ("v", "a", "h"):
+                if isinstance(obj[key], bool):
+                    raise ParseError(f"{path}: line {lineno}: {key} must be a number, got {obj[key]}")
             labeled = obj.get("labeled", False)
             if not isinstance(labeled, bool):
                 raise ParseError(f"{path}: line {lineno}: labeled must be true or false")

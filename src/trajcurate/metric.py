@@ -31,6 +31,7 @@ from .states import TRAJECTORY_LEN, TrajectoryPool, TrajectoryState, pack_states
 
 _MATRIX_MAGIC = b"TSDM"
 _MATRIX_VERSION = 1
+_MATRIX_HEADER_LEN = 16  # magic, u32 version, u64 n
 
 
 @dataclass(frozen=True)
@@ -198,16 +199,20 @@ def write_distance_matrix(m: CondensedDistanceMatrix, path) -> None:
 
 def read_distance_matrix(path) -> CondensedDistanceMatrix:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MATRIX_MAGIC:
-            raise ParseError(f"bad matrix magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != _MATRIX_VERSION:
-            raise ParseError(f"unsupported matrix version {version}")
-        (n,) = struct.unpack("<Q", fh.read(8))
+        header = fh.read(_MATRIX_HEADER_LEN)
         payload = fh.read()
+    magic = header[:4]
+    if magic != _MATRIX_MAGIC:
+        raise ParseError(f"bad matrix magic {magic!r}")
+    if len(header) < _MATRIX_HEADER_LEN:
+        raise ParseError(
+            f"{path}: matrix header is {len(header)} bytes, expected {_MATRIX_HEADER_LEN}"
+        )
+    version, n = struct.unpack("<IQ", header[4:])
+    if version != _MATRIX_VERSION:
+        raise ParseError(f"unsupported matrix version {version}")
     expected = n * (n - 1) // 2
+    if len(payload) != 8 * expected:
+        raise ParseError(f"matrix payload has {len(payload)} bytes, expected {8 * expected}")
     values = np.frombuffer(payload, dtype="<f8")
-    if values.shape != (expected,):
-        raise ParseError(f"matrix payload has {values.shape[0]} values, expected {expected}")
     return CondensedDistanceMatrix(n=int(n), values=values.astype(np.float64))

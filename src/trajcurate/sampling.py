@@ -221,35 +221,52 @@ def sample_familiar(
     return picked, quota - len(picked)
 
 
+def pool_partition(
+    pool: TrajectoryPool, cfg: SamplingConfig, dendrogram: Dendrogram | None = None
+) -> ClusterPartition:
+    """Flat clusters of the pool at cfg.tau, split by novelty against its
+    labeled set.
+
+    ``dendrogram`` may supply a precomputed linkage of exactly this pool
+    under cfg.weights (the linkage does not depend on labels, so experiment
+    harnesses reuse one across rounds); when omitted it is computed here.
+    """
+    tree = dendrogram
+    if tree is None:
+        tree = upgma_linkage_for_pool(pool, cfg.weights)
+    elif tree.n_leaves != len(pool):
+        raise ParseError(f"dendrogram has {tree.n_leaves} leaves, pool has {len(pool)} items")
+    return flat_clusters(tree, cfg.tau, labeled_ids=pool.labeled_ids, leaf_ids=pool.ids)
+
+
 def sampling_round(
     pool: TrajectoryPool,
     cfg: SamplingConfig,
     round_index: int = 0,
-    dendrogram: Dendrogram | None = None,
+    partition: ClusterPartition | None = None,
 ) -> SelectionManifest:
     """Run one full novelty-sensitive sampling round over a pool.
 
     Clusters the whole pool at cfg.tau, runs the novel phase, marks its
     picks as labeled, runs the familiar phase, then fills any shortfall
-    from the remaining unlabeled pool. ``dendrogram`` may supply a
-    precomputed linkage of exactly this pool under cfg.weights (the
-    linkage does not depend on labels, so experiment harnesses reuse one
-    across rounds); when omitted it is computed here.
+    from the remaining unlabeled pool. ``partition`` may supply the cut
+    ``pool_partition(pool, cfg)`` would make (experiment harnesses reuse
+    one across seeds); when omitted it is computed here.
     """
-    ids = [s.id for s in pool.items]
-    unlabeled = sorted(set(ids) - pool.labeled_ids)
+    unlabeled = sorted(pool.unlabeled_ids)
     if not unlabeled:
         raise EmptyUnlabeledPool("no unlabeled trajectory-states to sample")
     budget = resolve_budget(cfg.budget, len(unlabeled))
 
-    tree = dendrogram
-    if tree is None:
-        tree = upgma_linkage_for_pool(pool, cfg.weights)
-    elif tree.n_leaves != len(ids):
-        raise ParseError(
-            f"dendrogram has {tree.n_leaves} leaves, pool has {len(ids)} items"
-        )
-    part = flat_clusters(tree, cfg.tau, labeled_ids=pool.labeled_ids, leaf_ids=ids)
+    part = partition
+    if part is None:
+        part = pool_partition(pool, cfg)
+    elif part.tau != cfg.tau:
+        raise ParseError(f"partition was cut at tau {part.tau}, config has tau {cfg.tau}")
+    elif part.assignments.keys() != set(pool.ids):
+        raise ParseError("partition leaves are not the pool's ids")
+    elif part.labeled_ids != pool.labeled_ids:
+        raise ParseError("partition labeled set is not the pool's")
 
     novel_quota = round_half_up(cfg.alpha * budget)
     familiar_quota = budget - novel_quota

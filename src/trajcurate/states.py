@@ -158,7 +158,7 @@ class TrajectoryPool:
         """Read-only (n, 12, 2) points and (n, 3) [v, a, h] rows, packed on first use."""
         return pack_states(self.items)
 
-    @property
+    @cached_property
     def ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.items)
 

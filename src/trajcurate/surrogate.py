@@ -17,16 +17,19 @@ split, writing rows suitable for budget/alpha/beta curves.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .cluster import ClusterPartition, Dendrogram
 from .errors import InsufficientPool, ParseError
 from .metric import MetricWeights, _distance
 from .sampling import (
     BASELINE_STREAM,
     SamplingConfig,
     phase_rng,
+    pool_partition,
     sampling_round,
     upgma_linkage_for_pool,
 )
@@ -34,6 +37,11 @@ from .states import TrajectoryPool, TrajectoryState
 from .synth import largest_remainder, motif_key
 
 PREFIX_LEN = 2
+
+# holdout queries per distance block in _rank_holdout
+_QUERY_BLOCK = 64
+# first ranked columns _score_ranked scans for labeled neighbors
+_HEAD_WIDTH = 64
 
 
 @dataclass(frozen=True)
@@ -63,21 +71,26 @@ class ExperimentResult:
     def cells(self) -> tuple[tuple[float, float, float], ...]:
         return tuple(sorted({(r.budget, r.alpha, r.beta) for r in self.rows}))
 
+    @cached_property
+    def _means(self) -> dict[tuple[float, float, float, str], tuple[float, float, int]]:
+        """(budget, alpha, beta, strategy) -> (mean made5, mean made10, n_seeds)."""
+        groups: dict[tuple[float, float, float, str], list[ExperimentRow]] = {}
+        for r in self.rows:
+            groups.setdefault((r.budget, r.alpha, r.beta, r.strategy), []).append(r)
+        return {
+            key: (
+                float(np.mean([r.made5 for r in rs])),
+                float(np.mean([r.made10 for r in rs])),
+                len(rs),
+            )
+            for key, rs in groups.items()
+        }
+
     def mean_made5(self, budget: float, alpha: float, beta: float, strategy: str) -> float:
-        vals = [
-            r.made5
-            for r in self.rows
-            if (r.budget, r.alpha, r.beta, r.strategy) == (budget, alpha, beta, strategy)
-        ]
-        return float(np.mean(vals))
+        return self._means[budget, alpha, beta, strategy][0]
 
     def mean_made10(self, budget: float, alpha: float, beta: float, strategy: str) -> float:
-        vals = [
-            r.made10
-            for r in self.rows
-            if (r.budget, r.alpha, r.beta, r.strategy) == (budget, alpha, beta, strategy)
-        ]
-        return float(np.mean(vals))
+        return self._means[budget, alpha, beta, strategy][1]
 
     def improvement_over_random(self) -> tuple[tuple[float, float, float, float, float, int], ...]:
         """Per cell: (budget, alpha, beta, delta5, delta10, n_seeds).
@@ -86,19 +99,10 @@ class ExperimentResult:
         beat the baseline.
         """
         out = []
-        for budget, alpha, beta in self.cells():
-            n = sum(
-                1
-                for r in self.rows
-                if (r.budget, r.alpha, r.beta, r.strategy) == (budget, alpha, beta, "active")
-            )
-            d5 = self.mean_made5(budget, alpha, beta, "random") - self.mean_made5(
-                budget, alpha, beta, "active"
-            )
-            d10 = self.mean_made10(budget, alpha, beta, "random") - self.mean_made10(
-                budget, alpha, beta, "active"
-            )
-            out.append((budget, alpha, beta, d5, d10, n))
+        for cell in self.cells():
+            active5, active10, n = self._means[cell + ("active",)]
+            random5, random10, _ = self._means[cell + ("random",)]
+            out.append(cell + (random5 - active5, random10 - active10, n))
         return tuple(out)
 
 
@@ -138,27 +142,48 @@ def stratified_holdout(
     return train, sorted(holdout_set)
 
 
-def _score_split(
-    qp: np.ndarray,
-    qd: np.ndarray,
-    train: TrajectoryPool,
-    labeled_rows: Sequence[int],
-    k_modes: int,
-    w: MetricWeights,
+def _rank_holdout(
+    qp: np.ndarray, qd: np.ndarray, lp: np.ndarray, ld: np.ndarray, w: MetricWeights
+) -> np.ndarray:
+    """Per query, the ``int32`` stable argsort of its prefix distances to
+    every training row.
+
+    ``qp``/``qd`` are the queries' point and ``[v, a, h]`` columns and
+    ``lp``/``ld`` the training pool's, in id order, so distance ties rank
+    by id. Queries go through the kernel in blocks to bound temporaries.
+    """
+    order = np.empty((len(qp), len(lp)), dtype=np.int32)
+    for lo in range(0, len(qp), _QUERY_BLOCK):
+        hi = lo + _QUERY_BLOCK
+        dist = _distance(qp[lo:hi, None], qd[lo:hi, None], lp[None], ld[None], w, PREFIX_LEN)
+        order[lo:hi] = np.argsort(dist, axis=1, kind="stable")
+    return order
+
+
+def _score_ranked(
+    qp: np.ndarray, lp: np.ndarray, order: np.ndarray, labeled: np.ndarray, k_modes: int
 ) -> tuple[float, float]:
     """Mean minADE_5 and minADE_10 of the surrogate over the queries.
 
-    ``qp``/``qd`` are the queries' point and ``[v, a, h]`` columns;
-    ``labeled_rows`` index ``train`` in id order, which breaks distance
-    ties by id.
+    ``order`` is ``_rank_holdout`` over the training points ``lp`` and
+    ``labeled`` a boolean mask over the same rows. A stable sort filtered
+    to a subset keeps the order the subset's own stable sort gives, so the
+    first k labeled columns of each row are its k nearest labeled
+    neighbors, ties by id.
     """
-    points, dyn = train.columns
-    lp, ld = points[labeled_rows], dyn[labeled_rows]
-    dist = _distance(qp[:, None], qd[:, None], lp[None], ld[None], w, PREFIX_LEN)
-
-    k = min(k_modes, len(labeled_rows))
-    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    modes = lp[order]  # (nq, k, 12, 2)
+    k = min(k_modes, int(labeled.sum()))
+    # the k nearest labeled columns usually sit in a short head of each row;
+    # widen the head until every row holds k of them
+    width = _HEAD_WIDTH
+    while True:
+        head = order[:, :width]
+        m = labeled[head]
+        seen = np.cumsum(m, axis=1, dtype=np.int32)
+        if width >= order.shape[1] or seen[:, -1].min() >= k:
+            break
+        width *= 2
+    m &= seen <= k
+    modes = lp[head[m].reshape(len(order), k)]  # (nq, k, 12, 2)
     ade = np.sqrt(((modes - qp[:, None, :, :]) ** 2).sum(axis=3)).mean(axis=2)
     made5 = float(ade[:, : min(5, k)].min(axis=1).mean())
     made10 = float(ade[:, : min(10, k)].min(axis=1).mean())
@@ -179,12 +204,17 @@ def run_al_experiment(
     For each (config, seed) the labeled pool is built by one sampling
     round starting from the pool's own labeled set, the baseline draws the
     same number of ids uniformly from the same unlabeled pool, and both
-    are scored on the identical held-out split. Linkage is computed once
-    per distinct weight setting since it does not depend on labels.
+    are scored on the identical held-out split. Labels change neither the
+    linkage nor the holdout's distance ranking, so both are computed once
+    per distinct weight setting, and the tree is cut once per tau.
     """
     train_idx, holdout_idx = stratified_holdout(
         pool.items, holdout_fraction, split_seed, group_key
     )
+    if not holdout_idx:
+        raise InsufficientPool(
+            f"holdout fraction {holdout_fraction} holds out none of {len(pool)} trajectory-states"
+        )
     points, dyn = pool.columns
     qp, qd = points[holdout_idx], dyn[holdout_idx]
     train_items = tuple(pool.items[i] for i in train_idx)
@@ -200,29 +230,49 @@ def run_al_experiment(
                 f"budget {cfg.budget} exceeds the unlabeled pool ({len(unlabeled0)})"
             )
 
-    def score(picked: Sequence[str], w: MetricWeights) -> tuple[float, float]:
-        labeled_rows = [working.row(i) for i in sorted(working.labeled_ids.union(picked))]
-        return _score_split(qp, qd, working, labeled_rows, k_modes, w)
+    # training rows in id order, so the ranking breaks distance ties by id
+    by_id = sorted(working.ids)
+    rank = {id_: k for k, id_ in enumerate(by_id)}
+    id_rows = [working.row(i) for i in by_id]
+    tpoints, tdyn = working.columns
+    lp, ld = tpoints[id_rows], tdyn[id_rows]
+    labeled0 = np.zeros(len(by_id), dtype=bool)
+    labeled0[[rank[i] for i in working.labeled_ids]] = True
 
-    linkage_cache: dict[MetricWeights, object] = {}
+    def score(picked: Sequence[str], order: np.ndarray) -> tuple[float, float]:
+        labeled = labeled0.copy()
+        labeled[[rank[i] for i in picked]] = True
+        return _score_ranked(qp, lp, order, labeled, k_modes)
+
+    ranked: dict[MetricWeights, tuple[Dendrogram, np.ndarray]] = {}
+    partitions: dict[tuple[MetricWeights, float], ClusterPartition] = {}
+    # the baseline draw depends only on (seed, size), so cells share its score
+    baseline_scores: dict[tuple[MetricWeights, int, int], tuple[float, float]] = {}
     rows: list[ExperimentRow] = []
     for cfg in grid:
-        if cfg.weights not in linkage_cache:
-            linkage_cache[cfg.weights] = upgma_linkage_for_pool(working, cfg.weights)
-        tree = linkage_cache[cfg.weights]
+        if cfg.weights not in ranked:
+            ranked[cfg.weights] = (
+                upgma_linkage_for_pool(working, cfg.weights),
+                _rank_holdout(qp, qd, lp, ld, cfg.weights),
+            )
+        tree, order = ranked[cfg.weights]
+        if (cfg.weights, cfg.tau) not in partitions:
+            partitions[cfg.weights, cfg.tau] = pool_partition(working, cfg, tree)
+        partition = partitions[cfg.weights, cfg.tau]
         budget_frac = (
             cfg.budget if isinstance(cfg.budget, float) else cfg.budget / len(unlabeled0)
         )
         for seed in seeds:
-            manifest = sampling_round(working, replace(cfg, seed=seed), dendrogram=tree)
-            rng = phase_rng(seed, BASELINE_STREAM)
+            manifest = sampling_round(working, replace(cfg, seed=seed), partition=partition)
+            made5a, made10a = score(manifest.ids(), order)
             take = len(manifest.selected)
-            baseline_ids = [
-                unlabeled0[int(i)] for i in rng.permutation(len(unlabeled0))[:take]
-            ]
-
-            made5a, made10a = score(manifest.ids(), cfg.weights)
-            made5r, made10r = score(baseline_ids, cfg.weights)
+            if (cfg.weights, seed, take) not in baseline_scores:
+                rng = phase_rng(seed, BASELINE_STREAM)
+                baseline_ids = [
+                    unlabeled0[int(i)] for i in rng.permutation(len(unlabeled0))[:take]
+                ]
+                baseline_scores[cfg.weights, seed, take] = score(baseline_ids, order)
+            made5r, made10r = baseline_scores[cfg.weights, seed, take]
             rows.append(
                 ExperimentRow(budget_frac, cfg.alpha, cfg.beta, seed, "active", made5a, made10a)
             )

@@ -1,4 +1,5 @@
-"""Shared test fixtures and the independent oracles: UPGMA, distance, k-NN surrogate."""
+"""Shared test fixtures and the independent oracles: UPGMA, distance, k-NN surrogate,
+per-score surrogate scoring."""
 
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from trajcurate.sampling import (
     cluster_cap,
     round_half_up,
 )
+from trajcurate.metric import _distance
 from trajcurate.surrogate import PREFIX_LEN
 
 BASE_LINE = tuple((float(k), 0.0) for k in range(12))
@@ -140,6 +142,33 @@ def min_ade_k(
         ade = float(np.sqrt(((pred_arr - truth_arr) ** 2).sum(axis=1)).mean())
         best = min(best, ade)
     return best
+
+
+def _score_split(
+    qp: np.ndarray,
+    qd: np.ndarray,
+    train: TrajectoryPool,
+    labeled_rows: Sequence[int],
+    k_modes: int,
+    w: MetricWeights,
+) -> tuple[float, float]:
+    """Mean minADE_5 and minADE_10 of the surrogate over the queries.
+
+    ``qp``/``qd`` are the queries' point and ``[v, a, h]`` columns;
+    ``labeled_rows`` index ``train`` in id order, which breaks distance
+    ties by id.
+    """
+    points, dyn = train.columns
+    lp, ld = points[labeled_rows], dyn[labeled_rows]
+    dist = _distance(qp[:, None], qd[:, None], lp[None], ld[None], w, PREFIX_LEN)
+
+    k = min(k_modes, len(labeled_rows))
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    modes = lp[order]  # (nq, k, 12, 2)
+    ade = np.sqrt(((modes - qp[:, None, :, :]) ** 2).sum(axis=3)).mean(axis=2)
+    made5 = float(ade[:, : min(5, k)].min(axis=1).mean())
+    made10 = float(ade[:, : min(10, k)].min(axis=1).mean())
+    return made5, made10
 
 
 def upgma_oracle(square):

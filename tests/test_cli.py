@@ -307,6 +307,17 @@ def test_simulate_bad_flag_values_exit_2(synth_file, tmp_path, capsys, flags):
     assert flags[0] in capsys.readouterr().err
 
 
+def test_simulate_empty_holdout_exits_1(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    code = dispatch(
+        ["simulate", "--pool-size", "100", "--holdout", "0", "--seeds", "1", "--out", str(out)]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "holdout" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_stats_command(pool_file, tmp_path, capsys):
     out = tmp_path / "stats.txt"
     code = dispatch(["stats", "--input", str(pool_file), "--out", str(out)])

@@ -13,6 +13,8 @@ from trajcurate import (
 )
 from trajcurate.errors import (
     DuplicateId,
+    EmptyId,
+    NonFiniteValue,
     ParseError,
     SchemaVersionMismatch,
     WrongPointCount,
@@ -81,11 +83,19 @@ def test_jsonl_errors(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "field, value",
-    [("labeled", "false"), ("points", [[0.0, 0.0, 0.0]] + [[0.0, 0.0]] * 11), ("v", "abc")],
-    ids=["labeled-string", "point-3d", "v-string"],
+    "field, value, error",
+    [
+        ("labeled", "false", ParseError),
+        ("points", [[0.0, 0.0, 0.0]] + [[0.0, 0.0]] * 11, ParseError),
+        ("v", "abc", ParseError),
+        ("v", True, ParseError),
+        ("v", float("nan"), NonFiniteValue),
+        ("id", "", EmptyId),
+        ("id", 7, EmptyId),
+    ],
+    ids=["labeled-string", "point-3d", "v-string", "v-true", "v-nan", "id-empty", "id-int"],
 )
-def test_jsonl_mistyped_field_names_file_and_line(tmp_path, field, value):
+def test_jsonl_mistyped_field_names_file_and_line(tmp_path, field, value, error):
     path = tmp_path / "pool.jsonl"
     write_trajectories(fixture_pool(), path)
     lines = path.read_text().splitlines()
@@ -93,7 +103,7 @@ def test_jsonl_mistyped_field_names_file_and_line(tmp_path, field, value):
     record[field] = value
     lines[1] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(error) as err:
         load_trajectories(path)
     assert str(path) in str(err.value) and "line 2" in str(err.value)
 

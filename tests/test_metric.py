@@ -155,3 +155,12 @@ def test_matrix_dump_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ParseError):
         read_distance_matrix(path)
+
+
+@pytest.mark.parametrize("size", [0, 6, 15, 16 + 3 * 8 + 5])
+def test_matrix_dump_truncated(tmp_path, size):
+    path = tmp_path / "short.tsdm"
+    write_distance_matrix(pairwise_distances(random_states(np.random.default_rng(2), 4)), path)
+    path.write_bytes(path.read_bytes()[:size])
+    with pytest.raises(ParseError):
+        read_distance_matrix(path)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from trajcurate import (
@@ -20,6 +22,7 @@ from trajcurate.sampling import (
     cluster_cap,
     default_experiment_grid,
     phase_rng,
+    pool_partition,
     resolve_budget,
     round_half_up,
 )
@@ -211,16 +214,27 @@ def test_round_with_injected_dendrogram_matches():
     pool = TrajectoryPool(tuple(items), frozenset(labels))
     cfg = SamplingConfig(alpha=0.4, beta=0.5, budget=5, seed=8)
     tree = upgma_linkage(pairwise_distances(pool.items, cfg.weights))
-    assert sampling_round(pool, cfg, dendrogram=tree) == sampling_round(pool, cfg)
+    part = pool_partition(pool, cfg, tree)
+    assert part == pool_partition(pool, cfg)
+    assert sampling_round(pool, cfg, partition=part) == sampling_round(pool, cfg)
 
 
 def test_round_rejects_mismatched_dendrogram():
-    items, _ = group("c", 5, x=0.0)
+    items, labels = group("c", 5, x=0.0, labeled=1)
     other, _ = group("d", 4, x=0.0)
-    pool = TrajectoryPool(tuple(items))
-    tree = upgma_linkage(pairwise_distances(other))
+    pool = TrajectoryPool(tuple(items), frozenset(labels))
+    cfg = SamplingConfig(alpha=0.5, beta=0.5, budget=2)
     with pytest.raises(ParseError):
-        sampling_round(pool, SamplingConfig(alpha=0.5, beta=0.5, budget=2), dendrogram=tree)
+        pool_partition(pool, cfg, upgma_linkage(pairwise_distances(other)))
+    # a partition cut at another tau, over other leaves, or against another labeled set
+    mismatched = (
+        pool_partition(pool, replace(cfg, tau=cfg.tau + 1.0)),
+        pool_partition(TrajectoryPool(tuple(other)), cfg),
+        pool_partition(pool.with_labeled(["c4"]), cfg),
+    )
+    for part in mismatched:
+        with pytest.raises(ParseError):
+            sampling_round(pool, cfg, partition=part)
 
 
 def test_invariant_fixtures_quick():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,17 @@ from trajcurate.errors import (
     NoPredictions,
     ParseError,
 )
-from trajcurate.surrogate import _score_split
+from trajcurate.sampling import BASELINE_STREAM, phase_rng, sampling_round
+from trajcurate.surrogate import PREFIX_LEN, _rank_holdout, _score_ranked
 
-from helpers import ObservedPrefix, knn_predict, make_state, min_ade_k, prefix_distance
+from helpers import (
+    ObservedPrefix,
+    _score_split,
+    knn_predict,
+    make_state,
+    min_ade_k,
+    prefix_distance,
+)
 
 
 def shifted(id_, dx, v=0.0):
@@ -157,6 +167,100 @@ def test_score_split_matches_knn_oracle(k_modes):
     want10 = np.mean([min_ade_k(p, q.points, 10) for p, q in zip(preds, queries)])
     assert made5 == pytest.approx(want5, rel=1e-12)
     assert made10 == pytest.approx(want10, rel=1e-12)
+
+
+def pool_with_twins(n=300, seed=4, twins=40):
+    """A canonical pool plus twins under new ids, half sorting before their
+    originals and half after, so exact distance ties across ids occur.
+
+    A twin copies its original's observable prefix and dynamics, so the two
+    tie on prefix distance. Every other twin copies the whole trajectory;
+    the rest shift the unobserved tail, so the tie order changes which
+    future a query is scored against.
+    """
+    items = generate_synthetic_pool(canonical_pool_spec(total_count=n, seed=seed))
+
+    def twin(s, id_, k):
+        tail = tuple((x + 0.5, y - 0.25) for x, y in s.points[PREFIX_LEN:])
+        return replace(s, id=id_, points=s.points if k % 2 else s.points[:PREFIX_LEN] + tail)
+
+    copies = [twin(s, f"a-twin-{s.id}", k) for k, s in enumerate(items[: twins // 2])]
+    copies += [twin(s, f"{s.id}-twin", k) for k, s in enumerate(items[-(twins // 2) :])]
+    return items + copies
+
+
+def test_ranked_scorer_equals_per_score_oracle():
+    items = pool_with_twins()
+    train, held = stratified_holdout(items, fraction=0.2, seed=1)
+    train_pool = TrajectoryPool(tuple(items[i] for i in train))
+    by_id = sorted(train_pool.ids)
+    id_rows = [train_pool.row(i) for i in by_id]
+    points, dyn = TrajectoryPool(tuple(items)).columns
+    qp, qd = points[held], dyn[held]
+    tpoints, tdyn = train_pool.columns
+    lp, ld = tpoints[id_rows], tdyn[id_rows]
+    w = MetricWeights(k_a=0.1, k_v=0.05, k_h=2.0)
+    order = _rank_holdout(qp, qd, lp, ld, w)
+    assert order.dtype == np.int32
+
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        size = int(rng.integers(1, 12)) if trial % 3 == 0 else int(rng.integers(12, len(by_id) + 1))
+        picked = np.sort(rng.choice(len(by_id), size=size, replace=False))
+        mask = np.zeros(len(by_id), dtype=bool)
+        mask[picked] = True
+        labeled_rows = [id_rows[k] for k in picked]
+        for k_modes in (1, 5, 10, size + 3):
+            got = _score_ranked(qp, lp, order, mask, k_modes)
+            assert got == _score_split(qp, qd, train_pool, labeled_rows, k_modes, w)
+
+
+def oracle_experiment(pool, grid, seeds, k_modes):
+    """run_al_experiment written as a plain loop over the per-score oracle."""
+    train, held = stratified_holdout(pool.items, 0.2, 1)
+    points, dyn = pool.columns
+    qp, qd = points[held], dyn[held]
+    items = tuple(pool.items[i] for i in train)
+    working = TrajectoryPool(items, pool.labeled_ids & {s.id for s in items})
+    unlabeled0 = sorted(working.unlabeled_ids)
+    rows = []
+    for cfg in grid:
+        for seed in seeds:
+            manifest = sampling_round(working, replace(cfg, seed=seed))
+            order = phase_rng(seed, BASELINE_STREAM).permutation(len(unlabeled0))
+            baseline = [unlabeled0[int(i)] for i in order[: len(manifest.selected)]]
+            for strategy, picked in (("active", manifest.ids()), ("random", baseline)):
+                labeled = sorted(working.labeled_ids.union(picked))
+                made5, made10 = _score_split(
+                    qp, qd, working, [working.row(i) for i in labeled], k_modes, cfg.weights
+                )
+                rows.append(
+                    ExperimentRow(cfg.budget, cfg.alpha, cfg.beta, seed, strategy, made5, made10)
+                )
+    return tuple(rows)
+
+
+def test_experiment_rows_match_oracle_loop_across_weights():
+    items = pool_with_twins(n=160, seed=5, twins=20)
+    pool = TrajectoryPool(tuple(items), frozenset(s.id for s in items[::9]))
+    heavy_h = MetricWeights(k_a=0.2, k_v=0.1, k_h=3.0)
+    grid = [
+        SamplingConfig(alpha=0.4, beta=0.6, budget=0.2, tau=20.0),
+        SamplingConfig(alpha=1.0, beta=0.4, budget=0.1, tau=20.0, weights=heavy_h),
+        SamplingConfig(alpha=0.0, beta=1.0, budget=0.3, tau=8.0),
+        SamplingConfig(alpha=0.6, beta=0.2, budget=0.2, tau=8.0, weights=heavy_h),
+        SamplingConfig(alpha=1.0, beta=0.6, budget=0.2, tau=8.0),
+    ]
+    res = run_al_experiment(pool, grid, seeds=(0, 1), k_modes=4)
+    assert res.rows == oracle_experiment(pool, grid, seeds=(0, 1), k_modes=4)
+
+
+def test_experiment_empty_holdout_is_insufficient_pool():
+    pool = TrajectoryPool(tuple(generate_synthetic_pool(canonical_pool_spec(total_count=100, seed=8))))
+    grid = [SamplingConfig(alpha=0.5, beta=0.5, budget=0.2, tau=30.0)]
+    for fraction in (0.0, 0.004):
+        with pytest.raises(InsufficientPool):
+            run_al_experiment(pool, grid, seeds=(0,), holdout_fraction=fraction)
 
 
 def test_experiment_row_accounting_and_pairing():

@@ -21,13 +21,14 @@ the topology a pure function of the distance matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ParseError, UnknownId, UnknownLeaf
+from .errors import DuplicateId, ParseError, UnknownId, UnknownLeaf
 from .metric import CondensedDistanceMatrix
 
 
@@ -208,13 +209,9 @@ class ClusterPartition:
     familiar_clusters: frozenset[int]
     tau: float
     labeled_ids: frozenset
-
-    @cached_property
-    def members_by_label(self) -> dict[int, tuple]:
-        groups: dict[int, list] = {}
-        for id_, label in self.assignments.items():
-            groups.setdefault(label, []).append(id_)
-        return {label: tuple(sorted(ids)) for label, ids in groups.items()}
+    # each label's member ids, sorted; derived from ``assignments`` once by
+    # flat_clusters and shared by every partition refreshed from it
+    members_by_label: Mapping[int, tuple] = field(repr=False, compare=False)
 
     def cluster_members(self, label: int) -> tuple:
         return self.members_by_label[label]
@@ -285,11 +282,13 @@ def flat_clusters(
     ordered = sorted(groups.values(), key=lambda leaves: leaves[0])
 
     assignments: dict[Hashable, int] = {}
-    members_by_label: dict[int, list] = {}
+    members_by_label: dict[int, tuple] = {}
     for label, leaves in enumerate(ordered):
-        members_by_label[label] = [ids[leaf] for leaf in leaves]
+        members_by_label[label] = tuple(sorted(ids[leaf] for leaf in leaves))
         for leaf in leaves:
             assignments[ids[leaf]] = label
+    if len(assignments) != n:
+        raise DuplicateId(f"leaf ids repeat: {n} leaves, {len(assignments)} distinct ids")
 
     labeled = frozenset(labeled_ids) & set(ids)
     novel, single, familiar = _split_novelty(members_by_label, labeled)
@@ -300,6 +299,7 @@ def flat_clusters(
         familiar_clusters=familiar,
         tau=float(tau),
         labeled_ids=labeled,
+        members_by_label=MappingProxyType(members_by_label),
     )
 
 
@@ -318,6 +318,7 @@ def refresh_partition(p: ClusterPartition, newly_labeled: Iterable) -> ClusterPa
         familiar_clusters=familiar,
         tau=p.tau,
         labeled_ids=labeled,
+        members_by_label=p.members_by_label,
     )
 
 

@@ -119,6 +119,11 @@ def _read_jsonl(path):
             for key in ("v", "a", "h"):
                 if isinstance(obj[key], bool):
                     raise ParseError(f"{path}: line {lineno}: {key} must be a number, got {obj[key]}")
+            for k, point in enumerate(points):
+                if isinstance(point, list) and any(isinstance(c, bool) for c in point):
+                    raise ParseError(
+                        f"{path}: line {lineno}: point {k} coordinates must be numbers, got {point}"
+                    )
             labeled = obj.get("labeled", False)
             if not isinstance(labeled, bool):
                 raise ParseError(f"{path}: line {lineno}: labeled must be true or false")

@@ -7,9 +7,19 @@ The distance between two trajectory-states A and B is
 
 a sum of per-timestep point displacements plus weighted dynamic-state
 differences. It is a metric (each term is one), and the O(n^2) pairwise
-computation over a pool is the performance core of the package: pairs are
-independent, so the index space may be partitioned across threads while
-staying bitwise deterministic (no pair's sum is ever split).
+computation over a pool is the performance core of the package.
+
+One kernel, ``_distance``, computes every distance, and its floating-point
+reduction order is written out rather than left to numpy: timestep k gives
+``sqrt(dx*dx + dy*dy)``; fewer than 8 timesteps are summed left to right,
+and 8 to 12 as ``((t0+t1)+(t2+t3)) + ((t4+t5)+(t6+t7))`` and then the
+rest left to right; the a, v and h terms are added last. That is the order
+numpy's pairwise summation used for the earlier ``.sum`` form of the
+kernel, so matrices, dendrograms and surrogate rankings stay byte-identical
+to artifacts made with it, and the result does not depend on how a given
+numpy version sums internally. Pairs are independent and no pair's sum is
+ever split, so the pairwise matrix is computed in row tiles across threads
+and stays bitwise deterministic for any tiling and worker count.
 
 Coordinates are used exactly as ingested; no re-centering or rotation
 normalization is applied, so the frame of the input data defines the
@@ -32,6 +42,12 @@ from .states import TRAJECTORY_LEN, TrajectoryPool, TrajectoryState, pack_states
 _MATRIX_MAGIC = b"TSDM"
 _MATRIX_VERSION = 1
 _MATRIX_HEADER_LEN = 16  # magic, u32 version, u64 n
+
+# rows per kernel call in pairwise_distances; each call's temporaries are
+# _TILE x n float64 arrays (1.3 MB each at n = 10k)
+_TILE = 16
+# block side for mirroring the upper triangle in to_square
+_MIRROR_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -90,15 +106,26 @@ class CondensedDistanceMatrix:
         return float(self.values[condensed_index(self.n, i, j)])
 
     def to_square(self) -> np.ndarray:
-        """Materialize the full symmetric matrix (zero diagonal)."""
-        out = np.zeros((self.n, self.n))
+        """Materialize the full symmetric matrix (zero diagonal).
+
+        Upper rows are contiguous copies; the lower triangle is mirrored in
+        square blocks, so the strided writes stay in cache and no second
+        n x n temporary is made.
+        """
+        n = self.n
+        out = np.zeros((n, n))
         pos = 0
-        for i in range(self.n - 1):
-            cnt = self.n - 1 - i
-            row = self.values[pos : pos + cnt]
-            out[i, i + 1 :] = row
-            out[i + 1 :, i] = row
+        for i in range(n - 1):
+            cnt = n - 1 - i
+            out[i, i + 1 :] = self.values[pos : pos + cnt]
             pos += cnt
+        for i0 in range(0, n, _MIRROR_BLOCK):
+            i1 = min(i0 + _MIRROR_BLOCK, n)
+            diag = out[i0:i1, i0:i1]
+            diag += np.triu(diag, 1).T
+            for j0 in range(i1, n, _MIRROR_BLOCK):
+                j1 = min(j0 + _MIRROR_BLOCK, n)
+                out[j0:j1, i0:i1] = out[i0:i1, j0:j1].T
         return out
 
 
@@ -110,15 +137,46 @@ def condensed_index(n: int, i: int, j: int) -> int:
 def _distance(pa, da, pb, db, w: MetricWeights, prefix_len: int = TRAJECTORY_LEN) -> np.ndarray:
     """Distances between broadcastable ``(..., 12, 2)`` points ``pa``/``pb``
     with ``(..., 3)`` ``[v, a, h]`` rows ``da``/``db``, over the first
-    ``prefix_len`` timesteps.
+    ``prefix_len`` timesteps. The broadcast shape must have at least one
+    axis: terms are summed in place, which a 0-d scalar cannot take.
 
     Every distance in the package is computed here, so pointwise and
-    batched results agree bit for bit. The reduction order is fixed: per
-    timestep the sqrt of the summed squared x/y differences, the sum over
-    timesteps, then the a, v and h terms added in place in that order.
+    batched results agree bit for bit. Timestep k contributes the term
+    ``t_k = sqrt(dx*dx + dy*dy)``. Fewer than 8 terms are added left to
+    right; 8 to 12 terms as ``((t0+t1)+(t2+t3)) + ((t4+t5)+(t6+t7))``, then
+    t8 onwards left to right. The a, v and h terms follow, added in place
+    in that order. This is the order numpy's pairwise summation gave the
+    earlier ``sqrt((diff**2).sum(-1)).sum(-1)`` form, written out so that
+    distances stay byte-identical to artifacts made with that form whatever
+    numpy version runs. Terms are added as they are made, so at most three
+    term arrays are live at once.
     """
-    d = np.sqrt(((pa[..., :prefix_len, :] - pb[..., :prefix_len, :]) ** 2).sum(axis=-1))
-    d = d.sum(axis=-1)
+
+    def term(k: int) -> np.ndarray:
+        dx = pa[..., k, 0] - pb[..., k, 0]
+        dy = pa[..., k, 1] - pb[..., k, 1]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        return np.sqrt(dx, out=dx)
+
+    d = term(0)
+    if prefix_len < 8:
+        for k in range(1, prefix_len):
+            d += term(k)
+    else:
+        d += term(1)
+        pair = term(2)
+        pair += term(3)
+        d += pair
+        quad = term(4)
+        quad += term(5)
+        pair = term(6)
+        pair += term(7)
+        quad += pair
+        d += quad
+        for k in range(8, prefix_len):
+            d += term(k)
     d += w.k_a * np.abs(da[..., 1] - db[..., 1])
     d += w.k_v * np.abs(da[..., 0] - db[..., 0])
     d += w.k_h * np.abs(da[..., 2] - db[..., 2])
@@ -130,7 +188,7 @@ def trajectory_state_distance(
 ) -> float:
     """Distance between two trajectory-states."""
     pts, dyn = pack_states((a, b))
-    return float(_distance(pts[0], dyn[0], pts[1], dyn[1], w))
+    return float(_distance(pts[:1], dyn[:1], pts[1:], dyn[1:], w)[0])
 
 
 def _row_block(
@@ -143,14 +201,21 @@ def _row_block(
 ) -> None:
     """Fill condensed entries for rows [i0, i1).
 
-    Each row writes a disjoint slice of ``out`` and every pair's terms are
-    reduced in a fixed order, so results do not depend on how rows are
-    assigned to workers.
+    Rows go through the kernel ``_TILE`` at a time, against every column
+    after the tile's first row; each row then copies its upper part into
+    its own disjoint slice of ``out``. A pair's terms are reduced in the
+    kernel's fixed order whatever tile it lands in, so results do not
+    depend on how rows are assigned to tiles or workers.
     """
     n = pts.shape[0]
-    for i in range(i0, i1):
-        start = condensed_index(n, i, i + 1)
-        out[start : start + n - 1 - i] = _distance(pts[i + 1 :], dyn[i + 1 :], pts[i], dyn[i], w)
+    for lo in range(i0, i1, _TILE):
+        hi = min(lo + _TILE, i1)
+        block = _distance(
+            pts[lo:hi, None], dyn[lo:hi, None], pts[None, lo + 1 :], dyn[None, lo + 1 :], w
+        )
+        for i in range(lo, hi):
+            start = condensed_index(n, i, i + 1)
+            out[start : start + n - 1 - i] = block[i - lo, i - lo :]
 
 
 def pairwise_distances(
@@ -170,13 +235,15 @@ def pairwise_distances(
     if n < 1:
         raise ParseError("pairwise_distances needs at least one trajectory-state")
     out = np.empty(n * (n - 1) // 2, dtype=np.float64)
+    # item-fastest copies, so each tile reads every column term contiguously
+    pts, dyn = np.asfortranarray(pts), np.asfortranarray(dyn)
     if workers is None:
         workers = max(1, min(4, os.cpu_count() or 1))
     if workers <= 1 or n < 64:
         _row_block(pts, dyn, w, out, 0, n)
     else:
         # small chunks keep the decreasing row costs balanced across threads
-        chunk = max(1, n // (workers * 8))
+        chunk = _TILE * max(1, n // (workers * 8 * _TILE))
         bounds = list(range(0, n, chunk)) + [n]
         with ThreadPoolExecutor(max_workers=workers) as ex:
             futures = [

@@ -68,11 +68,47 @@ def random_condensed(rng, n, lo=1.0, hi=10.0):
 
 
 def reference_distance(a, b, w=DEFAULT_WEIGHTS, prefix_len=12):
-    """Loop-and-math trajectory-state distance over the first ``prefix_len`` points."""
+    """Loop-and-math trajectory-state distance over the first ``prefix_len`` points.
+
+    Timestep terms are summed in the kernel's documented order: left to
+    right below 8 terms, else the first eight as
+    ``((t0+t1)+(t2+t3)) + ((t4+t5)+(t6+t7))`` and the rest left to right.
+    """
+    terms = [
+        math.sqrt((ax - bx) * (ax - bx) + (ay - by) * (ay - by))
+        for (ax, ay), (bx, by) in zip(a.points[:prefix_len], b.points[:prefix_len])
+    ]
     total = 0.0
-    for (ax, ay), (bx, by) in zip(a.points[:prefix_len], b.points[:prefix_len]):
-        total += math.sqrt((ax - bx) ** 2 + (ay - by) ** 2)
+    if len(terms) >= 8:
+        t = terms
+        total = ((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7]))
+        terms = terms[8:]
+    for term in terms:
+        total += term
     return total + w.k_a * abs(a.a - b.a) + w.k_v * abs(a.v - b.v) + w.k_h * abs(a.h - b.h)
+
+
+def sum_distance_oracle(pa, da, pb, db, w=DEFAULT_WEIGHTS, prefix_len=12):
+    """The distance through numpy's own ``.sum`` reductions, the form that
+    made the earlier artifacts; the kernel must equal it bit for bit."""
+    d = np.sqrt(((pa[..., :prefix_len, :] - pb[..., :prefix_len, :]) ** 2).sum(axis=-1))
+    d = d.sum(axis=-1)
+    d += w.k_a * np.abs(da[..., 1] - db[..., 1])
+    d += w.k_v * np.abs(da[..., 0] - db[..., 0])
+    d += w.k_h * np.abs(da[..., 2] - db[..., 2])
+    return d
+
+
+def pairwise_oracle(pts, dyn, w=DEFAULT_WEIGHTS):
+    """Condensed matrix built one row at a time through ``sum_distance_oracle``."""
+    n = len(pts)
+    out = np.empty(n * (n - 1) // 2)
+    pos = 0
+    for i in range(n - 1):
+        row = sum_distance_oracle(pts[i + 1 :], dyn[i + 1 :], pts[i], dyn[i], w)
+        out[pos : pos + n - 1 - i] = row
+        pos += n - 1 - i
+    return out
 
 
 @dataclass(frozen=True)

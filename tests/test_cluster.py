@@ -14,7 +14,7 @@ from trajcurate import (
     refresh_partition,
     upgma_linkage,
 )
-from trajcurate.errors import ParseError, UnknownId, UnknownLeaf
+from trajcurate.errors import DuplicateId, ParseError, UnknownId, UnknownLeaf
 
 from helpers import random_condensed, upgma_oracle
 
@@ -163,6 +163,30 @@ def test_refresh_equals_recut_with_grown_labels():
         assert refreshed.novel_clusters == merged.novel_clusters
         assert refreshed.singletons == merged.singletons
         assert refreshed.familiar_clusters == merged.familiar_clusters
+
+
+def test_members_by_label_groups_assignments_once():
+    rng = np.random.default_rng(12)
+    for _ in range(25):
+        n = int(rng.integers(2, 30))
+        tree = upgma_linkage(random_condensed(rng, n))
+        leaf_ids = [f"id{int(k):03d}" for k in rng.permutation(n)]
+        p = flat_clusters(tree, float(rng.uniform(1, 10)), leaf_ids=leaf_ids)
+        groups: dict[int, list] = {}
+        for id_, label in p.assignments.items():
+            groups.setdefault(label, []).append(id_)
+        want = {label: tuple(sorted(ids)) for label, ids in groups.items()}
+        assert dict(p.members_by_label) == want
+        assert list(p.members_by_label) == list(want)
+        refreshed = refresh_partition(p, leaf_ids[: n // 3])
+        assert refreshed.members_by_label is p.members_by_label
+        with pytest.raises(TypeError):
+            p.members_by_label[0] = ()
+
+
+def test_flat_clusters_rejects_repeated_leaf_ids():
+    with pytest.raises(DuplicateId):
+        flat_clusters(upgma_linkage(THREE_LEAF), 2.0, leaf_ids=["A", "B", "A"])
 
 
 def test_within_cluster_bound_and_maximality():

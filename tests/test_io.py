@@ -87,13 +87,17 @@ def test_jsonl_errors(tmp_path):
     [
         ("labeled", "false", ParseError),
         ("points", [[0.0, 0.0, 0.0]] + [[0.0, 0.0]] * 11, ParseError),
+        ("points", [[True, 0.0]] + [[0.0, 0.0]] * 11, ParseError),
         ("v", "abc", ParseError),
         ("v", True, ParseError),
         ("v", float("nan"), NonFiniteValue),
         ("id", "", EmptyId),
         ("id", 7, EmptyId),
     ],
-    ids=["labeled-string", "point-3d", "v-string", "v-true", "v-nan", "id-empty", "id-int"],
+    ids=[
+        "labeled-string", "point-3d", "point-bool", "v-string", "v-true", "v-nan", "id-empty",
+        "id-int",
+    ],
 )
 def test_jsonl_mistyped_field_names_file_and_line(tmp_path, field, value, error):
     path = tmp_path / "pool.jsonl"

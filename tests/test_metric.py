@@ -16,7 +16,15 @@ from trajcurate.errors import NonFiniteValue, ParseError
 from trajcurate.metric import _distance, condensed_index
 from trajcurate.states import pack_states
 
-from helpers import BASE_LINE, make_state, random_states, reference_distance
+from helpers import (
+    BASE_LINE,
+    make_state,
+    pairwise_oracle,
+    random_condensed,
+    random_states,
+    reference_distance,
+    sum_distance_oracle,
+)
 
 
 def test_default_weights():
@@ -108,7 +116,7 @@ def test_pairwise_matches_pointwise_exactly():
     assert m.get(7, 2) == m.get(2, 7)
 
 
-@pytest.mark.parametrize("prefix_len", [2, 12])
+@pytest.mark.parametrize("prefix_len", range(1, 13))
 def test_kernel_matches_loop_reference(prefix_len):
     rng = np.random.default_rng(6)
     xs, ys = random_states(rng, 300), random_states(rng, 300)
@@ -116,7 +124,47 @@ def test_kernel_matches_loop_reference(prefix_len):
     (px, dx), (py, dy) = pack_states(xs), pack_states(ys)
     got = _distance(px, dx, py, dy, w, prefix_len)
     for d, x, y in zip(got, xs, ys):
-        assert d == pytest.approx(reference_distance(x, y, w, prefix_len), rel=1e-12)
+        assert d == reference_distance(x, y, w, prefix_len)
+
+
+@pytest.mark.parametrize("prefix_len", range(1, 13))
+def test_kernel_equals_sum_oracle_bitwise(prefix_len):
+    rng = np.random.default_rng(7)
+    w = MetricWeights(k_a=0.3, k_v=0.2, k_h=1.7)
+    (px, dx), (py, dy) = pack_states(random_states(rng, 300)), pack_states(random_states(rng, 40))
+    shapes = [
+        ((px[:40], dx[:40]), (py, dy)),  # paired rows
+        ((px[:, None], dx[:, None]), (py[None], dy[None])),  # (q, 1) x (1, m)
+        ((py[:, None], dy[:, None]), (px[None], dx[None])),
+    ]
+    for (pa, da), (pb, db) in shapes:
+        got = _distance(pa, da, pb, db, w, prefix_len)
+        want = sum_distance_oracle(pa, da, pb, db, w, prefix_len)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 63, 64, 65, 333])
+def test_pairwise_bytes_equal_row_oracle(n, workers):
+    rng = np.random.default_rng(n)
+    states = random_states(rng, n)
+    pts, dyn = pack_states(states)
+    got = pairwise_distances(states, workers=workers)
+    assert got.values.tobytes() == pairwise_oracle(pts, dyn).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 1100])
+def test_to_square_equals_row_mirror(n):
+    m = random_condensed(np.random.default_rng(n), n)
+    want = np.zeros((n, n))
+    pos = 0
+    for i in range(n - 1):
+        row = m.values[pos : pos + n - 1 - i]
+        want[i, i + 1 :] = row
+        want[i + 1 :, i] = row
+        pos += n - 1 - i
+    assert np.array_equal(m.to_square(), want)
 
 
 def test_pairwise_worker_determinism():

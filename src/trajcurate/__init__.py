@@ -7,7 +7,6 @@ from .cluster import (
     Dendrogram,
     Merge,
     cophenetic_distance,
-    cophenetic_matrix,
     flat_clusters,
     format_dendrogram,
     refresh_partition,
@@ -69,7 +68,6 @@ __all__ = [
     "TrajectoryState",
     "canonical_pool_spec",
     "cophenetic_distance",
-    "cophenetic_matrix",
     "default_experiment_grid",
     "estimate_dynamics",
     "flat_clusters",

@@ -13,8 +13,9 @@ labeled id set:
 
 Tie-break rule (merges with exactly equal linkage distances): pick the
 candidate pair whose merged member set has the lexicographically smallest
-(min leaf id, max leaf id); any residual tie is resolved by the smaller of
-the two clusters' own minimum leaf ids, which identifies a pair uniquely.
+(min leaf id, max leaf id); any residual tie is resolved by the larger of
+the two clusters' own minimum leaf ids (the smaller one is the merged
+set's min leaf id, already equal), which identifies a pair uniquely.
 Children of a merge are ordered by minimum member leaf id. These rules make
 the topology a pure function of the distance matrix.
 """
@@ -93,21 +94,33 @@ def upgma_linkage(d: CondensedDistanceMatrix) -> Dendrogram:
     """Build the UPGMA dendrogram for a condensed distance matrix.
 
     Distances between merged clusters follow the Lance-Williams average
-    update d(A+B, k) = (|A| d(A,k) + |B| d(B,k)) / (|A| + |B|). Per-row
-    minimum caches are kept as lower bounds (average linkage is reducible,
-    so row minima only grow) and repaired lazily, giving near-O(n^2)
-    behavior at O(n^2) memory. Updated distances are clamped to the current
-    merge height: the true average of values >= h cannot drop below h, so
-    the clamp only removes sub-ulp rounding and keeps heights monotone.
+    update d(A+B, k) = (|A| d(A,k) + |B| d(B,k)) / (|A| + |B|). The update
+    runs in place on one copy of the condensed vector, where pair (i, j),
+    i < j, sits at ``base[i] + j``; no square matrix is built. ``rowmin[i]``
+    is a lower bound of the minimum over row i's upper part (j > i), one
+    contiguous slice, and every pair is found in the row of its smaller
+    index. The merged cluster keeps the lower slot A and slot B dies; the
+    new distances are at least min(d(A,x), d(B,x)) and B's become inf, so
+    the bounds never need lowering (average linkage is reducible) and are
+    repaired lazily. Updated distances are clamped to the current merge
+    height: the true average of values >= h cannot drop below h, so the
+    clamp only removes sub-ulp rounding and keeps heights monotone.
     """
     n = d.n
     if n == 1:
         return Dendrogram(1, ())
 
-    D = d.to_square()
-    np.fill_diagonal(D, np.inf)
-    rowmin = D.min(axis=1)
+    vals = d.values.copy()
+    idx = np.arange(n, dtype=np.int64)
+    start = idx * (2 * n - idx - 1) // 2  # index of pair (i, i + 1)
+    base = start - idx - 1
+    rowmin = np.full(n, np.inf)
+    rowmin[:-1] = np.minimum.reduceat(vals, start[:-1])
 
+    def upper(i: int) -> np.ndarray:
+        return vals[start[i] : start[i] + n - 1 - i]
+
+    alive = np.ones(n, dtype=bool)
     size = np.ones(n, dtype=np.int64)
     node = np.arange(n, dtype=np.int64)
     minleaf = np.arange(n, dtype=np.int64)
@@ -118,21 +131,20 @@ def upgma_linkage(d: CondensedDistanceMatrix) -> Dendrogram:
         # settle the global minimum; stored row minima are lower bounds
         while True:
             i0 = int(np.argmin(rowmin))
-            fresh = D[i0].min()
+            fresh = upper(i0).min()
             if fresh == rowmin[i0]:
                 h = float(fresh)
                 break
             rowmin[i0] = fresh
         # gather every pair at the minimum (rows below h may be stale)
         pairs: list[tuple[int, int]] = []
-        for r in np.where(rowmin <= h)[0]:
-            row = D[r]
+        for r in np.flatnonzero(rowmin <= h):
+            row = upper(r)
             fresh = row.min()
             rowmin[r] = fresh
             if fresh == h:
-                for c in np.where(row == h)[0]:
-                    if c > r:
-                        pairs.append((int(r), int(c)))
+                for c in np.flatnonzero(row == h):
+                    pairs.append((int(r), int(r + 1 + c)))
         A, B = min(pairs, key=lambda p: _pair_key(p[0], p[1], minleaf, maxleaf))
 
         if minleaf[A] <= minleaf[B]:
@@ -142,15 +154,28 @@ def upgma_linkage(d: CondensedDistanceMatrix) -> Dendrogram:
         new_size = int(size[A] + size[B])
         merges.append(Merge(left, right, h, new_size))
 
-        new_row = (size[A] * D[A] + size[B] * D[B]) / new_size
-        np.maximum(new_row, h, out=new_row)
-        new_row[A] = np.inf
-        new_row[B] = np.inf
-        D[A] = new_row
-        D[:, A] = new_row
-        D[B] = np.inf
-        D[:, B] = np.inf
-        rowmin[A] = new_row.min()
+        # column B over the live x < B (A included): gather, then retire
+        alive[B] = False
+        xs = np.flatnonzero(alive[:B])
+        bx = base[xs]
+        col_b = bx + B
+        d_b = vals[col_b]
+        vals[col_b] = np.inf
+        # column A over the live x < A: gather, update, scatter back
+        k = int(np.searchsorted(xs, A))
+        col_a = bx[:k] + A
+        new_col = (size[A] * vals[col_a] + size[B] * d_b[:k]) / new_size
+        vals[col_a] = np.maximum(new_col, h)
+        # row A's upper slice against x > A: d(B, x) from column B, then
+        # row B; slot B stays inf, so the merged pair's entry becomes inf
+        row_a = upper(A)
+        row_b = np.full(n - 1 - A, np.inf)
+        row_b[xs[k + 1 :] - A - 1] = d_b[k + 1 :]
+        row_b[B - A :] = upper(B)
+        new_row = (size[A] * row_a + size[B] * row_b) / new_size
+        np.maximum(new_row, h, out=row_a)
+        upper(B)[:] = np.inf
+        rowmin[A] = row_a.min()
         rowmin[B] = np.inf
 
         size[A] = new_size
@@ -179,19 +204,6 @@ def cophenetic_distance(t: Dendrogram, i: int, j: int) -> float:
     while node not in ancestors:
         node = int(parents[node])
     return t.node_height(node)
-
-
-def cophenetic_matrix(t: Dendrogram) -> np.ndarray:
-    """All-pairs cophenetic distances as a full square matrix."""
-    n = t.n_leaves
-    out = np.zeros((n, n))
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    for k, m in enumerate(t.merges):
-        a, b = members.pop(m.left), members.pop(m.right)
-        out[np.ix_(a, b)] = m.height
-        out[np.ix_(b, a)] = m.height
-        members[n + k] = a + b
-    return out
 
 
 @dataclass(frozen=True)

@@ -70,12 +70,16 @@ def detect_format(path) -> str:
 def load_trajectories(path, fmt: str | None = None) -> TrajectoryPool:
     """Read a trajectory record file into a validated pool."""
     fmt = fmt or detect_format(path)
-    if fmt == "jsonl":
-        records = _read_jsonl(path)
-    elif fmt == "csv":
-        records = _read_csv(path)
-    else:
+    if fmt not in ("jsonl", "csv"):
         raise ParseError(f"unknown trajectory format {fmt!r}")
+    try:
+        records = _read_jsonl(path) if fmt == "jsonl" else _read_csv(path)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # e.g. a NUL byte before Python 3.11
+        raise ParseError(f"{path}: malformed CSV ({exc})") from None
+    if not records:
+        raise ParseError(f"{path}: no trajectory records")
 
     items, labeled, seen = [], set(), set()
     for lineno, rec, is_labeled in records:
@@ -163,7 +167,10 @@ def _read_csv(path):
                 "a": a,
                 "h": h,
             }
-            labeled = _parse_bool(row[-1]) if has_labeled else False
+            try:
+                labeled = _parse_bool(row[-1]) if has_labeled else False
+            except ParseError as exc:
+                raise ParseError(f"{path}: row {lineno}: {exc}") from None
             out.append((lineno, rec, labeled))
     return out
 

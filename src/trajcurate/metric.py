@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonFiniteValue, ParseError
+from .errors import CurationError, NonFiniteValue, ParseError
 from .states import TRAJECTORY_LEN, TrajectoryPool, TrajectoryState, pack_states
 
 _MATRIX_MAGIC = b"TSDM"
@@ -46,8 +46,6 @@ _MATRIX_HEADER_LEN = 16  # magic, u32 version, u64 n
 # rows per kernel call in pairwise_distances; each call's temporaries are
 # _TILE x n float64 arrays (1.3 MB each at n = 10k)
 _TILE = 16
-# block side for mirroring the upper triangle in to_square
-_MIRROR_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -104,29 +102,6 @@ class CondensedDistanceMatrix:
         if i > j:
             i, j = j, i
         return float(self.values[condensed_index(self.n, i, j)])
-
-    def to_square(self) -> np.ndarray:
-        """Materialize the full symmetric matrix (zero diagonal).
-
-        Upper rows are contiguous copies; the lower triangle is mirrored in
-        square blocks, so the strided writes stay in cache and no second
-        n x n temporary is made.
-        """
-        n = self.n
-        out = np.zeros((n, n))
-        pos = 0
-        for i in range(n - 1):
-            cnt = n - 1 - i
-            out[i, i + 1 :] = self.values[pos : pos + cnt]
-            pos += cnt
-        for i0 in range(0, n, _MIRROR_BLOCK):
-            i1 = min(i0 + _MIRROR_BLOCK, n)
-            diag = out[i0:i1, i0:i1]
-            diag += np.triu(diag, 1).T
-            for j0 in range(i1, n, _MIRROR_BLOCK):
-                j1 = min(j0 + _MIRROR_BLOCK, n)
-                out[j0:j1, i0:i1] = out[i0:i1, j0:j1].T
-        return out
 
 
 def condensed_index(n: int, i: int, j: int) -> int:
@@ -270,16 +245,21 @@ def read_distance_matrix(path) -> CondensedDistanceMatrix:
         payload = fh.read()
     magic = header[:4]
     if magic != _MATRIX_MAGIC:
-        raise ParseError(f"bad matrix magic {magic!r}")
+        raise ParseError(f"{path}: bad matrix magic {magic!r}")
     if len(header) < _MATRIX_HEADER_LEN:
         raise ParseError(
             f"{path}: matrix header is {len(header)} bytes, expected {_MATRIX_HEADER_LEN}"
         )
     version, n = struct.unpack("<IQ", header[4:])
     if version != _MATRIX_VERSION:
-        raise ParseError(f"unsupported matrix version {version}")
+        raise ParseError(f"{path}: unsupported matrix version {version}")
     expected = n * (n - 1) // 2
     if len(payload) != 8 * expected:
-        raise ParseError(f"matrix payload has {len(payload)} bytes, expected {8 * expected}")
+        raise ParseError(
+            f"{path}: matrix payload has {len(payload)} bytes, expected {8 * expected}"
+        )
     values = np.frombuffer(payload, dtype="<f8")
-    return CondensedDistanceMatrix(n=int(n), values=values.astype(np.float64))
+    try:
+        return CondensedDistanceMatrix(n=int(n), values=values.astype(np.float64))
+    except CurationError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

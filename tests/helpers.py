@@ -1,4 +1,5 @@
-"""Shared test fixtures and the independent oracles: UPGMA, distance, k-NN surrogate,
+"""Shared test fixtures and the independent oracles: UPGMA (naive and on the
+square matrix), square and cophenetic matrices, distance, k-NN surrogate,
 per-score surrogate scoring."""
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import numpy as np
 from trajcurate import (
     DEFAULT_WEIGHTS,
     CondensedDistanceMatrix,
+    Dendrogram,
+    Merge,
     MetricWeights,
     TrajectoryPool,
     TrajectoryState,
@@ -35,6 +38,8 @@ from trajcurate.metric import _distance
 from trajcurate.surrogate import PREFIX_LEN
 
 BASE_LINE = tuple((float(k), 0.0) for k in range(12))
+# block side for mirroring the upper triangle in to_square
+_MIRROR_BLOCK = 512
 
 
 def make_state(id_, offset=(0.0, 0.0), v=0.0, a=0.0, h=0.0, points=BASE_LINE):
@@ -249,6 +254,119 @@ def upgma_oracle(square):
         members[next_node] = sorted(ma + mb)
         next_node += 1
     return merges
+
+
+def to_square(m: CondensedDistanceMatrix) -> np.ndarray:
+    """Materialize the full symmetric matrix (zero diagonal).
+
+    Upper rows are contiguous copies; the lower triangle is mirrored in
+    square blocks, so the strided writes stay in cache and no second
+    n x n temporary is made.
+    """
+    n = m.n
+    out = np.zeros((n, n))
+    pos = 0
+    for i in range(n - 1):
+        cnt = n - 1 - i
+        out[i, i + 1 :] = m.values[pos : pos + cnt]
+        pos += cnt
+    for i0 in range(0, n, _MIRROR_BLOCK):
+        i1 = min(i0 + _MIRROR_BLOCK, n)
+        diag = out[i0:i1, i0:i1]
+        diag += np.triu(diag, 1).T
+        for j0 in range(i1, n, _MIRROR_BLOCK):
+            j1 = min(j0 + _MIRROR_BLOCK, n)
+            out[j0:j1, i0:i1] = out[i0:i1, j0:j1].T
+    return out
+
+
+def cophenetic_matrix(t: Dendrogram) -> np.ndarray:
+    """All-pairs cophenetic distances as a full square matrix."""
+    n = t.n_leaves
+    out = np.zeros((n, n))
+    members: dict[int, list[int]] = {i: [i] for i in range(n)}
+    for k, m in enumerate(t.merges):
+        a, b = members.pop(m.left), members.pop(m.right)
+        out[np.ix_(a, b)] = m.height
+        out[np.ix_(b, a)] = m.height
+        members[n + k] = a + b
+    return out
+
+
+def square_upgma_oracle(d: CondensedDistanceMatrix) -> Dendrogram:
+    """UPGMA with the greedy row-minimum search on the full square matrix.
+
+    The linkage as it ran before it moved onto the condensed vector: same
+    Lance-Williams update, clamp and tie rule, with whole-row minima as
+    lower bounds and every row and column of the merged pair rewritten.
+    Merge heights are the same floats, so dendrograms compare with ``==``.
+    The tie key is written out here, as in ``upgma_oracle``, rather than
+    taken from the package.
+    """
+    n = d.n
+    if n == 1:
+        return Dendrogram(1, ())
+
+    D = to_square(d)
+    np.fill_diagonal(D, np.inf)
+    rowmin = D.min(axis=1)
+
+    size = np.ones(n, dtype=np.int64)
+    node = np.arange(n, dtype=np.int64)
+    minleaf = np.arange(n, dtype=np.int64)
+    maxleaf = np.arange(n, dtype=np.int64)
+    merges: list[Merge] = []
+
+    for step in range(n - 1):
+        while True:
+            i0 = int(np.argmin(rowmin))
+            fresh = D[i0].min()
+            if fresh == rowmin[i0]:
+                h = float(fresh)
+                break
+            rowmin[i0] = fresh
+        pairs: list[tuple[int, int]] = []
+        for r in np.where(rowmin <= h)[0]:
+            row = D[r]
+            fresh = row.min()
+            rowmin[r] = fresh
+            if fresh == h:
+                for c in np.where(row == h)[0]:
+                    if c > r:
+                        pairs.append((int(r), int(c)))
+        A, B = min(
+            pairs,
+            key=lambda p: (
+                min(minleaf[p[0]], minleaf[p[1]]),
+                max(maxleaf[p[0]], maxleaf[p[1]]),
+                max(minleaf[p[0]], minleaf[p[1]]),
+            ),
+        )
+
+        if minleaf[A] <= minleaf[B]:
+            left, right = int(node[A]), int(node[B])
+        else:
+            left, right = int(node[B]), int(node[A])
+        new_size = int(size[A] + size[B])
+        merges.append(Merge(left, right, h, new_size))
+
+        new_row = (size[A] * D[A] + size[B] * D[B]) / new_size
+        np.maximum(new_row, h, out=new_row)
+        new_row[A] = np.inf
+        new_row[B] = np.inf
+        D[A] = new_row
+        D[:, A] = new_row
+        D[B] = np.inf
+        D[:, B] = np.inf
+        rowmin[A] = new_row.min()
+        rowmin[B] = np.inf
+
+        size[A] = new_size
+        node[A] = n + step
+        minleaf[A] = min(minleaf[A], minleaf[B])
+        maxleaf[A] = max(maxleaf[A], maxleaf[B])
+
+    return Dendrogram(n_leaves=n, merges=tuple(merges))
 
 
 def structured_pool(rng):

@@ -30,7 +30,6 @@ from trajcurate import (
     MetricWeights,
     SamplingConfig,
     TrajectoryPool,
-    cophenetic_matrix,
     flat_clusters,
     generate_synthetic_pool,
     pairwise_distances,
@@ -46,8 +45,10 @@ from trajcurate.synth import (
 
 from helpers import (
     check_round_invariants,
+    cophenetic_matrix,
     make_state,
     random_condensed,
+    to_square,
     upgma_oracle,
 )
 
@@ -130,7 +131,7 @@ def test_criterion_upgma_oracle_equivalence():
             n = int(rng.integers(2, 41))
             matrix = random_condensed(rng, n)
             tree = upgma_linkage(matrix)
-            expected = upgma_oracle(matrix.to_square())
+            expected = upgma_oracle(to_square(matrix))
             assert len(tree.merges) == n - 1
             for got, (left, right, height, size) in zip(tree.merges, expected):
                 assert (got.left, got.right, got.size) == (left, right, size)

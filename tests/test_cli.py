@@ -318,6 +318,32 @@ def test_simulate_empty_holdout_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+_HEADER_ONLY_CSV = ",".join(
+    ["id"] + [f"{axis}{k}" for k in range(1, 13) for axis in ("x", "y")] + ["v", "a", "h"]
+)
+
+
+@pytest.mark.parametrize("command", ["cluster", "sample", "simulate", "stats"])
+@pytest.mark.parametrize(
+    "name, text",
+    [("empty.jsonl", ""), ("blank.jsonl", "\n  \n\t\n"), ("header.csv", _HEADER_ONLY_CSV + "\n")],
+    ids=["jsonl-empty", "jsonl-blank-lines", "csv-header-only"],
+)
+def test_empty_input_names_the_file(tmp_path, capsys, command, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    flags = {
+        "cluster": ["--out", str(tmp_path / "out")],
+        "sample": ["--alpha", "0.5", "--beta", "0.5", "--budget", "1", "--out", str(tmp_path / "m.json")],
+        "simulate": ["--seeds", "1", "--out", str(tmp_path / "r.csv")],
+        "stats": [],
+    }[command]
+    code = dispatch([command, "--input", str(path)] + flags)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert str(path) in err and "no trajectory records" in err
+
+
 def test_stats_command(pool_file, tmp_path, capsys):
     out = tmp_path / "stats.txt"
     code = dispatch(["stats", "--input", str(pool_file), "--out", str(out)])

@@ -8,15 +8,24 @@ from trajcurate import (
     Dendrogram,
     Merge,
     cophenetic_distance,
-    cophenetic_matrix,
     flat_clusters,
     format_dendrogram,
+    generate_synthetic_pool,
+    pairwise_distances,
     refresh_partition,
     upgma_linkage,
 )
 from trajcurate.errors import DuplicateId, ParseError, UnknownId, UnknownLeaf
+from trajcurate.synth import CANONICAL_TAU, canonical_pool_spec
 
-from helpers import random_condensed, upgma_oracle
+from helpers import (
+    cophenetic_matrix,
+    random_condensed,
+    square_upgma_oracle,
+    stationary_state,
+    to_square,
+    upgma_oracle,
+)
 
 THREE_LEAF = CondensedDistanceMatrix(n=3, values=np.array([1.0, 5.0, 7.0]))
 
@@ -50,7 +59,7 @@ def test_three_leaf_hand_example():
 def test_ten_leaf_instance_matches_oracle():
     rng = np.random.default_rng(42)
     m = random_condensed(rng, 10)
-    assert_matches_oracle(upgma_linkage(m), m.to_square())
+    assert_matches_oracle(upgma_linkage(m), to_square(m))
 
 
 def test_tie_break_all_equal_distances():
@@ -63,7 +72,7 @@ def test_tie_break_all_equal_distances():
         Merge(4, 2, 5.0, 3),
         Merge(5, 3, 5.0, 4),
     )
-    assert_matches_oracle(tree, m.to_square())
+    assert_matches_oracle(tree, to_square(m))
 
 
 def test_cophenetic_basics():
@@ -229,19 +238,19 @@ def test_merge_height_monotonicity():
 def test_linkage_matches_oracle_property(n, seed):
     rng = np.random.default_rng(seed)
     m = random_condensed(rng, n)
-    assert_matches_oracle(upgma_linkage(m), m.to_square())
+    assert_matches_oracle(upgma_linkage(m), to_square(m))
+
+
+def _tie_plateau_states():
+    # duplicate trajectory-states produce exact zero-distance ties
+    return [stationary_state(f"d{i}", 0.0) for i in range(4)] + [
+        stationary_state(f"e{i}", 50.0) for i in range(2)
+    ]
 
 
 def test_upgma_duplicate_states_tie_plateau():
-    # duplicate trajectory-states produce exact zero-distance ties; the
-    # documented tie-break must still give one reproducible topology
-    from trajcurate import pairwise_distances
-
-    from helpers import stationary_state
-
-    states = [stationary_state(f"d{i}", 0.0) for i in range(4)] + [
-        stationary_state(f"e{i}", 50.0) for i in range(2)
-    ]
+    # the documented tie-break must still give one reproducible topology
+    states = _tie_plateau_states()
     m = pairwise_distances(states)
     tree = upgma_linkage(m)
     assert upgma_linkage(m) == tree
@@ -249,12 +258,56 @@ def test_upgma_duplicate_states_tie_plateau():
     assert heights[:4] == [0.0, 0.0, 0.0, 0.0]
     assert heights[4] == pytest.approx(600.0)
     assert all(a <= b for a, b in zip(heights, heights[1:]))
-    assert_matches_oracle(tree, m.to_square())
+    assert_matches_oracle(tree, to_square(m))
     # all duplicates land in one flat cluster even at tau = 0
     p = flat_clusters(tree, 0.0, leaf_ids=[s.id for s in states])
     assert p.assignments["d0"] == p.assignments["d3"]
     assert p.assignments["e0"] == p.assignments["e1"]
     assert p.assignments["d0"] != p.assignments["e0"]
+
+
+def test_condensed_linkage_equals_square_oracle_random():
+    # integer and 1/8-step values make ties and tie plateaus common
+    rng = np.random.default_rng(2024)
+    for trial in range(400):
+        n = int(rng.integers(1, 61))
+        count = n * (n - 1) // 2
+        kind = trial % 3
+        if kind == 0:
+            values = rng.integers(0, 4, count).astype(np.float64)
+        elif kind == 1:
+            values = rng.integers(0, 25, count) / 8.0
+        else:
+            values = rng.uniform(0.0, 10.0, count)
+        m = CondensedDistanceMatrix(n=n, values=values)
+        assert upgma_linkage(m) == square_upgma_oracle(m), (trial, n, kind)
+
+
+@pytest.mark.parametrize("pool", ["canonical-2k", "tie-plateau"])
+def test_condensed_linkage_equals_square_oracle_pools(pool):
+    if pool == "canonical-2k":
+        states = generate_synthetic_pool(canonical_pool_spec(2000))
+    else:
+        states = _tie_plateau_states()
+    m = pairwise_distances(states)
+    assert upgma_linkage(m) == square_upgma_oracle(m)
+
+
+@pytest.mark.parametrize("tau", [10.0, CANONICAL_TAU])
+def test_linkage_matches_scipy_average_at_2k(tau):
+    hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+    states = generate_synthetic_pool(canonical_pool_spec(2000))
+    m = pairwise_distances(states)
+    assert len(np.unique(m.values)) == len(m.values), "the data must be tie-free"
+    tree = upgma_linkage(m)
+    z = hierarchy.linkage(m.values, method="average")
+    heights = np.array([mg.height for mg in tree.merges])
+    np.testing.assert_allclose(heights, z[:, 2], rtol=1e-9, atol=0.0)
+    ours = flat_clusters(tree, tau).assignments
+    theirs = hierarchy.fcluster(z, t=tau, criterion="distance")
+    pairs = {(ours[i], int(theirs[i])) for i in range(m.n)}
+    assert len(pairs) == len(set(ours.values())) == len(set(theirs.tolist()))
+    assert len(pairs) > 1
 
 
 def test_cophenetic_single_leaf():

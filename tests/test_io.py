@@ -149,6 +149,26 @@ def test_csv_bad_number(tmp_path):
     assert "row 2" in str(err.value)
 
 
+def test_csv_bad_labeled_names_file_and_row(tmp_path):
+    path = tmp_path / "pool.csv"
+    write_trajectories(fixture_pool(), path)
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",maybe"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_trajectories(path)
+    assert str(path) in str(err.value) and "row 2" in str(err.value)
+
+
+@pytest.mark.parametrize("name", ["pool.jsonl", "pool.csv"])
+def test_non_utf8_input_names_the_file(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b"\x80\n")
+    with pytest.raises(ParseError, match="not UTF-8") as err:
+        load_trajectories(path)
+    assert str(path) in str(err.value)
+
+
 def test_unknown_format(tmp_path):
     with pytest.raises(ParseError):
         load_trajectories(tmp_path / "pool.parquet")

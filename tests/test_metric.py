@@ -24,6 +24,7 @@ from helpers import (
     random_states,
     reference_distance,
     sum_distance_oracle,
+    to_square,
 )
 
 
@@ -164,7 +165,7 @@ def test_to_square_equals_row_mirror(n):
         want[i, i + 1 :] = row
         want[i + 1 :, i] = row
         pos += n - 1 - i
-    assert np.array_equal(m.to_square(), want)
+    assert np.array_equal(to_square(m), want)
 
 
 def test_pairwise_worker_determinism():

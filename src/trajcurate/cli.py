@@ -153,7 +153,7 @@ def cmd_cluster(args) -> int:
     matrix = pairwise_distances(pool, weights)
     if args.matrix_out:
         write_distance_matrix(matrix, args.matrix_out)
-    tree = upgma_linkage(matrix)
+    tree = upgma_linkage(matrix, overwrite=True)
     del matrix
     part = flat_clusters(tree, args.tau, labeled_ids=pool.labeled_ids, leaf_ids=pool.ids)
     assignments_path, dendro_path = export_clusters(part, tree, args.out)
@@ -233,7 +233,7 @@ def cmd_stats(args) -> int:
     _check_tau(args.tau)
     weights = parse_weights(args.weights)
     pool = _load_pool(args)
-    tree = upgma_linkage(pairwise_distances(pool, weights))
+    tree = upgma_linkage(pairwise_distances(pool, weights), overwrite=True)
     part = flat_clusters(tree, args.tau, labeled_ids=pool.labeled_ids, leaf_ids=pool.ids)
 
     sizes = sorted(len(m) for m in part.members_by_label.values())

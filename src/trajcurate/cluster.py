@@ -83,19 +83,12 @@ class Dendrogram:
         return 0.0 if node < self.n_leaves else self.merges[node - self.n_leaves].height
 
 
-def _pair_key(i: int, j: int, minleaf: np.ndarray, maxleaf: np.ndarray) -> tuple:
-    lo, hi = minleaf[i], minleaf[j]
-    if lo > hi:
-        lo, hi = hi, lo
-    return (lo, max(maxleaf[i], maxleaf[j]), hi)
-
-
-def upgma_linkage(d: CondensedDistanceMatrix) -> Dendrogram:
+def upgma_linkage(d: CondensedDistanceMatrix, overwrite: bool = False) -> Dendrogram:
     """Build the UPGMA dendrogram for a condensed distance matrix.
 
     Distances between merged clusters follow the Lance-Williams average
     update d(A+B, k) = (|A| d(A,k) + |B| d(B,k)) / (|A| + |B|). The update
-    runs in place on one copy of the condensed vector, where pair (i, j),
+    runs in place on the condensed vector, where pair (i, j),
     i < j, sits at ``base[i] + j``; no square matrix is built. ``rowmin[i]``
     is a lower bound of the minimum over row i's upper part (j > i), one
     contiguous slice, and every pair is found in the row of its smaller
@@ -105,12 +98,16 @@ def upgma_linkage(d: CondensedDistanceMatrix) -> Dendrogram:
     repaired lazily. Updated distances are clamped to the current merge
     height: the true average of values >= h cannot drop below h, so the
     clamp only removes sub-ulp rounding and keeps heights monotone.
+    ``overwrite=True`` updates ``d.values`` itself instead of a copy, like
+    scipy's ``overwrite_a``: ``d`` is consumed, and its values must own
+    their buffer, as those from ``pairwise_distances`` do.
     """
     n = d.n
     if n == 1:
         return Dendrogram(1, ())
 
-    vals = d.values.copy()
+    vals = d.values if overwrite else d.values.copy()
+    vals.flags.writeable = True  # a matrix keeps its values read-only
     idx = np.arange(n, dtype=np.int64)
     start = idx * (2 * n - idx - 1) // 2  # index of pair (i, i + 1)
     base = start - idx - 1
@@ -137,15 +134,20 @@ def upgma_linkage(d: CondensedDistanceMatrix) -> Dendrogram:
                 break
             rowmin[i0] = fresh
         # gather every pair at the minimum (rows below h may be stale)
-        pairs: list[tuple[int, int]] = []
+        rs, cs = [], []
         for r in np.flatnonzero(rowmin <= h):
             row = upper(r)
             fresh = row.min()
             rowmin[r] = fresh
             if fresh == h:
-                for c in np.flatnonzero(row == h):
-                    pairs.append((int(r), int(r + 1 + c)))
-        A, B = min(pairs, key=lambda p: _pair_key(p[0], p[1], minleaf, maxleaf))
+                cs.append(np.flatnonzero(row == h) + (r + 1))
+                rs.append(np.full(cs[-1].size, r))
+        rs, cs = np.concatenate(rs), np.concatenate(cs)
+        k = 0
+        if rs.size > 1:  # the tie rule of the module docstring, as one lexsort
+            lo, hi = np.minimum(minleaf[rs], minleaf[cs]), np.maximum(minleaf[rs], minleaf[cs])
+            k = np.lexsort((hi, np.maximum(maxleaf[rs], maxleaf[cs]), lo))[0]
+        A, B = int(rs[k]), int(cs[k])
 
         if minleaf[A] <= minleaf[B]:
             left, right = int(node[A]), int(node[B])

@@ -72,12 +72,7 @@ def load_trajectories(path, fmt: str | None = None) -> TrajectoryPool:
     fmt = fmt or detect_format(path)
     if fmt not in ("jsonl", "csv"):
         raise ParseError(f"unknown trajectory format {fmt!r}")
-    try:
-        records = _read_jsonl(path) if fmt == "jsonl" else _read_csv(path)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except csv.Error as exc:  # e.g. a NUL byte before Python 3.11
-        raise ParseError(f"{path}: malformed CSV ({exc})") from None
+    records = _read_jsonl(path) if fmt == "jsonl" else _read_csv(path)
     if not records:
         raise ParseError(f"{path}: no trajectory records")
 
@@ -98,10 +93,20 @@ def load_trajectories(path, fmt: str | None = None) -> TrajectoryPool:
     return TrajectoryPool(tuple(items), frozenset(labeled))
 
 
+def _utf8_lines(fh, path):
+    """Lines of a file opened with errors="surrogateescape"; a non-UTF-8 byte fails with its line."""
+    for lineno, line in enumerate(fh, start=1):
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: line {lineno}: not UTF-8 text ({exc.reason})") from None
+        yield line
+
+
 def _read_jsonl(path):
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(_utf8_lines(fh, path), start=1):
             if not line.strip():
                 continue
             try:
@@ -137,41 +142,44 @@ def _read_jsonl(path):
 
 def _read_csv(path):
     out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty CSV file") from None
-        if header != _CSV_FIELDS and header != _CSV_FIELDS[:-1]:
-            raise ParseError(f"{path}: unexpected CSV header {header[:4]}...")
-        has_labeled = len(header) == len(_CSV_FIELDS)
-        width = len(_CSV_FIELDS) if has_labeled else len(_CSV_FIELDS) - 1
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise WrongPointCount(
-                    f"{path}: row {lineno}: expected {width} fields "
-                    f"({TRAJECTORY_LEN} coordinate pairs), got {len(row)}"
-                )
+    try:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            reader = csv.reader(_utf8_lines(fh, path))
             try:
-                coords = [float(c) for c in row[1 : 1 + 2 * TRAJECTORY_LEN]]
-                v, a, h = (float(c) for c in row[1 + 2 * TRAJECTORY_LEN : 4 + 2 * TRAJECTORY_LEN])
-            except ValueError as exc:
-                raise ParseError(f"{path}: row {lineno}: {exc}") from exc
-            rec = {
-                "id": row[0],
-                "points": [(coords[2 * k], coords[2 * k + 1]) for k in range(TRAJECTORY_LEN)],
-                "v": v,
-                "a": a,
-                "h": h,
-            }
-            try:
-                labeled = _parse_bool(row[-1]) if has_labeled else False
-            except ParseError as exc:
-                raise ParseError(f"{path}: row {lineno}: {exc}") from None
-            out.append((lineno, rec, labeled))
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(f"{path}: empty CSV file") from None
+            if header != _CSV_FIELDS and header != _CSV_FIELDS[:-1]:
+                raise ParseError(f"{path}: unexpected CSV header {header[:4]}...")
+            has_labeled = len(header) == len(_CSV_FIELDS)
+            width = len(_CSV_FIELDS) if has_labeled else len(_CSV_FIELDS) - 1
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise WrongPointCount(
+                        f"{path}: row {lineno}: expected {width} fields "
+                        f"({TRAJECTORY_LEN} coordinate pairs), got {len(row)}"
+                    )
+                try:
+                    coords = [float(c) for c in row[1 : 1 + 2 * TRAJECTORY_LEN]]
+                    v, a, h = (float(c) for c in row[1 + 2 * TRAJECTORY_LEN : 4 + 2 * TRAJECTORY_LEN])
+                except ValueError as exc:
+                    raise ParseError(f"{path}: row {lineno}: {exc}") from exc
+                rec = {
+                    "id": row[0],
+                    "points": [(coords[2 * k], coords[2 * k + 1]) for k in range(TRAJECTORY_LEN)],
+                    "v": v,
+                    "a": a,
+                    "h": h,
+                }
+                try:
+                    labeled = _parse_bool(row[-1]) if has_labeled else False
+                except ParseError as exc:
+                    raise ParseError(f"{path}: row {lineno}: {exc}") from None
+                out.append((lineno, rec, labeled))
+    except csv.Error as exc:  # e.g. a NUL byte before Python 3.11
+        raise ParseError(f"{path}: line {reader.line_num}: malformed CSV ({exc})") from None
     return out
 
 

@@ -46,6 +46,7 @@ _MATRIX_HEADER_LEN = 16  # magic, u32 version, u64 n
 # rows per kernel call in pairwise_distances; each call's temporaries are
 # _TILE x n float64 arrays (1.3 MB each at n = 10k)
 _TILE = 16
+_CHECK_BLOCK = 1 << 20  # values per finiteness check, bounding its bool temporary
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,10 @@ class CondensedDistanceMatrix:
             raise ParseError(
                 f"condensed matrix for n={self.n} needs {expected} values, got {vals.shape}"
             )
-        if expected and (not np.all(np.isfinite(vals)) or vals.min() < 0.0):
-            raise NonFiniteValue("condensed matrix values must be finite and >= 0")
+        for lo in range(0, expected, _CHECK_BLOCK):
+            block = vals[lo : lo + _CHECK_BLOCK]
+            if not np.isfinite(block).all() or block.min() < 0.0:
+                raise NonFiniteValue("condensed matrix values must be finite and >= 0")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -236,30 +239,27 @@ def write_distance_matrix(m: CondensedDistanceMatrix, path) -> None:
         fh.write(_MATRIX_MAGIC)
         fh.write(struct.pack("<I", _MATRIX_VERSION))
         fh.write(struct.pack("<Q", m.n))
-        fh.write(m.values.astype("<f8").tobytes())
+        fh.write(m.values.astype("<f8", copy=False).data)
 
 
 def read_distance_matrix(path) -> CondensedDistanceMatrix:
     with open(path, "rb") as fh:
         header = fh.read(_MATRIX_HEADER_LEN)
-        payload = fh.read()
-    magic = header[:4]
-    if magic != _MATRIX_MAGIC:
-        raise ParseError(f"{path}: bad matrix magic {magic!r}")
-    if len(header) < _MATRIX_HEADER_LEN:
-        raise ParseError(
-            f"{path}: matrix header is {len(header)} bytes, expected {_MATRIX_HEADER_LEN}"
-        )
-    version, n = struct.unpack("<IQ", header[4:])
-    if version != _MATRIX_VERSION:
-        raise ParseError(f"{path}: unsupported matrix version {version}")
-    expected = n * (n - 1) // 2
-    if len(payload) != 8 * expected:
-        raise ParseError(
-            f"{path}: matrix payload has {len(payload)} bytes, expected {8 * expected}"
-        )
-    values = np.frombuffer(payload, dtype="<f8")
+        if header[:4] != _MATRIX_MAGIC:
+            raise ParseError(f"{path}: bad matrix magic {header[:4]!r}")
+        if len(header) < _MATRIX_HEADER_LEN:
+            raise ParseError(
+                f"{path}: matrix header is {len(header)} bytes, expected {_MATRIX_HEADER_LEN}"
+            )
+        version, n = struct.unpack("<IQ", header[4:])
+        if version != _MATRIX_VERSION:
+            raise ParseError(f"{path}: unsupported matrix version {version}")
+        expected = n * (n - 1) // 2
+        size = os.fstat(fh.fileno()).st_size - _MATRIX_HEADER_LEN
+        if size != 8 * expected:
+            raise ParseError(f"{path}: matrix payload has {size} bytes, expected {8 * expected}")
+        values = np.fromfile(fh, dtype="<f8", count=expected)
     try:
-        return CondensedDistanceMatrix(n=int(n), values=values.astype(np.float64))
+        return CondensedDistanceMatrix(n=int(n), values=values)
     except CurationError as exc:
         raise type(exc)(f"{path}: {exc}") from exc

@@ -316,7 +316,7 @@ def sampling_round(
 
 def upgma_linkage_for_pool(pool: TrajectoryPool, weights: MetricWeights) -> Dendrogram:
     """Convenience: condensed distances then linkage for a pool's items."""
-    return upgma_linkage(pairwise_distances(pool, weights))
+    return upgma_linkage(pairwise_distances(pool, weights), overwrite=True)
 
 
 def plan_experiment_grid(

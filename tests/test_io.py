@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -167,6 +168,30 @@ def test_non_utf8_input_names_the_file(tmp_path, name):
     with pytest.raises(ParseError, match="not UTF-8") as err:
         load_trajectories(path)
     assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("name", ["pool.jsonl", "pool.csv"])
+def test_non_utf8_byte_names_its_line(tmp_path, name):
+    # past the first read-ahead chunk, so the line is the byte's own
+    path = tmp_path / name
+    write_trajectories(TrajectoryPool(tuple(random_states(np.random.default_rng(1), 40))), path)
+    lines = path.read_bytes().split(b"\n")
+    lines[36] = lines[36][:9] + b"\xe2\x28" + lines[36][9:]
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ParseError, match="not UTF-8") as err:
+        load_trajectories(path)
+    assert f"{path}: line 37:" in str(err.value)
+
+
+def test_malformed_csv_names_its_line(tmp_path):
+    path = tmp_path / "pool.csv"
+    write_trajectories(fixture_pool(), path)
+    lines = path.read_text().splitlines()
+    lines[2] = "x" * (csv.field_size_limit() + 1) + lines[2]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="malformed CSV") as err:
+        load_trajectories(path)
+    assert f"{path}: line 3:" in str(err.value)
 
 
 def test_unknown_format(tmp_path):

@@ -9,7 +9,6 @@ from .cluster import (
     cophenetic_distance,
     flat_clusters,
     format_dendrogram,
-    refresh_partition,
     upgma_linkage,
 )
 from .metric import (
@@ -25,10 +24,7 @@ from .sampling import (
     SamplingConfig,
     Selection,
     SelectionManifest,
-    default_experiment_grid,
     plan_experiment_grid,
-    sample_familiar,
-    sample_novel,
     sampling_round,
 )
 from .states import (
@@ -68,7 +64,6 @@ __all__ = [
     "TrajectoryState",
     "canonical_pool_spec",
     "cophenetic_distance",
-    "default_experiment_grid",
     "estimate_dynamics",
     "flat_clusters",
     "format_dendrogram",
@@ -76,10 +71,7 @@ __all__ = [
     "pairwise_distances",
     "plan_experiment_grid",
     "read_distance_matrix",
-    "refresh_partition",
     "run_al_experiment",
-    "sample_familiar",
-    "sample_novel",
     "sampling_round",
     "stratified_holdout",
     "trajectory_state_distance",

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from . import __version__
 from .cluster import flat_clusters, upgma_linkage
-from .errors import CurationError, InvalidFlagValue
+from .errors import CurationError, InvalidFlagValue, UnknownId
 from .io import (
     export_clusters,
     load_trajectories,
@@ -92,7 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--grid", default="default", choices=["default", "custom"])
     p_sim.add_argument("--alphas", help="comma list for --grid custom")
     p_sim.add_argument("--betas", help="comma list for --grid custom")
-    p_sim.add_argument("--budgets", help="comma list for --grid custom")
+    p_sim.add_argument(
+        "--budgets", help="comma list for --grid custom; each entry as in sample --budget"
+    )
     p_sim.add_argument("--seeds", type=int, default=3, help="number of training seeds (0..n-1)")
     p_sim.add_argument("--k-modes", type=int, default=10, dest="k_modes")
     p_sim.add_argument("--holdout", type=float, default=0.2, help="held-out fraction")
@@ -117,7 +119,7 @@ def parse_weights(flag: str) -> MetricWeights:
     return MetricWeights(k_a=ka, k_v=kv, k_h=kh)
 
 
-def parse_budget(flag: str) -> int | float:
+def parse_budget(flag: str, name: str = "--budget") -> int | float:
     """Integer literals are counts; float literals are pool fractions."""
     try:
         if any(c in flag for c in ".eE"):
@@ -125,11 +127,11 @@ def parse_budget(flag: str) -> int | float:
         else:
             value = int(flag)
     except ValueError:
-        raise InvalidFlagValue(f"--budget must be a count or fraction, got {flag!r}") from None
+        raise InvalidFlagValue(f"{name} must be a count or fraction, got {flag!r}") from None
     if isinstance(value, float) and not 0.0 < value <= 1.0:
-        raise InvalidFlagValue(f"fractional --budget must be in (0, 1], got {value}")
+        raise InvalidFlagValue(f"fractional {name} must be in (0, 1], got {value}")
     if isinstance(value, int) and value < 1:
-        raise InvalidFlagValue(f"--budget count must be >= 1, got {value}")
+        raise InvalidFlagValue(f"{name} count must be >= 1, got {value}")
     return value
 
 
@@ -137,7 +139,10 @@ def _load_pool(args) -> TrajectoryPool:
     pool = load_trajectories(args.input)
     if args.labeled:
         ids = read_labeled_ids(args.labeled)
-        pool = TrajectoryPool(pool.items, ids)  # raises UnknownId on stray ids
+        try:
+            pool = TrajectoryPool(pool.items, ids)
+        except UnknownId as exc:  # a stray id
+            raise UnknownId(f"{args.labeled}: {exc}") from None
     return pool
 
 
@@ -207,7 +212,7 @@ def cmd_simulate(args) -> int:
             raise InvalidFlagValue("--grid custom needs --alphas, --betas and --budgets")
         alphas = _parse_float_list(args.alphas, "--alphas")
         betas = _parse_float_list(args.betas, "--betas")
-        budgets = _parse_float_list(args.budgets, "--budgets")
+        budgets = tuple(parse_budget(b, "--budgets") for b in args.budgets.split(",") if b.strip())
     grid = plan_experiment_grid(alphas, betas, budgets, tau=args.tau, weights=weights)
     if args.input:
         pool = _load_pool(args)
@@ -236,9 +241,8 @@ def cmd_stats(args) -> int:
     tree = upgma_linkage(pairwise_distances(pool, weights), overwrite=True)
     part = flat_clusters(tree, args.tau, labeled_ids=pool.labeled_ids, leaf_ids=pool.ids)
 
-    sizes = sorted(len(m) for m in part.members_by_label.values())
     histogram: dict[int, int] = {}
-    for s in sizes:
+    for s in part.rows.sizes.tolist():
         histogram[s] = histogram.get(s, 0) + 1
     labeled_singletons = sum(
         1
@@ -249,7 +253,7 @@ def cmd_stats(args) -> int:
         f"items: {len(pool.items)} labeled: {len(pool.labeled_ids)} "
         f"unlabeled: {len(pool.unlabeled_ids)}",
         f"tau: {part.tau:.17g}",
-        f"clusters: {len(part.members_by_label)}",
+        f"clusters: {len(part.rows.sizes)}",
         "cluster size histogram:",
     ]
     lines += [f"  size {size}: {count}" for size, count in sorted(histogram.items())]

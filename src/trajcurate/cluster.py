@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -99,8 +98,9 @@ def upgma_linkage(d: CondensedDistanceMatrix, overwrite: bool = False) -> Dendro
     height: the true average of values >= h cannot drop below h, so the
     clamp only removes sub-ulp rounding and keeps heights monotone.
     ``overwrite=True`` updates ``d.values`` itself instead of a copy, like
-    scipy's ``overwrite_a``: ``d`` is consumed, and its values must own
-    their buffer, as those from ``pairwise_distances`` do.
+    scipy's ``overwrite_a``: ``d`` is consumed, and the buffer under its
+    values must be writable, as those of ``pairwise_distances`` and
+    ``read_distance_matrix`` are.
     """
     n = d.n
     if n == 1:
@@ -208,6 +208,16 @@ def cophenetic_distance(t: Dendrogram, i: int, j: int) -> float:
     return t.node_height(node)
 
 
+class RankRows(NamedTuple):
+    """A cut in rank space: row r is the r-th smallest leaf id, so ascending
+    rows give ascending ids."""
+
+    ids: tuple  # id of each row
+    labels: np.ndarray  # cluster label of each row
+    members: tuple  # each label's rows, ascending
+    sizes: np.ndarray  # member count of each label
+
+
 @dataclass(frozen=True)
 class ClusterPartition:
     """Flat clusters at threshold tau, split by novelty against a labeled set.
@@ -223,36 +233,30 @@ class ClusterPartition:
     familiar_clusters: frozenset[int]
     tau: float
     labeled_ids: frozenset
-    # each label's member ids, sorted; derived from ``assignments`` once by
-    # flat_clusters and shared by every partition refreshed from it
-    members_by_label: Mapping[int, tuple] = field(repr=False, compare=False)
-
-    def cluster_members(self, label: int) -> tuple:
-        return self.members_by_label[label]
+    # the cut over rank rows; derived once by flat_clusters
+    rows: RankRows = field(repr=False, compare=False)
 
     def cluster_size(self, label: int) -> int:
-        return len(self.members_by_label[label])
+        return int(self.rows.sizes[label])
 
-    def labels(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members_by_label))
+    @cached_property
+    def labeled_rows(self) -> np.ndarray:
+        """``labeled_ids`` as a read-only boolean mask over ``rows``."""
+        ids = self.rows.ids
+        mask = np.fromiter(map(self.labeled_ids.__contains__, ids), dtype=bool, count=len(ids))
+        mask.flags.writeable = False
+        return mask
 
-    def unlabeled_members(self, label: int) -> tuple:
-        return tuple(m for m in self.members_by_label[label] if m not in self.labeled_ids)
 
-
-def _split_novelty(
-    members_by_label: Mapping[int, Sequence], labeled: frozenset
-) -> tuple[frozenset, frozenset, frozenset]:
-    novel, single, familiar = set(), set(), set()
-    for label, members in members_by_label.items():
-        has_labeled = any(m in labeled for m in members)
-        if has_labeled:
-            familiar.add(label)
-        elif len(members) >= 2:
-            novel.add(label)
-        else:
-            single.add(members[0])
-    return frozenset(novel), frozenset(single), frozenset(familiar)
+def novelty_rows(rows: RankRows, hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Novel cluster labels and novel singleton rows, each ascending, from
+    each label's count of labeled members (``hits``); a label with a nonzero
+    count is familiar."""
+    free = hits == 0
+    return (
+        np.flatnonzero(free & (rows.sizes >= 2)),
+        np.flatnonzero((free & (rows.sizes == 1))[rows.labels]),
+    )
 
 
 def flat_clusters(
@@ -296,43 +300,32 @@ def flat_clusters(
     ordered = sorted(groups.values(), key=lambda leaves: leaves[0])
 
     assignments: dict[Hashable, int] = {}
-    members_by_label: dict[int, tuple] = {}
     for label, leaves in enumerate(ordered):
-        members_by_label[label] = tuple(sorted(ids[leaf] for leaf in leaves))
         for leaf in leaves:
             assignments[ids[leaf]] = label
     if len(assignments) != n:
         raise DuplicateId(f"leaf ids repeat: {n} leaves, {len(assignments)} distinct ids")
 
+    rank_ids = tuple(sorted(ids))
+    labels = np.fromiter(map(assignments.__getitem__, rank_ids), dtype=np.intp, count=n)
+    sizes = np.bincount(labels)
+    members = tuple(np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1]))
+    for a in (labels, sizes, *members):
+        a.flags.writeable = False
+    rows = RankRows(rank_ids, labels, members, sizes)
+
     labeled = frozenset(labeled_ids) & set(ids)
-    novel, single, familiar = _split_novelty(members_by_label, labeled)
+    labeled_labels = np.fromiter(map(assignments.__getitem__, labeled), np.intp, len(labeled))
+    hits = np.bincount(labeled_labels, minlength=len(sizes))
+    novel, single = novelty_rows(rows, hits)
     return ClusterPartition(
         assignments=assignments,
-        novel_clusters=novel,
-        singletons=single,
-        familiar_clusters=familiar,
+        novel_clusters=frozenset(novel.tolist()),
+        singletons=frozenset(rank_ids[r] for r in single.tolist()),
+        familiar_clusters=frozenset(np.flatnonzero(hits).tolist()),
         tau=float(tau),
         labeled_ids=labeled,
-        members_by_label=MappingProxyType(members_by_label),
-    )
-
-
-def refresh_partition(p: ClusterPartition, newly_labeled: Iterable) -> ClusterPartition:
-    """Re-split novelty after ids were labeled mid-round, without re-clustering."""
-    new = frozenset(newly_labeled)
-    unknown = new - set(p.assignments)
-    if unknown:
-        raise UnknownId(f"ids not in partition: {sorted(unknown)[:5]}")
-    labeled = p.labeled_ids | new
-    novel, single, familiar = _split_novelty(p.members_by_label, labeled)
-    return ClusterPartition(
-        assignments=p.assignments,
-        novel_clusters=novel,
-        singletons=single,
-        familiar_clusters=familiar,
-        tau=p.tau,
-        labeled_ids=labeled,
-        members_by_label=p.members_by_label,
+        rows=rows,
     )
 
 

@@ -220,8 +220,8 @@ def _raw(x: float) -> float:
 
 def read_labeled_ids(path) -> frozenset[str]:
     """Read an id-list file (one id per line) overriding labeled flags."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return frozenset(line.strip() for line in fh if line.strip())
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        return frozenset(line.strip() for line in _utf8_lines(fh, path) if line.strip())
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,7 @@ class CondensedDistanceMatrix:
             block = vals[lo : lo + _CHECK_BLOCK]
             if not np.isfinite(block).all() or block.min() < 0.0:
                 raise NonFiniteValue("condensed matrix values must be finite and >= 0")
+        vals = vals.view()  # freeze a view, so a caller's own array stays writable
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 

@@ -18,13 +18,20 @@ by a seeded PCG64 generator with one spawned substream per phase
 (spawn_key 0 = novel, 1 = familiar, 2 = fallback, 3 = the random-baseline
 stream used by the benchmark), so a manifest is a pure function of
 (pool, config).
+
+A round runs on the cut's rank rows, the pool's items in sorted-id order
+(``ClusterPartition.rows``): a boolean mask marks the rows labeled or
+picked so far, and novelty is split with one bincount over the labels of
+the marked rows. Every candidate and member list is in ascending rows,
+which is ascending id order, so each phase makes its PCG64 draws on the
+same lists, in the same order, as over sorted id strings.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +39,7 @@ from .cluster import (
     ClusterPartition,
     Dendrogram,
     flat_clusters,
-    refresh_partition,
+    novelty_rows,
     upgma_linkage,
 )
 from .errors import EmptyUnlabeledPool, InvalidFlagValue, ParseError
@@ -139,88 +146,6 @@ class SelectionManifest:
         return tuple(s.id for s in self.selected)
 
 
-def sample_novel(
-    p: ClusterPartition,
-    unlabeled: Iterable,
-    quota: int,
-    beta: float,
-    rng: np.random.Generator,
-) -> tuple[list, int]:
-    """Draw up to ``quota`` ids from novel clusters and singletons.
-
-    Candidates (cluster labels and singleton ids) are picked uniformly
-    without replacement; a cluster pick contributes up to its beta cap of
-    members, chosen uniformly, and is then out of the running for the rest
-    of the round. Returns (ids, shortfall).
-    """
-    unlabeled = set(unlabeled)
-    candidates: list[tuple[str, object]] = [
-        ("c", label) for label in sorted(p.novel_clusters)
-    ] + [("s", sid) for sid in sorted(p.singletons)]
-    picked: list = []
-    while quota - len(picked) > 0 and candidates:
-        k = int(rng.integers(len(candidates)))
-        kind, ref = candidates.pop(k)
-        if kind == "s":
-            if ref in unlabeled:
-                picked.append(ref)
-            continue
-        members = [m for m in p.cluster_members(ref) if m in unlabeled]
-        if not members:
-            continue
-        cap = cluster_cap(beta, p.cluster_size(ref))
-        take = min(cap, quota - len(picked), len(members))
-        order = rng.permutation(len(members))[:take]
-        picked.extend(members[i] for i in order)
-    return picked, quota - len(picked)
-
-
-def sample_familiar(
-    p: ClusterPartition,
-    unlabeled: Iterable,
-    quota: int,
-    beta: float,
-    rng: np.random.Generator,
-    _pass_log: list | None = None,
-) -> tuple[list, int]:
-    """Draw up to ``quota`` ids from familiar clusters in repeated passes.
-
-    Each pass shuffles the clusters that still hold unlabeled members and
-    draws up to the beta cap from each; passes repeat until the quota is
-    met or no unlabeled member remains. ``_pass_log`` (tests only) records
-    (pass index, label, count) triples.
-    """
-    remaining = set(unlabeled)
-    picked: list = []
-    pass_idx = 0
-    while quota - len(picked) > 0:
-        eligible = [
-            label
-            for label in sorted(p.familiar_clusters)
-            if any(m in remaining for m in p.cluster_members(label))
-        ]
-        if not eligible:
-            break
-        order = rng.permutation(len(eligible))
-        for k in order:
-            label = eligible[int(k)]
-            members = [m for m in p.cluster_members(label) if m in remaining]
-            if not members:
-                continue
-            cap = cluster_cap(beta, p.cluster_size(label))
-            take = min(cap, quota - len(picked), len(members))
-            chosen = rng.permutation(len(members))[:take]
-            for i in chosen:
-                picked.append(members[int(i)])
-                remaining.discard(members[int(i)])
-            if _pass_log is not None:
-                _pass_log.append((pass_idx, label, take))
-            if quota - len(picked) <= 0:
-                break
-        pass_idx += 1
-    return picked, quota - len(picked)
-
-
 def pool_partition(
     pool: TrajectoryPool, cfg: SamplingConfig, dendrogram: Dendrogram | None = None
 ) -> ClusterPartition:
@@ -253,10 +178,10 @@ def sampling_round(
     ``pool_partition(pool, cfg)`` would make (experiment harnesses reuse
     one across seeds); when omitted it is computed here.
     """
-    unlabeled = sorted(pool.unlabeled_ids)
-    if not unlabeled:
+    n_unlabeled = len(pool) - len(pool.labeled_ids)
+    if not n_unlabeled:
         raise EmptyUnlabeledPool("no unlabeled trajectory-states to sample")
-    budget = resolve_budget(cfg.budget, len(unlabeled))
+    budget = resolve_budget(cfg.budget, n_unlabeled)
 
     part = partition
     if part is None:
@@ -267,39 +192,64 @@ def sampling_round(
         raise ParseError("partition leaves are not the pool's ids")
     elif part.labeled_ids != pool.labeled_ids:
         raise ParseError("partition labeled set is not the pool's")
+    rows = part.rows
+    taken = part.labeled_rows.copy()
 
     novel_quota = round_half_up(cfg.alpha * budget)
     familiar_quota = budget - novel_quota
 
-    novel_ids, novel_short = sample_novel(
-        part, unlabeled, novel_quota, cfg.beta, phase_rng(cfg.seed, NOVEL_STREAM)
-    )
-    part_after = refresh_partition(part, novel_ids)
-    novel_set = set(novel_ids)
-    remaining = [i for i in unlabeled if i not in novel_set]
-    familiar_ids, familiar_short = sample_familiar(
-        part_after,
-        remaining,
-        familiar_quota,
-        cfg.beta,
-        phase_rng(cfg.seed, FAMILIAR_STREAM),
-    )
+    # novel phase: clusters without a labeled member, then singletons by id;
+    # a picked candidate is out of the running for the rest of the round
+    hits = np.bincount(rows.labels[taken], minlength=len(rows.sizes))
+    novel, singles = novelty_rows(rows, hits)
+    candidates = novel.tolist() + rows.labels[singles].tolist()
+    rng = phase_rng(cfg.seed, NOVEL_STREAM)
+    novel_rows: list[int] = []
+    while novel_quota - len(novel_rows) > 0 and candidates:
+        members = rows.members[candidates.pop(int(rng.integers(len(candidates))))]
+        if len(members) > 1:  # a singleton takes no draw
+            take = min(cluster_cap(cfg.beta, len(members)), novel_quota - len(novel_rows))
+            members = members[rng.permutation(len(members))[:take]]
+        novel_rows += members.tolist()
+    taken[novel_rows] = True
 
-    taken = set(novel_ids) | set(familiar_ids)
-    leftovers = [i for i in unlabeled if i not in taken]
-    need = min(novel_short + familiar_short, len(leftovers))
+    # familiar phase: passes over the clusters that now hold a labeled
+    # member and still hold an untaken one
+    hits = np.bincount(rows.labels[taken], minlength=len(rows.sizes))
+    familiar, free = hits > 0, rows.sizes - hits
+    rng = phase_rng(cfg.seed, FAMILIAR_STREAM)
+    familiar_rows: list[int] = []
+    while familiar_quota - len(familiar_rows) > 0:
+        eligible = np.flatnonzero(familiar & (free > 0))
+        if not eligible.size:
+            break
+        for label in eligible[rng.permutation(eligible.size)].tolist():
+            members = rows.members[label]
+            cap = cluster_cap(cfg.beta, len(members))
+            members = members[~taken[members]]
+            take = min(cap, familiar_quota - len(familiar_rows), len(members))
+            chosen = members[rng.permutation(len(members))[:take]]
+            taken[chosen] = True
+            free[label] -= take
+            familiar_rows += chosen.tolist()
+            if familiar_quota - len(familiar_rows) <= 0:
+                break
+
+    novel_short = novel_quota - len(novel_rows)
+    familiar_short = familiar_quota - len(familiar_rows)
+    leftovers = np.flatnonzero(~taken)
+    need = min(novel_short + familiar_short, leftovers.size)
     rng = phase_rng(cfg.seed, FALLBACK_STREAM)
-    fallback_ids = [leftovers[int(i)] for i in rng.permutation(len(leftovers))[:need]]
+    fallback_rows = leftovers[rng.permutation(leftovers.size)[:need]].tolist()
 
     selected = []
-    for sid in novel_ids:
-        label = part.assignments[sid]
-        phase = (
-            PHASE_NOVEL_SINGLETON if part.cluster_size(label) == 1 else PHASE_NOVEL_CLUSTER
-        )
-        selected.append(Selection(sid, phase, label))
-    selected += [Selection(sid, PHASE_FAMILIAR, part.assignments[sid]) for sid in familiar_ids]
-    selected += [Selection(sid, PHASE_FALLBACK, part.assignments[sid]) for sid in fallback_ids]
+    for r, label in zip(novel_rows, rows.labels[novel_rows].tolist()):
+        single = len(rows.members[label]) == 1
+        phase = PHASE_NOVEL_SINGLETON if single else PHASE_NOVEL_CLUSTER
+        selected.append(Selection(rows.ids[r], phase, label))
+    for phase, picked in ((PHASE_FAMILIAR, familiar_rows), (PHASE_FALLBACK, fallback_rows)):
+        labels = rows.labels[picked].tolist()
+        selected += [Selection(rows.ids[r], phase, label) for r, label in zip(picked, labels)]
 
     return SelectionManifest(
         round_index=round_index,
@@ -340,13 +290,3 @@ DEFAULT_GRID_ALPHAS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 DEFAULT_GRID_BETAS = (0.2, 0.4, 0.6, 0.8, 1.0)
 DEFAULT_GRID_BUDGETS = (0.1, 0.2, 0.3, 0.4, 0.5)
 
-
-def default_experiment_grid(
-    tau: float = 10.0,
-    weights: MetricWeights = DEFAULT_WEIGHTS,
-    seed: int = 0,
-) -> tuple[SamplingConfig, ...]:
-    """The standard 150-cell sweep: alpha and beta in 20% steps, budgets 10-50%."""
-    return plan_experiment_grid(
-        DEFAULT_GRID_ALPHAS, DEFAULT_GRID_BETAS, DEFAULT_GRID_BUDGETS, tau, weights, seed
-    )

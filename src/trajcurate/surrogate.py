@@ -40,7 +40,7 @@ PREFIX_LEN = 2
 
 # holdout queries per distance block in _rank_holdout
 _QUERY_BLOCK = 64
-# first ranked columns _score_ranked scans for labeled neighbors
+# fewest ranked columns _score_ranked scans for labeled neighbors
 _HEAD_WIDTH = 64
 
 
@@ -171,10 +171,14 @@ def _score_ranked(
     first k labeled columns of each row are its k nearest labeled
     neighbors, ties by id.
     """
-    k = min(k_modes, int(labeled.sum()))
-    # the k nearest labeled columns usually sit in a short head of each row;
-    # widen the head until every row holds k of them
+    n_labeled = int(labeled.sum())
+    k = min(k_modes, n_labeled)
+    # the k nearest labeled columns usually sit in a short head of each row:
+    # start at the k-th labeled column's expected position, k * n / n_labeled,
+    # and widen until every row holds k of them
     width = _HEAD_WIDTH
+    while width * n_labeled < k * order.shape[1]:
+        width *= 2
     while True:
         head = order[:, :width]
         m = labeled[head]
@@ -184,7 +188,9 @@ def _score_ranked(
         width *= 2
     m &= seen <= k
     modes = lp[head[m].reshape(len(order), k)]  # (nq, k, 12, 2)
-    ade = np.sqrt(((modes - qp[:, None, :, :]) ** 2).sum(axis=3)).mean(axis=2)
+    diff = modes - qp[:, None, :, :]
+    diff *= diff
+    ade = np.sqrt(diff[..., 0] + diff[..., 1]).mean(axis=2)
     made5 = float(ade[:, : min(5, k)].min(axis=1).mean())
     made10 = float(ade[:, : min(10, k)].min(axis=1).mean())
     return made5, made10

@@ -1,37 +1,57 @@
 """Shared test fixtures and the independent oracles: UPGMA (naive and on the
 square matrix), square and cophenetic matrices, distance, k-NN surrogate,
-per-score surrogate scoring."""
+per-score surrogate scoring, and the sampling round over id strings and
+sets (novelty refresh, novel and familiar phases)."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from trajcurate import (
     DEFAULT_WEIGHTS,
+    ClusterPartition,
     CondensedDistanceMatrix,
     Dendrogram,
     Merge,
     MetricWeights,
+    Selection,
+    SelectionManifest,
     TrajectoryPool,
     TrajectoryState,
     flat_clusters,
     pairwise_distances,
-    refresh_partition,
+    plan_experiment_grid,
     sampling_round,
     upgma_linkage,
 )
-from trajcurate.errors import EmptyTrainingPool, NoPredictions, ParseError
+from trajcurate.errors import (
+    EmptyTrainingPool,
+    EmptyUnlabeledPool,
+    NoPredictions,
+    ParseError,
+    UnknownId,
+)
 from trajcurate.sampling import (
+    DEFAULT_GRID_ALPHAS,
+    DEFAULT_GRID_BETAS,
+    DEFAULT_GRID_BUDGETS,
+    FALLBACK_STREAM,
+    FAMILIAR_STREAM,
+    NOVEL_STREAM,
     PHASE_FALLBACK,
     PHASE_FAMILIAR,
     PHASE_NOVEL_CLUSTER,
     PHASE_NOVEL_SINGLETON,
     SamplingConfig,
     cluster_cap,
+    phase_rng,
+    pool_partition,
+    resolve_budget,
     round_half_up,
 )
 from trajcurate.metric import _distance
@@ -455,3 +475,216 @@ def check_round_invariants(fix_seed, check_determinism=False):
     if check_determinism:
         assert sampling_round(pool, cfg) == manifest
     return manifest
+
+
+def members_by_label(p: ClusterPartition) -> Mapping[int, tuple]:
+    """Each label's member ids, sorted: the id view of ``p.rows``."""
+    labels = range(len(p.rows.sizes))
+    return MappingProxyType({label: cluster_members(p, label) for label in labels})
+
+
+def cluster_members(p: ClusterPartition, label: int) -> tuple:
+    return tuple(map(p.rows.ids.__getitem__, p.rows.members[label].tolist()))
+
+
+def _split_novelty(
+    members_by_label: Mapping[int, Sequence], labeled: frozenset
+) -> tuple[frozenset, frozenset, frozenset]:
+    novel, single, familiar = set(), set(), set()
+    for label, members in members_by_label.items():
+        has_labeled = any(m in labeled for m in members)
+        if has_labeled:
+            familiar.add(label)
+        elif len(members) >= 2:
+            novel.add(label)
+        else:
+            single.add(members[0])
+    return frozenset(novel), frozenset(single), frozenset(familiar)
+
+
+def refresh_partition(p: ClusterPartition, newly_labeled: Iterable) -> ClusterPartition:
+    """Re-split novelty after ids were labeled mid-round, without re-clustering."""
+    new = frozenset(newly_labeled)
+    unknown = new - set(p.assignments)
+    if unknown:
+        raise UnknownId(f"ids not in partition: {sorted(unknown)[:5]}")
+    labeled = p.labeled_ids | new
+    novel, single, familiar = _split_novelty(members_by_label(p), labeled)
+    return ClusterPartition(
+        assignments=p.assignments,
+        novel_clusters=novel,
+        singletons=single,
+        familiar_clusters=familiar,
+        tau=p.tau,
+        labeled_ids=labeled,
+        rows=p.rows,
+    )
+
+
+def sample_novel(
+    p: ClusterPartition,
+    unlabeled: Iterable,
+    quota: int,
+    beta: float,
+    rng: np.random.Generator,
+) -> tuple[list, int]:
+    """Draw up to ``quota`` ids from novel clusters and singletons.
+
+    Candidates (cluster labels and singleton ids) are picked uniformly
+    without replacement; a cluster pick contributes up to its beta cap of
+    members, chosen uniformly, and is then out of the running for the rest
+    of the round. Returns (ids, shortfall).
+    """
+    unlabeled = set(unlabeled)
+    candidates: list[tuple[str, object]] = [
+        ("c", label) for label in sorted(p.novel_clusters)
+    ] + [("s", sid) for sid in sorted(p.singletons)]
+    picked: list = []
+    while quota - len(picked) > 0 and candidates:
+        k = int(rng.integers(len(candidates)))
+        kind, ref = candidates.pop(k)
+        if kind == "s":
+            if ref in unlabeled:
+                picked.append(ref)
+            continue
+        members = [m for m in cluster_members(p, ref) if m in unlabeled]
+        if not members:
+            continue
+        cap = cluster_cap(beta, p.cluster_size(ref))
+        take = min(cap, quota - len(picked), len(members))
+        order = rng.permutation(len(members))[:take]
+        picked.extend(members[i] for i in order)
+    return picked, quota - len(picked)
+
+
+def sample_familiar(
+    p: ClusterPartition,
+    unlabeled: Iterable,
+    quota: int,
+    beta: float,
+    rng: np.random.Generator,
+    _pass_log: list | None = None,
+) -> tuple[list, int]:
+    """Draw up to ``quota`` ids from familiar clusters in repeated passes.
+
+    Each pass shuffles the clusters that still hold unlabeled members and
+    draws up to the beta cap from each; passes repeat until the quota is
+    met or no unlabeled member remains. ``_pass_log`` (tests only) records
+    (pass index, label, count) triples.
+    """
+    remaining = set(unlabeled)
+    picked: list = []
+    pass_idx = 0
+    while quota - len(picked) > 0:
+        eligible = [
+            label
+            for label in sorted(p.familiar_clusters)
+            if any(m in remaining for m in cluster_members(p, label))
+        ]
+        if not eligible:
+            break
+        order = rng.permutation(len(eligible))
+        for k in order:
+            label = eligible[int(k)]
+            members = [m for m in cluster_members(p, label) if m in remaining]
+            if not members:
+                continue
+            cap = cluster_cap(beta, p.cluster_size(label))
+            take = min(cap, quota - len(picked), len(members))
+            chosen = rng.permutation(len(members))[:take]
+            for i in chosen:
+                picked.append(members[int(i)])
+                remaining.discard(members[int(i)])
+            if _pass_log is not None:
+                _pass_log.append((pass_idx, label, take))
+            if quota - len(picked) <= 0:
+                break
+        pass_idx += 1
+    return picked, quota - len(picked)
+
+
+def id_space_round(
+    pool: TrajectoryPool,
+    cfg: SamplingConfig,
+    round_index: int = 0,
+    partition: ClusterPartition | None = None,
+) -> SelectionManifest:
+    """The sampling round over sorted id strings and sets, as it ran before
+    the rank-row engine: ``sampling_round`` must give an equal manifest.
+
+    Clusters the whole pool at cfg.tau, runs the novel phase, marks its
+    picks as labeled, runs the familiar phase, then fills any shortfall
+    from the remaining unlabeled pool. ``partition`` may supply the cut
+    ``pool_partition(pool, cfg)`` would make (experiment harnesses reuse
+    one across seeds); when omitted it is computed here.
+    """
+    unlabeled = sorted(pool.unlabeled_ids)
+    if not unlabeled:
+        raise EmptyUnlabeledPool("no unlabeled trajectory-states to sample")
+    budget = resolve_budget(cfg.budget, len(unlabeled))
+
+    part = partition
+    if part is None:
+        part = pool_partition(pool, cfg)
+    elif part.tau != cfg.tau:
+        raise ParseError(f"partition was cut at tau {part.tau}, config has tau {cfg.tau}")
+    elif part.assignments.keys() != set(pool.ids):
+        raise ParseError("partition leaves are not the pool's ids")
+    elif part.labeled_ids != pool.labeled_ids:
+        raise ParseError("partition labeled set is not the pool's")
+
+    novel_quota = round_half_up(cfg.alpha * budget)
+    familiar_quota = budget - novel_quota
+
+    novel_ids, novel_short = sample_novel(
+        part, unlabeled, novel_quota, cfg.beta, phase_rng(cfg.seed, NOVEL_STREAM)
+    )
+    part_after = refresh_partition(part, novel_ids)
+    novel_set = set(novel_ids)
+    remaining = [i for i in unlabeled if i not in novel_set]
+    familiar_ids, familiar_short = sample_familiar(
+        part_after,
+        remaining,
+        familiar_quota,
+        cfg.beta,
+        phase_rng(cfg.seed, FAMILIAR_STREAM),
+    )
+
+    taken = set(novel_ids) | set(familiar_ids)
+    leftovers = [i for i in unlabeled if i not in taken]
+    need = min(novel_short + familiar_short, len(leftovers))
+    rng = phase_rng(cfg.seed, FALLBACK_STREAM)
+    fallback_ids = [leftovers[int(i)] for i in rng.permutation(len(leftovers))[:need]]
+
+    selected = []
+    for sid in novel_ids:
+        label = part.assignments[sid]
+        phase = (
+            PHASE_NOVEL_SINGLETON if part.cluster_size(label) == 1 else PHASE_NOVEL_CLUSTER
+        )
+        selected.append(Selection(sid, phase, label))
+    selected += [Selection(sid, PHASE_FAMILIAR, part.assignments[sid]) for sid in familiar_ids]
+    selected += [Selection(sid, PHASE_FALLBACK, part.assignments[sid]) for sid in fallback_ids]
+
+    return SelectionManifest(
+        round_index=round_index,
+        config=cfg,
+        seed=cfg.seed,
+        budget_resolved=budget,
+        novel_quota=novel_quota,
+        familiar_quota=familiar_quota,
+        novel_shortfall=novel_short,
+        familiar_shortfall=familiar_short,
+        selected=tuple(selected),
+    )
+
+
+def default_experiment_grid(
+    tau: float = 10.0,
+    weights: MetricWeights = DEFAULT_WEIGHTS,
+    seed: int = 0,
+) -> tuple[SamplingConfig, ...]:
+    """The standard 150-cell sweep: alpha and beta in 20% steps, budgets 10-50%."""
+    return plan_experiment_grid(
+        DEFAULT_GRID_ALPHAS, DEFAULT_GRID_BETAS, DEFAULT_GRID_BUDGETS, tau, weights, seed
+    )

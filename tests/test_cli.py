@@ -5,6 +5,7 @@ from trajcurate.cli import dispatch, parse_budget, parse_weights
 from trajcurate.errors import InvalidFlagValue
 from trajcurate.io import (
     load_trajectories,
+    read_experiment_csv,
     read_manifest_document,
     sha256_file,
     write_trajectories,
@@ -180,6 +181,32 @@ def test_labeled_override(pool_file, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("ghost\n")
     assert dispatch(["cluster", "--input", str(pool_file), "--labeled", str(bad), "--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(b"x0\n\x80y1\n", "line 2: not UTF-8 text"), (b"x0\nghost\n", "not present in pool")],
+    ids=["non-utf8", "stray-id"],
+)
+def test_labeled_file_fault_names_the_file(pool_file, tmp_path, capsys, content, message):
+    ids = tmp_path / "ids.txt"
+    ids.write_bytes(content)
+    assert dispatch(["stats", "--input", str(pool_file), "--labeled", str(ids)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {ids}: " in err and message in err
+
+
+def test_simulate_budgets_read_counts_and_fractions(synth_file, tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    argv = ["simulate", "--input", str(synth_file), "--grid", "custom", "--alphas", "0.5",
+            "--betas", "0.4", "--seeds", "1", "--tau", "30", "--out", str(out), "--budgets"]
+    assert dispatch(argv + ["0.1,40"]) == 0
+    n_unlabeled = 96  # 120 unlabeled records, 24 of them held out
+    assert {r.budget for r in read_experiment_csv(out).rows} == {0.1, 40 / n_unlabeled}
+    assert dispatch(argv + [str(n_unlabeled + 1)]) == 1
+    assert "exceeds the unlabeled pool (96)" in capsys.readouterr().err
+    assert dispatch(argv + ["0.1,0"]) == 2
+    assert "--budgets count must be >= 1" in capsys.readouterr().err
 
 
 def test_simulate_custom_grid(synth_file, tmp_path):

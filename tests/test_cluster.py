@@ -12,15 +12,17 @@ from trajcurate import (
     format_dendrogram,
     generate_synthetic_pool,
     pairwise_distances,
-    refresh_partition,
     upgma_linkage,
 )
 from trajcurate.errors import DuplicateId, ParseError, UnknownId, UnknownLeaf
 from trajcurate.synth import CANONICAL_TAU, canonical_pool_spec
 
 from helpers import (
+    cluster_members,
     cophenetic_matrix,
+    members_by_label,
     random_condensed,
+    refresh_partition,
     square_upgma_oracle,
     stationary_state,
     to_square,
@@ -120,7 +122,7 @@ def test_flat_clusters_three_leaf_split():
     assert p.novel_clusters == {0}
     assert p.singletons == {"C"}
     assert p.familiar_clusters == frozenset()
-    assert p.cluster_members(0) == ("A", "B")
+    assert cluster_members(p, 0) == ("A", "B")
 
 
 def test_flat_cluster_boundary_inclusive():
@@ -136,7 +138,8 @@ def test_flat_clusters_labeled_split():
     assert p.familiar_clusters == {0}
     assert p.novel_clusters == frozenset()
     assert p.singletons == {"C"}
-    assert p.unlabeled_members(0) == ("B",)
+    assert [m for m in cluster_members(p, 0) if m not in p.labeled_ids] == ["B"]
+    assert p.labeled_rows.tolist() == [True, False, False]
 
 
 def test_refresh_partition_cases():
@@ -185,12 +188,17 @@ def test_members_by_label_groups_assignments_once():
         for id_, label in p.assignments.items():
             groups.setdefault(label, []).append(id_)
         want = {label: tuple(sorted(ids)) for label, ids in groups.items()}
-        assert dict(p.members_by_label) == want
-        assert list(p.members_by_label) == list(want)
+        assert dict(members_by_label(p)) == want
+        assert list(members_by_label(p)) == list(want)
+        # the same cut over rows in id order
+        assert p.rows.ids == tuple(sorted(leaf_ids))
+        assert p.rows.labels.tolist() == [p.assignments[i] for i in p.rows.ids]
+        assert [tuple(p.rows.ids[r] for r in m) for m in p.rows.members] == list(want.values())
+        assert p.rows.sizes.tolist() == [len(m) for m in want.values()]
         refreshed = refresh_partition(p, leaf_ids[: n // 3])
-        assert refreshed.members_by_label is p.members_by_label
-        with pytest.raises(TypeError):
-            p.members_by_label[0] = ()
+        assert refreshed.rows is p.rows
+        with pytest.raises(ValueError):
+            p.rows.labels[0] = 0
 
 
 def test_flat_clusters_rejects_repeated_leaf_ids():

@@ -1,0 +1,44 @@
+"""Pinned sha256 digests of CLI artifacts made from a committed pool.
+
+``data/pool-400.jsonl`` was written once from ``canonical_pool_spec(400)``
+and is read as committed, so the digests do not depend on the platform's
+``sin``/``cos``. ``data/labeled-400.txt`` holds every tenth id of the pool,
+which sends the ``sample`` round below through the novel, familiar and
+fallback phases. Any change to the distances, the linkage, the cut, the
+sampling round or the surrogate scores shows up here as a new digest.
+"""
+
+from pathlib import Path
+
+from trajcurate.cli import dispatch
+from trajcurate.io import sha256_file
+
+DATA = Path(__file__).parent / "data"
+POOL = DATA / "pool-400.jsonl"
+LABELED = DATA / "labeled-400.txt"
+
+
+def test_cluster_artifacts(tmp_path):
+    assert dispatch(["cluster", "--input", str(POOL), "--out", str(tmp_path)]) == 0
+    assert sha256_file(tmp_path / "assignments.csv") == (
+        "af2e01fe87d91146677d8391431b9e5233fa262e7e3726b840d2672c2d430dba"
+    )
+    assert sha256_file(tmp_path / "dendrogram.txt") == (
+        "7aea7fcef336418a6f942fb4d28836d52833c1d1ea27403f829586f0978afd14"
+    )
+
+
+def test_sample_manifest(tmp_path):
+    out = tmp_path / "manifest.json"
+    argv = ["sample", "--input", str(POOL), "--labeled", str(LABELED), "--alpha", "0.6",
+            "--beta", "0.4", "--budget", "0.5", "--seed", "3", "--out", str(out)]
+    assert dispatch(argv) == 0
+    assert sha256_file(out) == "37397b40598632830041e6b7f1a3509f213ff7a203ed00c98f3e4cf4c23b9e40"
+
+
+def test_simulate_rows(tmp_path):
+    out = tmp_path / "rows.csv"
+    argv = ["simulate", "--input", str(POOL), "--grid", "default", "--seeds", "1",
+            "--out", str(out)]
+    assert dispatch(argv) == 0
+    assert sha256_file(out) == "588bbe10b8b7f0cf27f561168e193626ff9fc1b54122de9f60883a7d343afa80"

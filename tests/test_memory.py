@@ -65,6 +65,14 @@ def test_default_linkage_leaves_matrix_intact():
     assert not m.values.flags.writeable
 
 
+def test_matrix_freezes_a_view_of_the_callers_array():
+    a = np.ones(3)
+    m = CondensedDistanceMatrix(n=3, values=a)
+    a[0] = 2.0  # the caller's array stays writable
+    assert m.values[0] == 2.0  # and is shared, not copied
+    assert not m.values.flags.writeable
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_overwrite_gives_the_default_dendrogram(seed):
     rng = np.random.default_rng(seed)

@@ -1,14 +1,15 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from trajcurate import (
     SamplingConfig,
     TrajectoryPool,
+    canonical_pool_spec,
     flat_clusters,
+    generate_synthetic_pool,
     plan_experiment_grid,
-    sample_familiar,
-    sample_novel,
     sampling_round,
     upgma_linkage,
 )
@@ -20,14 +21,21 @@ from trajcurate.sampling import (
     PHASE_NOVEL_CLUSTER,
     PHASE_NOVEL_SINGLETON,
     cluster_cap,
-    default_experiment_grid,
     phase_rng,
     pool_partition,
     resolve_budget,
     round_half_up,
 )
 
-from helpers import check_round_invariants, stationary_state
+from helpers import (
+    check_round_invariants,
+    default_experiment_grid,
+    id_space_round,
+    refresh_partition,
+    sample_familiar,
+    sample_novel,
+    stationary_state,
+)
 
 
 def cut_pool(pool, tau=10.0):
@@ -261,3 +269,48 @@ def test_plan_experiment_grid_edges():
     assert plan_experiment_grid((0.5,), (0.5,), ()) == ()
     with pytest.raises(InvalidFlagValue):
         plan_experiment_grid((2.0,), (0.5,), (10,))
+
+
+def _oracle_pool(kind, seed):
+    """A canonical pool, or one whose parked duplicates tie at distance 0,
+    in shuffled file order (so leaf order is not id order), optionally with
+    a labeled subset."""
+    rng = np.random.default_rng(seed)
+    items = generate_synthetic_pool(canonical_pool_spec(total_count=270, seed=seed))
+    if kind.startswith("ties"):
+        items += [stationary_state(f"parked-{k:03d}", x=0.0) for k in range(30)]
+    items = [items[int(k)] for k in rng.permutation(len(items))]
+    frac = 0.2 if kind.endswith("labeled") else 0.0
+    labeled = {s.id for s in items if rng.random() < frac}
+    return TrajectoryPool(tuple(items), frozenset(labeled))
+
+
+ORACLE_CONFIGS = (
+    # (alpha, beta, budget): whole-pool budgets run out of supply and fall back
+    (1.0, 0.2, 1.0),
+    (0.0, 0.2, 1.0),
+    (0.6, 0.4, 0.5),
+    (0.2, 1.0, 0.3),
+    (0.8, 0.6, 0.1),
+    (0.4, 0.8, 40),
+    (1.0, 1.0, 7),
+    (0.5, 0.2, 150),
+)
+
+
+@pytest.mark.parametrize("tau", [0.0, 5.0, 10.0, 20.0])
+@pytest.mark.parametrize("kind", ["canonical", "canonical-labeled", "ties", "ties-labeled"])
+def test_row_round_equals_id_space_oracle(kind, tau):
+    pool = _oracle_pool(kind, seed=len(kind))
+    part = pool_partition(pool, SamplingConfig(alpha=0.5, beta=0.5, budget=1, tau=tau))
+    # the oracle splits novelty itself, over id sets
+    id_part = refresh_partition(part, [])
+    manifests = []
+    for k, (alpha, beta, budget) in enumerate(ORACLE_CONFIGS):
+        cfg = SamplingConfig(alpha=alpha, beta=beta, budget=budget, tau=tau, seed=17 * k + 3)
+        manifest = sampling_round(pool, cfg, partition=part)
+        assert manifest == id_space_round(pool, cfg, partition=id_part)
+        manifests.append(manifest)
+    assert any(m.fallback_count for m in manifests)
+    if tau > 0:  # at tau 0 canonical clusters are singletons, with nothing left to revisit
+        assert any(m.familiar_quota > m.familiar_shortfall for m in manifests)

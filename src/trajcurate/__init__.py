@@ -6,7 +6,6 @@ from .cluster import (
     ClusterPartition,
     Dendrogram,
     Merge,
-    cophenetic_distance,
     flat_clusters,
     format_dendrogram,
     upgma_linkage,
@@ -31,7 +30,6 @@ from .states import (
     TrajectoryPool,
     TrajectoryState,
     estimate_dynamics,
-    validate_trajectory_state,
 )
 from .surrogate import (
     ExperimentResult,
@@ -63,7 +61,6 @@ __all__ = [
     "TrajectoryPool",
     "TrajectoryState",
     "canonical_pool_spec",
-    "cophenetic_distance",
     "estimate_dynamics",
     "flat_clusters",
     "format_dendrogram",
@@ -76,6 +73,5 @@ __all__ = [
     "stratified_holdout",
     "trajectory_state_distance",
     "upgma_linkage",
-    "validate_trajectory_state",
     "write_distance_matrix",
 ]

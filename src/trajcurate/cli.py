@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
@@ -140,7 +141,7 @@ def _load_pool(args) -> TrajectoryPool:
     if args.labeled:
         ids = read_labeled_ids(args.labeled)
         try:
-            pool = TrajectoryPool(pool.items, ids)
+            pool = TrajectoryPool.from_columns(pool.ids, pool.points, pool.dyn, ids)
         except UnknownId as exc:  # a stray id
             raise UnknownId(f"{args.labeled}: {exc}") from None
     return pool
@@ -241,16 +242,10 @@ def cmd_stats(args) -> int:
     tree = upgma_linkage(pairwise_distances(pool, weights), overwrite=True)
     part = flat_clusters(tree, args.tau, labeled_ids=pool.labeled_ids, leaf_ids=pool.ids)
 
-    histogram: dict[int, int] = {}
-    for s in part.rows.sizes.tolist():
-        histogram[s] = histogram.get(s, 0) + 1
-    labeled_singletons = sum(
-        1
-        for label in part.familiar_clusters
-        if part.cluster_size(label) == 1
-    )
+    histogram = Counter(part.rows.sizes.tolist())
+    labeled_singletons = sum(part.cluster_size(label) == 1 for label in part.familiar_clusters)
     lines = [
-        f"items: {len(pool.items)} labeled: {len(pool.labeled_ids)} "
+        f"items: {len(pool)} labeled: {len(pool.labeled_ids)} "
         f"unlabeled: {len(pool.unlabeled_ids)}",
         f"tau: {part.tau:.17g}",
         f"clusters: {len(part.rows.sizes)}",

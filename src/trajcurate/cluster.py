@@ -1,4 +1,4 @@
-"""Average-linkage (UPGMA) dendrograms, cophenetic distances, flat clusters.
+"""Average-linkage (UPGMA) dendrograms and flat clusters.
 
 The dendrogram is built by repeatedly merging the pair of active clusters
 with the smallest average inter-member distance; the recorded merge height
@@ -28,7 +28,7 @@ from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DuplicateId, ParseError, UnknownId, UnknownLeaf
+from .errors import DuplicateId, ParseError, UnknownId
 from .metric import CondensedDistanceMatrix
 
 
@@ -69,17 +69,6 @@ class Dendrogram:
             if sizes[left] + sizes[right] != size:
                 raise ParseError(f"merge {k} size {size} != {sizes[left]} + {sizes[right]}")
             sizes[node] = size
-
-    @cached_property
-    def _parents(self) -> np.ndarray:
-        parents = np.full(2 * self.n_leaves - 1, -1, dtype=np.int64)
-        for k, m in enumerate(self.merges):
-            parents[m.left] = self.n_leaves + k
-            parents[m.right] = self.n_leaves + k
-        return parents
-
-    def node_height(self, node: int) -> float:
-        return 0.0 if node < self.n_leaves else self.merges[node - self.n_leaves].height
 
 
 def upgma_linkage(d: CondensedDistanceMatrix, overwrite: bool = False) -> Dendrogram:
@@ -186,26 +175,6 @@ def upgma_linkage(d: CondensedDistanceMatrix, overwrite: bool = False) -> Dendro
         maxleaf[A] = max(maxleaf[A], maxleaf[B])
 
     return Dendrogram(n_leaves=n, merges=tuple(merges))
-
-
-def cophenetic_distance(t: Dendrogram, i: int, j: int) -> float:
-    """Height of the lowest merge containing both leaves; 0 when i == j."""
-    n = t.n_leaves
-    for leaf in (i, j):
-        if not (isinstance(leaf, (int, np.integer)) and 0 <= leaf < n):
-            raise UnknownLeaf(f"leaf {leaf!r} outside 0..{n - 1}")
-    if i == j:
-        return 0.0
-    parents = t._parents
-    ancestors: set[int] = set()
-    node = int(i)
-    while node != -1:
-        ancestors.add(node)
-        node = int(parents[node])
-    node = int(j)
-    while node not in ancestors:
-        node = int(parents[node])
-    return t.node_height(node)
 
 
 class RankRows(NamedTuple):

@@ -19,21 +19,23 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .cluster import ClusterPartition, Dendrogram, format_dendrogram
 from .errors import (
     CurationError,
-    DuplicateId,
+    EmptyId,
     ParseError,
     SchemaVersionMismatch,
     WrongPointCount,
 )
 from .metric import MetricWeights
 from .sampling import SamplingConfig, Selection, SelectionManifest
-from .states import TRAJECTORY_LEN, TrajectoryPool, validate_trajectory_state
+from .states import TRAJECTORY_LEN, TrajectoryPool
 from .surrogate import ExperimentResult, ExperimentRow
 
 MANIFEST_SCHEMA_VERSION = 1
@@ -43,6 +45,9 @@ _CSV_FIELDS = (
     + [f"{axis}{k}" for k in range(1, TRAJECTORY_LEN + 1) for axis in ("x", "y")]
     + ["v", "a", "h", "labeled"]
 )
+# numbers per record: the coordinates, then v, a and h
+_N_VALUES = 2 * TRAJECTORY_LEN + 3
+_NAN_ROW = [float("nan")] * _N_VALUES
 
 
 def _fmt(x: float) -> str:
@@ -68,29 +73,32 @@ def detect_format(path) -> str:
 
 
 def load_trajectories(path, fmt: str | None = None) -> TrajectoryPool:
-    """Read a trajectory record file into a validated pool."""
+    """Read a trajectory record file into a validated pool.
+
+    Records parse straight into the pool's columns. A fault in a file's
+    layout (bad JSON or CSV, a missing key, a wrong point count) raises
+    where the reader meets it; the pool then checks each record's id,
+    values and uniqueness in file order, so of those faults the first
+    record's is reported, with its line.
+    """
     fmt = fmt or detect_format(path)
     if fmt not in ("jsonl", "csv"):
         raise ParseError(f"unknown trajectory format {fmt!r}")
-    records = _read_jsonl(path) if fmt == "jsonl" else _read_csv(path)
-    if not records:
+    ids, values, lines, labeled, malformed = (_read_jsonl if fmt == "jsonl" else _read_csv)(path)
+    if not ids:
         raise ParseError(f"{path}: no trajectory records")
-
-    items, labeled, seen = [], set(), set()
-    for lineno, rec, is_labeled in records:
-        try:
-            state = validate_trajectory_state(rec)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: line {lineno}: malformed record ({exc})") from exc
-        except CurationError as exc:
-            raise type(exc)(f"{path}: line {lineno}: {exc}") from exc
-        if state.id in seen:
-            raise DuplicateId(f"{path}: duplicate id {state.id!r} (line {lineno})")
-        seen.add(state.id)
-        items.append(state)
-        if is_labeled:
-            labeled.add(state.id)
-    return TrajectoryPool(tuple(items), frozenset(labeled))
+    values = np.array(values, dtype=np.float64).reshape(len(ids), _N_VALUES)
+    points = values[:, : 2 * TRAJECTORY_LEN].reshape(-1, TRAJECTORY_LEN, 2)
+    try:
+        return TrajectoryPool.from_columns(ids, points, values[:, 2 * TRAJECTORY_LEN :], labeled)
+    except CurationError as exc:
+        line = lines[exc.row]
+        # a record whose numbers did not convert holds NaN, so the pool
+        # stops on it; as in TrajectoryState, a bad id outranks the conversion
+        if exc.row in malformed and not isinstance(exc, EmptyId):
+            cause = malformed[exc.row]
+            raise ParseError(f"{path}: line {line}: malformed record ({cause})") from cause
+        raise type(exc)(f"{path}: line {line}: {exc}") from exc
 
 
 def _utf8_lines(fh, path):
@@ -104,7 +112,8 @@ def _utf8_lines(fh, path):
 
 
 def _read_jsonl(path):
-    out = []
+    """(ids, flat values, line numbers, labeled ids, {row: conversion error})."""
+    ids, values, lines, labeled, malformed = [], [], [], [], {}
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(_utf8_lines(fh, path), start=1):
             if not line.strip():
@@ -129,19 +138,31 @@ def _read_jsonl(path):
                 if isinstance(obj[key], bool):
                     raise ParseError(f"{path}: line {lineno}: {key} must be a number, got {obj[key]}")
             for k, point in enumerate(points):
-                if isinstance(point, list) and any(isinstance(c, bool) for c in point):
+                if isinstance(point, list) and bool in map(type, point):
                     raise ParseError(
                         f"{path}: line {lineno}: point {k} coordinates must be numbers, got {point}"
                     )
-            labeled = obj.get("labeled", False)
-            if not isinstance(labeled, bool):
+            is_labeled = obj.get("labeled", False)
+            if not isinstance(is_labeled, bool):
                 raise ParseError(f"{path}: line {lineno}: labeled must be true or false")
-            out.append((lineno, obj, labeled))
-    return out
+            # float() itself, not numpy, which reads a JSON null as NaN
+            try:
+                row = [float(c) for x, y in points for c in (x, y)]
+                row += (float(obj["v"]), float(obj["a"]), float(obj["h"]))
+            except (TypeError, ValueError, OverflowError) as exc:
+                malformed[len(ids)] = exc
+                row = _NAN_ROW
+            values += row
+            ids.append(obj["id"])
+            lines.append(lineno)
+            if is_labeled:
+                labeled.append(obj["id"])
+    return ids, values, lines, labeled, malformed
 
 
 def _read_csv(path):
-    out = []
+    """As ``_read_jsonl``; a CSV cell that is not a number fails at once."""
+    ids, values, lines, labeled = [], [], [], []
     try:
         with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
             reader = csv.reader(_utf8_lines(fh, path))
@@ -152,70 +173,54 @@ def _read_csv(path):
             if header != _CSV_FIELDS and header != _CSV_FIELDS[:-1]:
                 raise ParseError(f"{path}: unexpected CSV header {header[:4]}...")
             has_labeled = len(header) == len(_CSV_FIELDS)
-            width = len(_CSV_FIELDS) if has_labeled else len(_CSV_FIELDS) - 1
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
-                if len(row) != width:
+                if len(row) != len(header):
                     raise WrongPointCount(
-                        f"{path}: row {lineno}: expected {width} fields "
+                        f"{path}: row {lineno}: expected {len(header)} fields "
                         f"({TRAJECTORY_LEN} coordinate pairs), got {len(row)}"
                     )
                 try:
-                    coords = [float(c) for c in row[1 : 1 + 2 * TRAJECTORY_LEN]]
-                    v, a, h = (float(c) for c in row[1 + 2 * TRAJECTORY_LEN : 4 + 2 * TRAJECTORY_LEN])
+                    values += map(float, row[1 : 1 + _N_VALUES])
                 except ValueError as exc:
                     raise ParseError(f"{path}: row {lineno}: {exc}") from exc
-                rec = {
-                    "id": row[0],
-                    "points": [(coords[2 * k], coords[2 * k + 1]) for k in range(TRAJECTORY_LEN)],
-                    "v": v,
-                    "a": a,
-                    "h": h,
-                }
                 try:
-                    labeled = _parse_bool(row[-1]) if has_labeled else False
+                    if has_labeled and _parse_bool(row[-1]):
+                        labeled.append(row[0])
                 except ParseError as exc:
                     raise ParseError(f"{path}: row {lineno}: {exc}") from None
-                out.append((lineno, rec, labeled))
+                ids.append(row[0])
+                lines.append(lineno)
     except csv.Error as exc:  # e.g. a NUL byte before Python 3.11
         raise ParseError(f"{path}: line {reader.line_num}: malformed CSV ({exc})") from None
-    return out
+    return ids, values, lines, labeled, {}
 
 
 def write_trajectories(pool: TrajectoryPool, path, fmt: str | None = None) -> None:
     """Write a pool back out in either record schema (lossless round-trip)."""
     fmt = fmt or detect_format(path)
+    # a row at a time: lists of the whole pool would double its memory
+    rows = zip(pool.ids, pool.points, pool.dyn)
+    records = ((id_, points.tolist(), dyn.tolist()) for id_, points, dyn in rows)
+    labeled = pool.labeled_ids
     if fmt == "jsonl":
         with open(path, "w", encoding="utf-8") as fh:
-            for s in pool.items:
-                obj = {
-                    "id": s.id,
-                    "points": [[_raw(x), _raw(y)] for x, y in s.points],
-                    "v": _raw(s.v),
-                    "a": _raw(s.a),
-                    "h": _raw(s.h),
-                    "labeled": s.id in pool.labeled_ids,
-                }
+            # json writes each float's shortest round-trip repr, which is exact
+            for id_, points, (v, a, h) in records:
+                obj = {"id": id_, "points": points, "v": v, "a": a, "h": h}
+                obj["labeled"] = id_ in labeled
                 fh.write(json.dumps(obj) + "\n")
     elif fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(_CSV_FIELDS)
-            for s in pool.items:
-                row = [s.id]
-                for x, y in s.points:
-                    row += [_fmt(x), _fmt(y)]
-                row += [_fmt(s.v), _fmt(s.a), _fmt(s.h)]
-                row.append("true" if s.id in pool.labeled_ids else "false")
+            for id_, points, dyn in records:
+                row = [id_, *(_fmt(c) for point in points for c in point), *map(_fmt, dyn)]
+                row.append("true" if id_ in labeled else "false")
                 writer.writerow(row)
     else:
         raise ParseError(f"unknown trajectory format {fmt!r}")
-
-
-def _raw(x: float) -> float:
-    # json emits shortest round-trip repr for floats, which is exact
-    return float(x)
 
 
 def read_labeled_ids(path) -> frozenset[str]:
@@ -273,94 +278,49 @@ class ManifestDocument:
 
 
 def write_manifest(m: SelectionManifest, out_path, input_digest: str = "") -> None:
-    doc = {
+    head = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "tool_version": __version__,
         "input_digest": input_digest,
         "round_index": m.round_index,
         "seed": m.seed,
-        "config": {
-            "alpha": m.config.alpha,
-            "beta": m.config.beta,
-            "budget": m.config.budget,
-            "tau": m.config.tau,
-            "weights": {
-                "k_a": m.config.weights.k_a,
-                "k_v": m.config.weights.k_v,
-                "k_h": m.config.weights.k_h,
-            },
-            "seed": m.config.seed,
-        },
-        "budget_resolved": m.budget_resolved,
-        "novel_quota": m.novel_quota,
-        "familiar_quota": m.familiar_quota,
-        "novel_shortfall": m.novel_shortfall,
-        "familiar_shortfall": m.familiar_shortfall,
-        "selected": [
-            {"id": s.id, "phase": s.phase, "cluster": s.cluster} for s in m.selected
-        ],
     }
+    # merging keeps the head's keys first; the rest follow in field order
     with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump({**head, **asdict(m)}, fh, indent=2)
         fh.write("\n")
 
 
 def read_manifest_document(path) -> ManifestDocument:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc.msg} (line {exc.lineno})") from exc
-    required = (
-        "schema_version",
-        "seed",
-        "round_index",
-        "config",
-        "budget_resolved",
-        "novel_quota",
-        "familiar_quota",
-        "novel_shortfall",
-        "familiar_shortfall",
-        "selected",
-    )
-    missing = [k for k in required if k not in doc]
-    if missing:
-        raise SchemaVersionMismatch(f"{path}: manifest missing fields {missing}")
-    if doc["schema_version"] != MANIFEST_SCHEMA_VERSION:
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc.msg} (line {exc.lineno})") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    if doc.get("schema_version") != MANIFEST_SCHEMA_VERSION:
         raise SchemaVersionMismatch(
-            f"{path}: schema version {doc['schema_version']}, expected {MANIFEST_SCHEMA_VERSION}"
+            f"{path}: schema version {doc.get('schema_version')}, "
+            f"expected {MANIFEST_SCHEMA_VERSION}"
         )
-    cfg_doc = doc["config"]
-    for key in ("alpha", "beta", "budget", "tau", "weights", "seed"):
-        if key not in cfg_doc:
-            raise SchemaVersionMismatch(f"{path}: manifest config missing {key!r}")
-    weights = MetricWeights(
-        k_a=cfg_doc["weights"]["k_a"],
-        k_v=cfg_doc["weights"]["k_v"],
-        k_h=cfg_doc["weights"]["k_h"],
-    )
-    config = SamplingConfig(
-        alpha=cfg_doc["alpha"],
-        beta=cfg_doc["beta"],
-        budget=cfg_doc["budget"],
-        tau=cfg_doc["tau"],
-        weights=weights,
-        seed=cfg_doc["seed"],
-    )
-    manifest = SelectionManifest(
-        round_index=doc["round_index"],
-        config=config,
-        seed=doc["seed"],
-        budget_resolved=doc["budget_resolved"],
-        novel_quota=doc["novel_quota"],
-        familiar_quota=doc["familiar_quota"],
-        novel_shortfall=doc["novel_shortfall"],
-        familiar_shortfall=doc["familiar_shortfall"],
-        selected=tuple(
-            Selection(id=s["id"], phase=s["phase"], cluster=s["cluster"])
-            for s in doc["selected"]
-        ),
-    )
+    try:
+        cfg, weights = doc["config"], doc["config"]["weights"]
+        values = {f.name: doc[f.name] for f in fields(SelectionManifest)}
+        values["config"] = SamplingConfig(
+            **{k: cfg[k] for k in ("alpha", "beta", "budget", "tau", "seed")},
+            weights=MetricWeights(**{k: weights[k] for k in ("k_a", "k_v", "k_h")}),
+        )
+        values["selected"] = tuple(
+            Selection(s["id"], s["phase"], s["cluster"]) for s in doc["selected"]
+        )
+        manifest = SelectionManifest(**values)
+    except KeyError as exc:
+        raise SchemaVersionMismatch(f"{path}: manifest missing field {exc}") from None
+    except (TypeError, ValueError, OverflowError, CurationError) as exc:
+        raise ParseError(f"{path}: malformed manifest ({exc})") from None
     return ManifestDocument(
         manifest=manifest,
         tool_version=doc.get("tool_version", ""),
@@ -408,25 +368,26 @@ def write_experiment_csv(result: ExperimentResult, path) -> None:
 
 def read_experiment_csv(path) -> ExperimentResult:
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _RESULT_HEADER:
-            raise ParseError(f"{path}: unexpected result header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(_RESULT_HEADER):
-                raise ParseError(f"{path}: row {lineno} has {len(row)} fields")
-            rows.append(
-                ExperimentRow(
-                    budget=float(row[0]),
-                    alpha=float(row[1]),
-                    beta=float(row[2]),
-                    seed=int(row[3]),
-                    strategy=row[4],
-                    made5=float(row[5]),
-                    made10=float(row[6]),
-                )
-            )
-    return ExperimentResult(rows=tuple(rows))
+    try:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            reader = csv.reader(_utf8_lines(fh, path))
+            header = next(reader, None)
+            if header != _RESULT_HEADER:
+                raise ParseError(f"{path}: unexpected result header {header}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(_RESULT_HEADER):
+                    raise ParseError(f"{path}: row {lineno} has {len(row)} fields")
+                try:
+                    budget, alpha, beta, made5, made10 = map(float, row[:3] + row[5:])
+                    seed = int(row[3])
+                except ValueError as exc:
+                    raise ParseError(f"{path}: row {lineno}: {exc}") from None
+                rows.append(ExperimentRow(budget, alpha, beta, seed, row[4], made5, made10))
+    except csv.Error as exc:  # e.g. a NUL byte before Python 3.11
+        raise ParseError(f"{path}: line {reader.line_num}: malformed CSV ({exc})") from None
+    try:
+        return ExperimentResult(rows=tuple(rows))
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None

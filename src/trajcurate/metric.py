@@ -209,7 +209,10 @@ def pairwise_distances(
     numpy kernels release the GIL so this scales on multicore boxes, and
     the output is byte-identical for any worker count.
     """
-    pts, dyn = pool.columns if isinstance(pool, TrajectoryPool) else pack_states(tuple(pool))
+    if isinstance(pool, TrajectoryPool):
+        pts, dyn = pool.points, pool.dyn
+    else:
+        pts, dyn = pack_states(tuple(pool))
     n = len(pts)
     if n < 1:
         raise ParseError("pairwise_distances needs at least one trajectory-state")

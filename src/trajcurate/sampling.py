@@ -237,10 +237,12 @@ def sampling_round(
 
     novel_short = novel_quota - len(novel_rows)
     familiar_short = familiar_quota - len(familiar_rows)
-    leftovers = np.flatnonzero(~taken)
-    need = min(novel_short + familiar_short, leftovers.size)
-    rng = phase_rng(cfg.seed, FALLBACK_STREAM)
-    fallback_rows = leftovers[rng.permutation(leftovers.size)[:need]].tolist()
+    short = novel_short + familiar_short
+    fallback_rows: list[int] = []
+    if short:  # with no shortfall the fallback stream is never drawn
+        leftovers = np.flatnonzero(~taken)
+        rng = phase_rng(cfg.seed, FALLBACK_STREAM)
+        fallback_rows = leftovers[rng.permutation(leftovers.size)[:short]].tolist()
 
     selected = []
     for r, label in zip(novel_rows, rows.labels[novel_rows].tolist()):

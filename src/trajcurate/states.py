@@ -1,19 +1,24 @@
-"""Trajectory-state records and dynamics estimation.
+"""Trajectory-state records, the columnar pool, and dynamics estimation.
 
 A trajectory-state couples an agent's 12-point future ground-plane path
 (2 Hz over 6 s) with its dynamic state at prediction time: velocity v
-[m/s], acceleration a [m/s^2], and heading change rate h [rad/s]. These
-records are the unit of clustering and sampling everywhere else in the
-package; both container types are immutable so they can be shared freely
+[m/s], acceleration a [m/s^2], and heading change rate h [rad/s].
+
+``TrajectoryState`` is the single-record type. ``TrajectoryPool`` holds a
+whole pool as columns: a tuple of ``ids``, ``points`` of shape (n, 12, 2)
+and ``dyn`` of shape (n, 3) holding ``[v, a, h]``. Both arrays are
+read-only float64, row r of each is record r, and every stage from the
+distance kernel to the surrogate reads them directly; the loaders parse
+records straight into them. ``items`` builds ``TrajectoryState``s only
+when it is read. Both types are immutable, so they can be shared freely
 across threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,18 +67,6 @@ class TrajectoryState:
             raise NonFiniteValue(f"trajectory {self.id!r} contains a non-finite value")
 
 
-def validate_trajectory_state(raw: Mapping | TrajectoryState) -> TrajectoryState:
-    """Build a validated TrajectoryState from a loose record.
-
-    Accepts an existing TrajectoryState (returned as-is; construction
-    already guarantees the invariants) or any mapping carrying ``id``,
-    ``points``, ``v``, ``a`` and ``h``.
-    """
-    if isinstance(raw, TrajectoryState):
-        return raw
-    return TrajectoryState(id=raw["id"], points=raw["points"], v=raw["v"], a=raw["a"], h=raw["h"])
-
-
 def estimate_dynamics(
     past_points: Sequence[Sequence[float]], dt: float
 ) -> tuple[float, float, float]:
@@ -119,66 +112,121 @@ def _wrap_angle(theta: float) -> float:
 
 
 def pack_states(states: Sequence[TrajectoryState]) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(n, 12, 2)`` points and ``(n, 3)`` ``[v, a, h]`` columns."""
-    pts = np.asarray([s.points for s in states], dtype=np.float64).reshape(-1, TRAJECTORY_LEN, 2)
-    dyn = np.asarray([(s.v, s.a, s.h) for s in states], dtype=np.float64).reshape(-1, 3)
-    pts.flags.writeable = False
-    dyn.flags.writeable = False
+    """``(n, 12, 2)`` points and ``(n, 3)`` ``[v, a, h]`` columns of states."""
+    # row by row: numpy converting the whole nested sequence at once holds
+    # per-sequence bookkeeping about twice the size of the result
+    pts = np.empty((len(states), TRAJECTORY_LEN, 2))
+    dyn = np.empty((len(states), 3))
+    for row, s in enumerate(states):
+        pts[row], dyn[row] = s.points, (s.v, s.a, s.h)
     return pts, dyn
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TrajectoryPool:
-    """An ordered pool of trajectory-states with a labeled subset.
+    """An ordered pool of trajectory-states with a labeled subset, held as
+    columns: row r of ``ids``, ``points`` and ``dyn`` is one record.
 
-    ``labeled_ids`` is the current training pool; its complement within
-    ``items`` is the unlabeled pool available to a sampling round.
+    ``labeled_ids`` is the current training pool; its complement is the
+    unlabeled pool available to a sampling round. ``TrajectoryPool(states,
+    labeled_ids)`` packs states into columns; ``from_columns`` takes them
+    as they are.
     """
 
-    items: tuple[TrajectoryState, ...]
-    labeled_ids: frozenset[str] = field(default_factory=frozenset)
+    ids: tuple[str, ...]
+    points: np.ndarray
+    dyn: np.ndarray
+    labeled_ids: frozenset[str]
 
-    def __post_init__(self) -> None:
-        items = tuple(self.items)
-        object.__setattr__(self, "items", items)
+    def __init__(
+        self, items: Iterable[TrajectoryState] = (), labeled_ids: Iterable[str] = ()
+    ) -> None:
+        items = tuple(items)
+        self._freeze(tuple(s.id for s in items), *pack_states(items), labeled_ids)
+
+    @classmethod
+    def from_columns(cls, ids, points, dyn, labeled_ids: Iterable[str] = ()) -> TrajectoryPool:
+        """A pool of ``ids`` with ``(n, 12, 2)`` points and ``(n, 3)`` ``[v, a, h]``.
+
+        Rows are checked in order, and the first bad one raises with its
+        index in the error's ``row``: ``EmptyId`` for an empty or non-string
+        id, then ``NonFiniteValue``, then ``DuplicateId`` for an earlier id.
+        """
+        pool = cls.__new__(cls)
+        pool._freeze(tuple(ids), points, dyn, labeled_ids)
+        return pool
+
+    def _freeze(self, ids: tuple, points, dyn, labeled_ids: Iterable[str]) -> None:
+        # views, so freezing them leaves a caller's own arrays writable
+        points = np.ascontiguousarray(points, dtype=np.float64).view()
+        dyn = np.ascontiguousarray(dyn, dtype=np.float64).view()
+        if points.shape != (len(ids), TRAJECTORY_LEN, 2) or dyn.shape != (len(ids), 3):
+            raise WrongPointCount(f"{len(ids)} ids, columns {points.shape} and {dyn.shape}")
+        finite = np.isfinite(points).all(axis=(1, 2)) & np.isfinite(dyn).all(axis=1)
         rows: dict[str, int] = {}
-        for row, s in enumerate(items):
-            if s.id in rows:
-                raise DuplicateId(f"duplicate trajectory id {s.id!r} in pool")
-            rows[s.id] = row
-        labeled = frozenset(self.labeled_ids)
-        unknown = labeled.difference(rows)
-        if unknown:
-            raise UnknownId(f"labeled ids not present in pool: {sorted(unknown)[:5]}")
-        object.__setattr__(self, "labeled_ids", labeled)
-        object.__setattr__(self, "_rows", rows)
+        for r, (id_, ok) in enumerate(zip(ids, finite.tolist())):
+            if not isinstance(id_, str) or not id_:
+                exc = EmptyId("trajectory id must be a non-empty string")
+            elif not ok:
+                exc = NonFiniteValue(f"trajectory {id_!r} contains a non-finite value")
+            elif id_ in rows:
+                exc = DuplicateId(f"duplicate trajectory id {id_!r}")
+            else:
+                rows[id_] = r
+                continue
+            exc.row = r
+            raise exc
+        labeled = frozenset(labeled_ids)
+        if not labeled <= rows.keys():
+            raise UnknownId(f"labeled ids not present in pool: {sorted(labeled - set(rows))[:5]}")
+        points.flags.writeable = dyn.flags.writeable = False
+        # set once, past the frozen __setattr__
+        self.__dict__.update(ids=ids, points=points, dyn=dyn, labeled_ids=labeled, _rows=rows)
 
-    @cached_property
-    def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (n, 12, 2) points and (n, 3) [v, a, h] rows, packed on first use."""
-        return pack_states(self.items)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TrajectoryPool):
+            return NotImplemented
+        same = self.ids == other.ids and self.labeled_ids == other.labeled_ids
+        return same and all(map(np.array_equal, (self.points, self.dyn), (other.points, other.dyn)))
 
-    @cached_property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self.items)
+    @property
+    def items(self) -> Sequence[TrajectoryState]:
+        """The rows as ``TrajectoryState``s, each built when it is read."""
+        return _States(self)
 
     @property
     def unlabeled_ids(self) -> frozenset[str]:
         return frozenset(self._rows) - self.labeled_ids
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.ids)
 
     def row(self, id_: str) -> int:
-        """Index of ``id_`` in ``items`` and in the columns."""
+        """Row of ``id_`` in the columns."""
         try:
             return self._rows[id_]
         except KeyError:
             raise UnknownId(f"no trajectory with id {id_!r}") from None
 
-    def by_id(self, id_: str) -> TrajectoryState:
-        return self.items[self.row(id_)]
+    def take(self, rows: Sequence[int]) -> TrajectoryPool:
+        """The pool of ``rows``, in that order, with the labeled ids among them."""
+        ids = tuple(map(self.ids.__getitem__, rows))
+        labeled = self.labeled_ids.intersection(ids)
+        return TrajectoryPool.from_columns(ids, self.points[rows], self.dyn[rows], labeled)
 
-    def with_labeled(self, extra: Iterable[str]) -> "TrajectoryPool":
-        """Return a copy with ``extra`` ids moved into the labeled set."""
-        return TrajectoryPool(self.items, self.labeled_ids | frozenset(extra))
+
+class _States(Sequence):
+    """A pool's rows as a read-only sequence of ``TrajectoryState``s."""
+
+    def __init__(self, pool: TrajectoryPool) -> None:
+        self._pool = pool
+
+    def __len__(self) -> int:
+        return len(self._pool)
+
+    def __getitem__(self, k: int) -> TrajectoryState:
+        p = self._pool
+        return TrajectoryState(p.ids[k], p.points[k].tolist(), *p.dyn[k].tolist())
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)

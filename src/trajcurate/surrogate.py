@@ -33,7 +33,7 @@ from .sampling import (
     sampling_round,
     upgma_linkage_for_pool,
 )
-from .states import TrajectoryPool, TrajectoryState
+from .states import TrajectoryPool
 from .synth import largest_remainder, motif_key
 
 PREFIX_LEN = 2
@@ -89,9 +89,6 @@ class ExperimentResult:
     def mean_made5(self, budget: float, alpha: float, beta: float, strategy: str) -> float:
         return self._means[budget, alpha, beta, strategy][0]
 
-    def mean_made10(self, budget: float, alpha: float, beta: float, strategy: str) -> float:
-        return self._means[budget, alpha, beta, strategy][1]
-
     def improvement_over_random(self) -> tuple[tuple[float, float, float, float, float, int], ...]:
         """Per cell: (budget, alpha, beta, delta5, delta10, n_seeds).
 
@@ -107,23 +104,24 @@ class ExperimentResult:
 
 
 def stratified_holdout(
-    items: Sequence[TrajectoryState],
+    ids: Sequence[str],
     fraction: float = 0.2,
     seed: int = 0,
     key: Callable[[str], str] = motif_key,
 ) -> tuple[list[int], list[int]]:
-    """Split item indices into (train, holdout), stratified by motif key.
+    """Split the rows of ``ids`` into (train, holdout), stratified by the
+    motif key of each id.
 
     The holdout gets round(fraction * n) items apportioned across groups
     by largest remainder, with per-group membership drawn from a seeded
-    substream, so the split is a pure function of (items, fraction, seed).
+    substream, so the split is a pure function of (ids, fraction, seed).
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"holdout fraction must be in [0, 1), got {fraction}")
-    n = len(items)
+    n = len(ids)
     groups: dict[str, list[int]] = {}
-    for idx, s in enumerate(items):
-        groups.setdefault(key(s.id), []).append(idx)
+    for idx, id_ in enumerate(ids):
+        groups.setdefault(key(id_), []).append(idx)
     names = sorted(groups)
     target = int(round(fraction * n))
     weights = [len(groups[g]) / n for g in names]
@@ -214,18 +212,13 @@ def run_al_experiment(
     linkage nor the holdout's distance ranking, so both are computed once
     per distinct weight setting, and the tree is cut once per tau.
     """
-    train_idx, holdout_idx = stratified_holdout(
-        pool.items, holdout_fraction, split_seed, group_key
-    )
+    train_idx, holdout_idx = stratified_holdout(pool.ids, holdout_fraction, split_seed, group_key)
     if not holdout_idx:
         raise InsufficientPool(
             f"holdout fraction {holdout_fraction} holds out none of {len(pool)} trajectory-states"
         )
-    points, dyn = pool.columns
-    qp, qd = points[holdout_idx], dyn[holdout_idx]
-    train_items = tuple(pool.items[i] for i in train_idx)
-    train_ids = {s.id for s in train_items}
-    working = TrajectoryPool(train_items, pool.labeled_ids & train_ids)
+    qp, qd = pool.points[holdout_idx], pool.dyn[holdout_idx]
+    working = pool.take(train_idx)
 
     unlabeled0 = sorted(working.unlabeled_ids)
     if not unlabeled0:
@@ -237,17 +230,14 @@ def run_al_experiment(
             )
 
     # training rows in id order, so the ranking breaks distance ties by id
-    by_id = sorted(working.ids)
-    rank = {id_: k for k, id_ in enumerate(by_id)}
-    id_rows = [working.row(i) for i in by_id]
-    tpoints, tdyn = working.columns
-    lp, ld = tpoints[id_rows], tdyn[id_rows]
+    by_id = working.take(sorted(range(len(working)), key=working.ids.__getitem__))
+    lp, ld = by_id.points, by_id.dyn
     labeled0 = np.zeros(len(by_id), dtype=bool)
-    labeled0[[rank[i] for i in working.labeled_ids]] = True
+    labeled0[[by_id.row(i) for i in working.labeled_ids]] = True
 
     def score(picked: Sequence[str], order: np.ndarray) -> tuple[float, float]:
         labeled = labeled0.copy()
-        labeled[[rank[i] for i in picked]] = True
+        labeled[[by_id.row(i) for i in picked]] = True
         return _score_ranked(qp, lp, order, labeled, k_modes)
 
     ranked: dict[MetricWeights, tuple[Dendrogram, np.ndarray]] = {}

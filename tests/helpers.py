@@ -1,7 +1,8 @@
 """Shared test fixtures and the independent oracles: UPGMA (naive and on the
 square matrix), square and cophenetic matrices, distance, k-NN surrogate,
 per-score surrogate scoring, and the sampling round over id strings and
-sets (novelty refresh, novel and familiar phases)."""
+sets (novelty refresh, novel and familiar phases); plus the pool and
+dendrogram lookups only tests use."""
 
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ from trajcurate.errors import (
     NoPredictions,
     ParseError,
     UnknownId,
+    UnknownLeaf,
 )
 from trajcurate.sampling import (
     DEFAULT_GRID_ALPHAS,
@@ -219,8 +221,7 @@ def _score_split(
     ``labeled_rows`` index ``train`` in id order, which breaks distance
     ties by id.
     """
-    points, dyn = train.columns
-    lp, ld = points[labeled_rows], dyn[labeled_rows]
+    lp, ld = train.points[labeled_rows], train.dyn[labeled_rows]
     dist = _distance(qp[:, None], qd[:, None], lp[None], ld[None], w, PREFIX_LEN)
 
     k = min(k_modes, len(labeled_rows))
@@ -311,6 +312,39 @@ def cophenetic_matrix(t: Dendrogram) -> np.ndarray:
         out[np.ix_(b, a)] = m.height
         members[n + k] = a + b
     return out
+
+
+def cophenetic_distance(t: Dendrogram, i: int, j: int) -> float:
+    """Height of the lowest merge containing both leaves; 0 when i == j."""
+    n = t.n_leaves
+    for leaf in (i, j):
+        if not (isinstance(leaf, (int, np.integer)) and 0 <= leaf < n):
+            raise UnknownLeaf(f"leaf {leaf!r} outside 0..{n - 1}")
+    if i == j:
+        return 0.0
+    parents = np.full(2 * n - 1, -1, dtype=np.int64)
+    for k, m in enumerate(t.merges):
+        parents[m.left] = parents[m.right] = n + k
+    ancestors: set[int] = set()
+    node = int(i)
+    while node != -1:
+        ancestors.add(node)
+        node = int(parents[node])
+    node = int(j)
+    while node not in ancestors:
+        node = int(parents[node])
+    return t.merges[node - n].height
+
+
+def by_id(pool: TrajectoryPool, id_: str) -> TrajectoryState:
+    return pool.items[pool.row(id_)]
+
+
+def with_labeled(pool: TrajectoryPool, extra: Iterable[str]) -> TrajectoryPool:
+    """A copy of ``pool`` with ``extra`` ids moved into the labeled set."""
+    return TrajectoryPool.from_columns(
+        pool.ids, pool.points, pool.dyn, pool.labeled_ids | frozenset(extra)
+    )
 
 
 def square_upgma_oracle(d: CondensedDistanceMatrix) -> Dendrogram:

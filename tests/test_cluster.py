@@ -7,7 +7,6 @@ from trajcurate import (
     CondensedDistanceMatrix,
     Dendrogram,
     Merge,
-    cophenetic_distance,
     flat_clusters,
     format_dendrogram,
     generate_synthetic_pool,
@@ -19,6 +18,7 @@ from trajcurate.synth import CANONICAL_TAU, canonical_pool_spec
 
 from helpers import (
     cluster_members,
+    cophenetic_distance,
     cophenetic_matrix,
     members_by_label,
     random_condensed,

@@ -1,4 +1,5 @@
-"""Fuzzed inputs: mutated trajectory records and matrix headers.
+"""Fuzzed inputs: mutated trajectory records, matrix headers, manifests
+and result CSVs.
 
 Whatever a mutation does to a valid file, loading it either succeeds or
 raises a ``CurationError``, and the CLI exits 0, 1 or 2 without a
@@ -15,10 +16,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajcurate import CondensedDistanceMatrix, TrajectoryPool
+from trajcurate import CondensedDistanceMatrix, SamplingConfig, TrajectoryPool, sampling_round
 from trajcurate.cli import dispatch
 from trajcurate.errors import CurationError
-from trajcurate.io import load_trajectories, write_trajectories
+from trajcurate.io import (
+    load_trajectories,
+    read_experiment_csv,
+    read_manifest,
+    write_experiment_csv,
+    write_manifest,
+    write_trajectories,
+)
+from trajcurate.surrogate import ExperimentResult, ExperimentRow
 from trajcurate.metric import read_distance_matrix, write_distance_matrix
 
 from helpers import stationary_state
@@ -136,3 +145,50 @@ def test_mutated_matrix_header(edit, cut):
             assert path in str(exc)
         else:
             assert isinstance(m, CondensedDistanceMatrix)
+
+
+def _valid_manifest() -> bytes:
+    pool = TrajectoryPool(tuple(stationary_state(f"x{i}", 0.03 * i) for i in range(6)))
+    manifest = sampling_round(pool, SamplingConfig(alpha=0.5, beta=0.5, budget=3, seed=1))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "manifest.json")
+        write_manifest(manifest, path, input_digest="abc")
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _valid_results() -> bytes:
+    rows = (
+        ExperimentRow(0.1, 0.0, 0.2, 0, "active", 1.25, 0.875),
+        ExperimentRow(0.1, 0.0, 0.2, 0, "random", 1.5, 1.0),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.csv")
+        write_experiment_csv(ExperimentResult(rows=rows), path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+_DOCUMENTS = {
+    "manifest.json": (_valid_manifest(), read_manifest),
+    "rows.csv": (_valid_results(), read_experiment_csv),
+}
+
+
+@FUZZ
+@given(
+    name=st.sampled_from(sorted(_DOCUMENTS)),
+    edits=st.lists(_byte_edit, min_size=1, max_size=3),
+)
+def test_mutated_manifest_and_result_csv(name, edits):
+    data, read = _DOCUMENTS[name]
+    for edit in edits:
+        data = _edit_bytes(data, edit)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            read(path)
+        except CurationError as exc:
+            assert path in str(exc)

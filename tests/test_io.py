@@ -7,6 +7,7 @@ import pytest
 from trajcurate import (
     SamplingConfig,
     TrajectoryPool,
+    TrajectoryState,
     flat_clusters,
     pairwise_distances,
     sampling_round,
@@ -94,10 +95,16 @@ def test_jsonl_errors(tmp_path):
         ("v", float("nan"), NonFiniteValue),
         ("id", "", EmptyId),
         ("id", 7, EmptyId),
+        # numpy would read a JSON null as NaN; the record is malformed
+        ("points", [[0.0, None]] + [[0.0, 0.0]] * 11, ParseError),
+        ("points", [None] + [[0.0, 0.0]] * 11, ParseError),
+        ("v", None, ParseError),
+        ("points", [[[0.0, 0.0], [0.0, 0.0]]] + [[0.0, 0.0]] * 11, ParseError),
+        ("h", 10**400, ParseError),
     ],
     ids=[
         "labeled-string", "point-3d", "point-bool", "v-string", "v-true", "v-nan", "id-empty",
-        "id-int",
+        "id-int", "point-null", "point-none", "v-null", "point-nested", "h-huge-int",
     ],
 )
 def test_jsonl_mistyped_field_names_file_and_line(tmp_path, field, value, error):
@@ -111,6 +118,69 @@ def test_jsonl_mistyped_field_names_file_and_line(tmp_path, field, value, error)
     with pytest.raises(error) as err:
         load_trajectories(path)
     assert str(path) in str(err.value) and "line 2" in str(err.value)
+
+
+_FAULTS = {
+    "empty-id": (lambda rec: rec.update(id=""), EmptyId),
+    "v-abc": (lambda rec: rec.update(v="abc"), ParseError),
+    "v-nan": (lambda rec: rec.update(v=float("nan")), NonFiniteValue),
+    "duplicate-id": (lambda rec: rec.update(id="r0000"), DuplicateId),
+    "coordinate-null": (lambda rec: rec["points"][3].__setitem__(1, None), ParseError),
+}
+
+
+@pytest.mark.parametrize("second", sorted(_FAULTS))
+@pytest.mark.parametrize("first", sorted(_FAULTS))
+def test_jsonl_first_faulty_record_wins(tmp_path, first, second):
+    # faults on lines 2 and 3: line 2's is reported, with its own type
+    path = tmp_path / "pool.jsonl"
+    write_trajectories(fixture_pool(), path)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert records[0]["id"] == "r0000"
+    _FAULTS[first][0](records[1])
+    _FAULTS[second][0](records[2])
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    with pytest.raises(_FAULTS[first][1]) as err:
+        load_trajectories(path)
+    assert str(path) in str(err.value) and "line 2" in str(err.value)
+
+
+@pytest.mark.parametrize("value", [None, "abc", [1.0]])
+def test_jsonl_bad_id_outranks_values_that_do_not_convert(tmp_path, value):
+    path = tmp_path / "pool.jsonl"
+    write_trajectories(fixture_pool(), path)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records[1].update(id="", v=value)
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    with pytest.raises(EmptyId) as err:
+        load_trajectories(path)
+    assert str(path) in str(err.value) and "line 2" in str(err.value)
+
+
+def test_loaded_pool_holds_read_only_columns(tmp_path):
+    pool = fixture_pool()
+    path = tmp_path / "pool.jsonl"
+    write_trajectories(pool, path)
+    back = load_trajectories(path)
+    assert back.points.shape == (3, 12, 2) and back.dyn.shape == (3, 3)
+    assert not back.points.flags.writeable and not back.dyn.flags.writeable
+    # no record objects until items is read, and items builds equal states
+    held = [v for value in vars(back).values() if isinstance(value, tuple) for v in value]
+    assert not any(isinstance(v, TrajectoryState) for v in held)
+    assert list(back.items) == list(pool.items)
+    with pytest.raises(AttributeError):
+        back.ids = ()
+
+
+def test_take_keeps_rows_and_labels():
+    pool = fixture_pool()
+    part = pool.take([2, 1])
+    assert part.ids == (pool.ids[2], pool.ids[1])
+    assert part.labeled_ids == pool.labeled_ids == {pool.ids[1]}
+    assert part == TrajectoryPool((pool.items[2], pool.items[1]), pool.labeled_ids)
+    assert pool.take([0]).labeled_ids == frozenset()
+    with pytest.raises(DuplicateId):
+        pool.take([0, 0])
 
 
 def test_jsonl_duplicate_id(tmp_path):
@@ -355,3 +425,68 @@ def test_experiment_csv_round_trip(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "budget,alpha,beta,seed,strategy,made5,made10"
     assert read_experiment_csv(path) == result
+
+
+def _edit_manifest(doc):
+    return {
+        "selected-without-phase": lambda: doc["selected"][0].pop("phase"),
+        "weights-without-k_h": lambda: doc["config"]["weights"].pop("k_h"),
+        "alpha-string": lambda: doc["config"].update(alpha="x"),
+        "k_a-huge-int": lambda: doc["config"]["weights"].update(k_a=10**400),
+        "alpha-out-of-range": lambda: doc["config"].update(alpha=2.0),
+        "selected-not-a-list": lambda: doc.update(selected=5),
+        "not-an-object": None,
+    }
+
+
+@pytest.mark.parametrize("fault", sorted(_edit_manifest({})))
+def test_manifest_fault_names_the_file(tmp_path, fault):
+    path = tmp_path / "manifest.json"
+    write_manifest(sample_manifest(), path)
+    doc = json.loads(path.read_text())
+    edit = _edit_manifest(doc)[fault]
+    if edit is None:
+        doc = [doc]
+    else:
+        edit()
+    path.write_text(json.dumps(doc))
+    with pytest.raises((ParseError, SchemaVersionMismatch)) as err:
+        read_manifest(path)
+    assert str(path) in str(err.value)
+
+
+def test_manifest_non_utf8_names_the_file(tmp_path):
+    path = tmp_path / "manifest.json"
+    write_manifest(sample_manifest(), path)
+    path.write_bytes(path.read_bytes().replace(b'"familiar"', b'"famili\xe2r"', 1))
+    with pytest.raises(ParseError, match="not UTF-8") as err:
+        read_manifest(path)
+    assert str(path) in str(err.value)
+
+
+def _result_csv(tmp_path):
+    rows = (
+        ExperimentRow(0.1, 0.0, 0.2, 0, "active", 1.25, 0.875),
+        ExperimentRow(0.1, 0.0, 0.2, 0, "random", 1.5, 1.0),
+    )
+    path = tmp_path / "results.csv"
+    write_experiment_csv(ExperimentResult(rows=rows), path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "old, new, where",
+    [
+        (b"1.25", b"fast", "row 2"),
+        (b",0,random", b",0.5,random", "row 3"),
+        (b"0.875", b"0.8\xff", "line 2"),
+        (b",random,", b",active,", ""),
+    ],
+    ids=["made5-word", "seed-fraction", "non-utf8", "unpaired-row"],
+)
+def test_result_csv_fault_names_file_and_row(tmp_path, old, new, where):
+    path = _result_csv(tmp_path)
+    path.write_bytes(path.read_bytes().replace(old, new, 1))
+    with pytest.raises(ParseError) as err:
+        read_experiment_csv(path)
+    assert str(path) in str(err.value) and where in str(err.value)

@@ -14,8 +14,10 @@ from trajcurate import (
     upgma_linkage,
 )
 from trajcurate.errors import EmptyUnlabeledPool, InvalidFlagValue, ParseError
+from trajcurate import sampling
 from trajcurate.metric import pairwise_distances
 from trajcurate.sampling import (
+    FALLBACK_STREAM,
     PHASE_FALLBACK,
     PHASE_FAMILIAR,
     PHASE_NOVEL_CLUSTER,
@@ -35,6 +37,7 @@ from helpers import (
     sample_familiar,
     sample_novel,
     stationary_state,
+    with_labeled,
 )
 
 
@@ -179,6 +182,24 @@ def test_round_novel_exhaustion_falls_back():
     assert m.fallback_count == 2
 
 
+def test_round_draws_fallback_stream_only_on_shortfall(monkeypatch):
+    streams = []
+
+    def spy(seed, stream):
+        streams.append(stream)
+        return phase_rng(seed, stream)
+
+    monkeypatch.setattr(sampling, "phase_rng", spy)
+    items, labels = group("c", 30, x=0.0, labeled=5)
+    pool = TrajectoryPool(tuple(items), frozenset(labels))
+    m = sampling_round(pool, SamplingConfig(alpha=0.0, beta=1.0, budget=10, seed=0))
+    assert m.fallback_count == 0 and FALLBACK_STREAM not in streams
+    novel_items, _ = group("x", 2, x=100.0)
+    pool = TrajectoryPool(tuple(novel_items + items), frozenset(labels))
+    m = sampling_round(pool, SamplingConfig(alpha=1.0, beta=1.0, budget=5, seed=3))
+    assert m.fallback_count == 3 and streams[-1] == FALLBACK_STREAM
+
+
 def test_round_alpha_extremes():
     ia, la = group("p", 12, x=0.0, labeled=2)
     ib, _ = group("q", 6, x=100.0)
@@ -238,7 +259,7 @@ def test_round_rejects_mismatched_dendrogram():
     mismatched = (
         pool_partition(pool, replace(cfg, tau=cfg.tau + 1.0)),
         pool_partition(TrajectoryPool(tuple(other)), cfg),
-        pool_partition(pool.with_labeled(["c4"]), cfg),
+        pool_partition(with_labeled(pool, ["c4"]), cfg),
     )
     for part in mismatched:
         with pytest.raises(ParseError):

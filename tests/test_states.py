@@ -9,7 +9,6 @@ from trajcurate import (
     TrajectoryPool,
     TrajectoryState,
     estimate_dynamics,
-    validate_trajectory_state,
 )
 from trajcurate.errors import (
     DuplicateId,
@@ -21,6 +20,8 @@ from trajcurate.errors import (
     ZeroDt,
 )
 
+from helpers import by_id, with_labeled
+
 VALID = {
     "id": "veh-1",
     "points": [(float(k), 0.5 * k) for k in range(12)],
@@ -31,28 +32,27 @@ VALID = {
 
 
 def test_validate_identity_and_idempotence():
-    state = validate_trajectory_state(VALID)
+    state = TrajectoryState(**VALID)
     assert state.id == "veh-1"
     assert state.points == tuple((float(k), 0.5 * k) for k in range(12))
     assert (state.v, state.a, state.h) == (3.0, -0.5, 0.1)
-    assert validate_trajectory_state(state) == state
 
 
 def test_validate_wrong_point_count():
     with pytest.raises(WrongPointCount):
-        validate_trajectory_state({**VALID, "points": VALID["points"][:11]})
+        TrajectoryState(**{**VALID, "points": VALID["points"][:11]})
 
 
 def test_validate_nan_value():
     with pytest.raises(NonFiniteValue):
-        validate_trajectory_state({**VALID, "v": float("nan")})
+        TrajectoryState(**{**VALID, "v": float("nan")})
     with pytest.raises(NonFiniteValue):
-        validate_trajectory_state({**VALID, "points": [(0.0, math.inf)] * 12})
+        TrajectoryState(**{**VALID, "points": [(0.0, math.inf)] * 12})
 
 
 def test_validate_empty_id():
     with pytest.raises(EmptyId):
-        validate_trajectory_state({**VALID, "id": ""})
+        TrajectoryState(**{**VALID, "id": ""})
 
 
 def test_estimate_uniform_motion():
@@ -111,24 +111,24 @@ def test_standstill_heading_carry_forward():
 
 
 def test_pool_invariants():
-    a = validate_trajectory_state(VALID)
-    b = validate_trajectory_state({**VALID, "id": "veh-2"})
+    a = TrajectoryState(**VALID)
+    b = TrajectoryState(**{**VALID, "id": "veh-2"})
     pool = TrajectoryPool((a, b), frozenset({"veh-1"}))
     assert pool.unlabeled_ids == {"veh-2"}
     assert len(pool) == 2
-    assert pool.by_id("veh-2") == b
+    assert by_id(pool, "veh-2") == b
     with pytest.raises(DuplicateId):
         TrajectoryPool((a, a))
     with pytest.raises(UnknownId):
         TrajectoryPool((a, b), frozenset({"ghost"}))
     with pytest.raises(UnknownId):
-        pool.by_id("ghost")
+        by_id(pool, "ghost")
 
 
 def test_pool_with_labeled():
-    a = validate_trajectory_state(VALID)
-    b = validate_trajectory_state({**VALID, "id": "veh-2"})
+    a = TrajectoryState(**VALID)
+    b = TrajectoryState(**{**VALID, "id": "veh-2"})
     pool = TrajectoryPool((a, b))
-    grown = pool.with_labeled(["veh-2"])
+    grown = with_labeled(pool, ["veh-2"])
     assert grown.labeled_ids == {"veh-2"}
     assert pool.labeled_ids == frozenset()

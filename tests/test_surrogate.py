@@ -127,10 +127,11 @@ def test_min_ade_errors():
 
 def test_stratified_holdout_counts():
     pool = generate_synthetic_pool(canonical_pool_spec(total_count=500, seed=2))
-    train, held = stratified_holdout(pool, fraction=0.2, seed=1)
+    ids = [s.id for s in pool]
+    train, held = stratified_holdout(ids, fraction=0.2, seed=1)
     assert len(held) == 100
     assert sorted(train + held) == list(range(500))
-    assert stratified_holdout(pool, fraction=0.2, seed=1) == (train, held)
+    assert stratified_holdout(ids, fraction=0.2, seed=1) == (train, held)
     # stratification: every motif group gives up its proportional share (+-1
     # from largest-remainder apportionment of the leftover units)
     import math
@@ -151,13 +152,12 @@ def test_stratified_holdout_counts():
 def test_score_split_matches_knn_oracle(k_modes):
     items = generate_synthetic_pool(canonical_pool_spec(total_count=200, seed=3))
     pool = TrajectoryPool(tuple(items))
-    train, held = stratified_holdout(items, fraction=0.2, seed=1)
+    train, held = stratified_holdout([s.id for s in items], fraction=0.2, seed=1)
     rng = np.random.default_rng(0)
     labeled_rows = sorted(rng.choice(train, size=60, replace=False), key=lambda r: items[r].id)
     w = MetricWeights(k_a=0.1, k_v=0.05, k_h=2.0)
 
-    points, dyn = pool.columns
-    qp, qd = points[held], dyn[held]
+    qp, qd = pool.points[held], pool.dyn[held]
     made5, made10 = _score_split(qp, qd, pool, labeled_rows, k_modes, w)
 
     labeled = [items[r] for r in labeled_rows]
@@ -191,14 +191,13 @@ def pool_with_twins(n=300, seed=4, twins=40):
 
 def test_ranked_scorer_equals_per_score_oracle():
     items = pool_with_twins()
-    train, held = stratified_holdout(items, fraction=0.2, seed=1)
+    train, held = stratified_holdout([s.id for s in items], fraction=0.2, seed=1)
     train_pool = TrajectoryPool(tuple(items[i] for i in train))
     by_id = sorted(train_pool.ids)
     id_rows = [train_pool.row(i) for i in by_id]
-    points, dyn = TrajectoryPool(tuple(items)).columns
-    qp, qd = points[held], dyn[held]
-    tpoints, tdyn = train_pool.columns
-    lp, ld = tpoints[id_rows], tdyn[id_rows]
+    pool = TrajectoryPool(tuple(items))
+    qp, qd = pool.points[held], pool.dyn[held]
+    lp, ld = train_pool.points[id_rows], train_pool.dyn[id_rows]
     w = MetricWeights(k_a=0.1, k_v=0.05, k_h=2.0)
     order = _rank_holdout(qp, qd, lp, ld, w)
     assert order.dtype == np.int32
@@ -217,9 +216,8 @@ def test_ranked_scorer_equals_per_score_oracle():
 
 def oracle_experiment(pool, grid, seeds, k_modes):
     """run_al_experiment written as a plain loop over the per-score oracle."""
-    train, held = stratified_holdout(pool.items, 0.2, 1)
-    points, dyn = pool.columns
-    qp, qd = points[held], dyn[held]
+    train, held = stratified_holdout(pool.ids, 0.2, 1)
+    qp, qd = pool.points[held], pool.dyn[held]
     items = tuple(pool.items[i] for i in train)
     working = TrajectoryPool(items, pool.labeled_ids & {s.id for s in items})
     unlabeled0 = sorted(working.unlabeled_ids)

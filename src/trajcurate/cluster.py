@@ -98,17 +98,19 @@ def upgma_linkage(d: CondensedDistanceMatrix, overwrite: bool = False) -> Dendro
     vals = d.values if overwrite else d.values.copy()
     vals.flags.writeable = True  # a matrix keeps its values read-only
     idx = np.arange(n, dtype=np.int64)
-    start = idx * (2 * n - idx - 1) // 2  # index of pair (i, i + 1)
-    base = start - idx - 1
+    first = idx * (2 * n - idx - 1) // 2  # index of pair (i, i + 1)
+    base = first - idx - 1
     rowmin = np.full(n, np.inf)
-    rowmin[:-1] = np.minimum.reduceat(vals, start[:-1])
+    rowmin[:-1] = np.minimum.reduceat(vals, first[:-1])
+    # the merge loop reads these one scalar at a time, which lists do fastest
+    start = first.tolist()
 
     def upper(i: int) -> np.ndarray:
         return vals[start[i] : start[i] + n - 1 - i]
 
     alive = np.ones(n, dtype=bool)
-    size = np.ones(n, dtype=np.int64)
-    node = np.arange(n, dtype=np.int64)
+    size = [1] * n
+    node = list(range(n))
     minleaf = np.arange(n, dtype=np.int64)
     maxleaf = np.arange(n, dtype=np.int64)
     merges: list[Merge] = []
@@ -116,56 +118,66 @@ def upgma_linkage(d: CondensedDistanceMatrix, overwrite: bool = False) -> Dendro
     for step in range(n - 1):
         # settle the global minimum; stored row minima are lower bounds
         while True:
-            i0 = int(np.argmin(rowmin))
+            i0 = int(rowmin.argmin())
             fresh = upper(i0).min()
             if fresh == rowmin[i0]:
                 h = float(fresh)
                 break
             rowmin[i0] = fresh
         # gather every pair at the minimum (rows below h may be stale)
-        rs, cs = [], []
-        for r in np.flatnonzero(rowmin <= h):
-            row = upper(r)
-            fresh = row.min()
-            rowmin[r] = fresh
-            if fresh == h:
-                cs.append(np.flatnonzero(row == h) + (r + 1))
-                rs.append(np.full(cs[-1].size, r))
-        rs, cs = np.concatenate(rs), np.concatenate(cs)
+        rows = (rowmin <= h).nonzero()[0]
+        if rows.size == 1:  # only row i0, whose minimum is settled
+            cs = (upper(i0) == h).nonzero()[0] + (i0 + 1)
+            rs = np.full(cs.size, i0)
+        else:
+            rs, cs = [], []
+            for r in rows:
+                row = upper(r)
+                fresh = row.min()
+                rowmin[r] = fresh
+                if fresh == h:
+                    cs.append(np.flatnonzero(row == h) + (r + 1))
+                    rs.append(np.full(cs[-1].size, r))
+            rs, cs = np.concatenate(rs), np.concatenate(cs)
         k = 0
         if rs.size > 1:  # the tie rule of the module docstring, as one lexsort
             lo, hi = np.minimum(minleaf[rs], minleaf[cs]), np.maximum(minleaf[rs], minleaf[cs])
             k = np.lexsort((hi, np.maximum(maxleaf[rs], maxleaf[cs]), lo))[0]
         A, B = int(rs[k]), int(cs[k])
 
+        sa, sb = size[A], size[B]
+        new_size = sa + sb
         if minleaf[A] <= minleaf[B]:
-            left, right = int(node[A]), int(node[B])
+            merges.append(Merge(node[A], node[B], h, new_size))
         else:
-            left, right = int(node[B]), int(node[A])
-        new_size = int(size[A] + size[B])
-        merges.append(Merge(left, right, h, new_size))
+            merges.append(Merge(node[B], node[A], h, new_size))
 
         # column B over the live x < B (A included): gather, then retire
         alive[B] = False
-        xs = np.flatnonzero(alive[:B])
+        xs = alive[:B].nonzero()[0]
         bx = base[xs]
         col_b = bx + B
         d_b = vals[col_b]
         vals[col_b] = np.inf
         # column A over the live x < A: gather, update, scatter back
-        k = int(np.searchsorted(xs, A))
+        k = int(xs.searchsorted(A))
         col_a = bx[:k] + A
-        new_col = (size[A] * vals[col_a] + size[B] * d_b[:k]) / new_size
-        vals[col_a] = np.maximum(new_col, h)
-        # row A's upper slice against x > A: d(B, x) from column B, then
-        # row B; slot B stays inf, so the merged pair's entry becomes inf
+        new_col = vals[col_a]
+        new_col *= sa
+        new_col += sb * d_b[:k]
+        new_col /= new_size
+        vals[col_a] = np.maximum(new_col, h, out=new_col)
+        # row A's upper slice against x > A, in place: d(B, x) from column B
+        # below B, then row B; d(A, B) went inf with column B, and dead
+        # slots stay inf
         row_a = upper(A)
-        row_b = np.full(n - 1 - A, np.inf)
-        row_b[xs[k + 1 :] - A - 1] = d_b[k + 1 :]
-        row_b[B - A :] = upper(B)
-        new_row = (size[A] * row_a + size[B] * row_b) / new_size
-        np.maximum(new_row, h, out=row_a)
-        upper(B)[:] = np.inf
+        row_a *= sa
+        row_a[xs[k + 1 :] - A - 1] += sb * d_b[k + 1 :]
+        row_b = upper(B)
+        row_a[B - A :] += sb * row_b
+        row_a /= new_size
+        np.maximum(row_a, h, out=row_a)
+        row_b[:] = np.inf
         rowmin[A] = row_a.min()
         rowmin[B] = np.inf
 

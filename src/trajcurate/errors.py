@@ -29,10 +29,6 @@ class ZeroDt(CurationError):
     """Sampling interval must be a positive number of seconds."""
 
 
-class UnknownLeaf(CurationError):
-    """Leaf id is outside the dendrogram's leaf range."""
-
-
 class UnknownId(CurationError):
     """An id does not belong to the partition or pool."""
 
@@ -43,14 +39,6 @@ class EmptyUnlabeledPool(CurationError):
 
 class InvalidSpec(CurationError):
     """Synthetic pool specification violates its invariants."""
-
-
-class EmptyTrainingPool(CurationError):
-    """The nearest-neighbor surrogate needs a non-empty labeled pool."""
-
-
-class NoPredictions(CurationError):
-    """Displacement scoring needs at least one predicted trajectory."""
 
 
 class InsufficientPool(CurationError):

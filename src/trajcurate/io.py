@@ -19,7 +19,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,8 @@ _CSV_FIELDS = (
 # numbers per record: the coordinates, then v, a and h
 _N_VALUES = 2 * TRAJECTORY_LEN + 3
 _NAN_ROW = [float("nan")] * _N_VALUES
+# a JSON number loads as one of these; bool, an int subclass, is not one
+_NUMBER_TYPES = frozenset((int, float))
 
 
 def _fmt(x: float) -> str:
@@ -111,6 +114,19 @@ def _utf8_lines(fh, path):
         yield line
 
 
+def _not_a_number(points, v, a, h) -> str:
+    """Names the first value of a record that is not a JSON number."""
+    for key, value in (("v", v), ("a", a), ("h", h)):
+        if type(value) not in _NUMBER_TYPES:
+            return f"{key} must be a number, got {value!r}"
+    k = next(
+        k
+        for k, point in enumerate(points)
+        if type(point) is not list or not set(map(type, point)) <= _NUMBER_TYPES
+    )
+    return f"point {k} must be a pair of numbers, got {points[k]!r}"
+
+
 def _read_jsonl(path):
     """(ids, flat values, line numbers, labeled ids, {row: conversion error})."""
     ids, values, lines, labeled, malformed = [], [], [], [], {}
@@ -133,22 +149,20 @@ def _read_jsonl(path):
                     f"{path}: line {lineno}: expected {TRAJECTORY_LEN} points, "
                     f"got {len(points) if isinstance(points, list) else type(points).__name__}"
                 )
-            # a JSON boolean would pass float() as 0.0 or 1.0
-            for key in ("v", "a", "h"):
-                if isinstance(obj[key], bool):
-                    raise ParseError(f"{path}: line {lineno}: {key} must be a number, got {obj[key]}")
-            for k, point in enumerate(points):
-                if isinstance(point, list) and bool in map(type, point):
-                    raise ParseError(
-                        f"{path}: line {lineno}: point {k} coordinates must be numbers, got {point}"
-                    )
             is_labeled = obj.get("labeled", False)
             if not isinstance(is_labeled, bool):
                 raise ParseError(f"{path}: line {lineno}: labeled must be true or false")
-            # float() itself, not numpy, which reads a JSON null as NaN
+            # only JSON numbers convert: float() alone would take a boolean or
+            # a numeric string, and unpacking would take a point written as a
+            # two-character string or a two-key object. float() itself, not
+            # numpy, which reads a JSON null as NaN
+            v, a, h = obj["v"], obj["a"], obj["h"]
             try:
+                types = set(map(type, chain.from_iterable(points)))
+                if not types.union(map(type, (v, a, h))) <= _NUMBER_TYPES:
+                    raise TypeError(_not_a_number(points, v, a, h))
                 row = [float(c) for x, y in points for c in (x, y)]
-                row += (float(obj["v"]), float(obj["a"]), float(obj["h"]))
+                row += (float(v), float(a), float(h))
             except (TypeError, ValueError, OverflowError) as exc:
                 malformed[len(ids)] = exc
                 row = _NAN_ROW
@@ -286,8 +300,10 @@ def write_manifest(m: SelectionManifest, out_path, input_digest: str = "") -> No
         "seed": m.seed,
     }
     # merging keeps the head's keys first; the rest follow in field order
+    body = asdict(replace(m, selected=()))
+    body["selected"] = [s._asdict() for s in m.selected]
     with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump({**head, **asdict(m)}, fh, indent=2)
+        json.dump({**head, **body}, fh, indent=2)
         fh.write("\n")
 
 

@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import repeat
+from operator import itemgetter
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -96,9 +98,9 @@ class SamplingConfig:
             raise InvalidFlagValue(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 < self.beta <= 1.0:
             raise InvalidFlagValue(f"beta must be in (0, 1], got {self.beta}")
-        if isinstance(self.budget, bool) or (
-            isinstance(self.budget, int) and self.budget < 1
-        ):
+        if isinstance(self.budget, bool) or not isinstance(self.budget, (int, float)):
+            raise InvalidFlagValue(f"budget must be an int or a float, got {self.budget!r}")
+        if isinstance(self.budget, int) and self.budget < 1:
             raise InvalidFlagValue(f"budget count must be >= 1, got {self.budget}")
         if isinstance(self.budget, float) and not 0.0 < self.budget <= 1.0:
             raise InvalidFlagValue(
@@ -115,8 +117,7 @@ def resolve_budget(budget: int | float, n_unlabeled: int) -> int:
     return int(budget)
 
 
-@dataclass(frozen=True)
-class Selection:
+class Selection(NamedTuple):
     """One picked id with its phase tag and flat-cluster label."""
 
     id: str
@@ -143,7 +144,7 @@ class SelectionManifest:
         return sum(1 for s in self.selected if s.phase == PHASE_FALLBACK)
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self.selected)
+        return tuple(map(itemgetter(0), self.selected))
 
 
 def pool_partition(
@@ -244,14 +245,14 @@ def sampling_round(
         rng = phase_rng(cfg.seed, FALLBACK_STREAM)
         fallback_rows = leftovers[rng.permutation(leftovers.size)[:short]].tolist()
 
-    selected = []
-    for r, label in zip(novel_rows, rows.labels[novel_rows].tolist()):
-        single = len(rows.members[label]) == 1
-        phase = PHASE_NOVEL_SINGLETON if single else PHASE_NOVEL_CLUSTER
-        selected.append(Selection(rows.ids[r], phase, label))
-    for phase, picked in ((PHASE_FAMILIAR, familiar_rows), (PHASE_FALLBACK, fallback_rows)):
-        labels = rows.labels[picked].tolist()
-        selected += [Selection(rows.ids[r], phase, label) for r, label in zip(picked, labels)]
+    picked = novel_rows + familiar_rows + fallback_rows
+    labels = rows.labels[picked]
+    single = rows.sizes[labels[: len(novel_rows)]] == 1
+    phases = [PHASE_NOVEL_SINGLETON if s else PHASE_NOVEL_CLUSTER for s in single.tolist()]
+    phases += repeat(PHASE_FAMILIAR, len(familiar_rows))
+    phases += repeat(PHASE_FALLBACK, len(fallback_rows))
+    ids = map(rows.ids.__getitem__, picked)
+    selected = tuple(map(Selection, ids, phases, labels.tolist()))
 
     return SelectionManifest(
         round_index=round_index,
@@ -262,7 +263,7 @@ def sampling_round(
         familiar_quota=familiar_quota,
         novel_shortfall=novel_short,
         familiar_shortfall=familiar_short,
-        selected=tuple(selected),
+        selected=selected,
     )
 
 

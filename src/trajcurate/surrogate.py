@@ -40,7 +40,8 @@ PREFIX_LEN = 2
 
 # holdout queries per distance block in _rank_holdout
 _QUERY_BLOCK = 64
-# fewest ranked columns _score_ranked scans for labeled neighbors
+# fewest ranked columns _score_ranked first scans per row for labeled
+# neighbors; a row holding fewer than k of them doubles its own head
 _HEAD_WIDTH = 64
 
 
@@ -57,7 +58,7 @@ class ExperimentRow:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Paired active/random rows plus aggregation helpers."""
+    """Paired active/random rows and their per-cell mean minADE_5."""
 
     rows: tuple[ExperimentRow, ...]
 
@@ -68,39 +69,16 @@ class ExperimentResult:
         if active != random_:
             raise ParseError("every active row needs a matching random row (same budget and seed)")
 
-    def cells(self) -> tuple[tuple[float, float, float], ...]:
-        return tuple(sorted({(r.budget, r.alpha, r.beta) for r in self.rows}))
-
     @cached_property
-    def _means(self) -> dict[tuple[float, float, float, str], tuple[float, float, int]]:
-        """(budget, alpha, beta, strategy) -> (mean made5, mean made10, n_seeds)."""
-        groups: dict[tuple[float, float, float, str], list[ExperimentRow]] = {}
+    def _made5(self) -> dict[tuple[float, float, float, str], float]:
+        """(budget, alpha, beta, strategy) -> mean made5 over the seeds."""
+        groups: dict[tuple[float, float, float, str], list[float]] = {}
         for r in self.rows:
-            groups.setdefault((r.budget, r.alpha, r.beta, r.strategy), []).append(r)
-        return {
-            key: (
-                float(np.mean([r.made5 for r in rs])),
-                float(np.mean([r.made10 for r in rs])),
-                len(rs),
-            )
-            for key, rs in groups.items()
-        }
+            groups.setdefault((r.budget, r.alpha, r.beta, r.strategy), []).append(r.made5)
+        return {key: float(np.mean(made5)) for key, made5 in groups.items()}
 
     def mean_made5(self, budget: float, alpha: float, beta: float, strategy: str) -> float:
-        return self._means[budget, alpha, beta, strategy][0]
-
-    def improvement_over_random(self) -> tuple[tuple[float, float, float, float, float, int], ...]:
-        """Per cell: (budget, alpha, beta, delta5, delta10, n_seeds).
-
-        Deltas are random minus active, so positive means the strategy
-        beat the baseline.
-        """
-        out = []
-        for cell in self.cells():
-            active5, active10, n = self._means[cell + ("active",)]
-            random5, random10, _ = self._means[cell + ("random",)]
-            out.append(cell + (random5 - active5, random10 - active10, n))
-        return tuple(out)
+        return self._made5[budget, alpha, beta, strategy]
 
 
 def stratified_holdout(
@@ -167,25 +145,34 @@ def _score_ranked(
     ``labeled`` a boolean mask over the same rows. A stable sort filtered
     to a subset keeps the order the subset's own stable sort gives, so the
     first k labeled columns of each row are its k nearest labeled
-    neighbors, ties by id.
+    neighbors, ties by id. Only a head of each row is scanned: a row whose
+    head holds fewer than k labeled columns is widened on its own, and the
+    first k labeled columns are the same at any width that holds them, so
+    the scores do not depend on the widths.
     """
     n_labeled = int(labeled.sum())
     k = min(k_modes, n_labeled)
-    # the k nearest labeled columns usually sit in a short head of each row:
-    # start at the k-th labeled column's expected position, k * n / n_labeled,
-    # and widen until every row holds k of them
+    # start at the k-th labeled column's expected position, k * n / n_labeled;
+    # a full row holds all n_labeled >= k labeled columns, so widening ends
     width = _HEAD_WIDTH
     while width * n_labeled < k * order.shape[1]:
         width *= 2
-    while True:
-        head = order[:, :width]
+    nearest = np.empty((len(order), k), dtype=order.dtype)
+    short = np.arange(len(order))  # rows not yet holding k labeled columns
+    while short.size:
+        head = order[short, :width]
         m = labeled[head]
-        seen = np.cumsum(m, axis=1, dtype=np.int32)
-        if width >= order.shape[1] or seen[:, -1].min() >= k:
-            break
+        count = np.count_nonzero(m, axis=1)
+        ok = count >= k
+        # the labeled positions of the head, row after row: a row's run
+        # starts at the count of the rows before it, and its first k are
+        # its k nearest labeled neighbors
+        first = np.cumsum(count) - count
+        pos = np.flatnonzero(m)[first[ok, None] + np.arange(k)]
+        nearest[short[ok]] = head.ravel()[pos]
+        short = short[~ok]
         width *= 2
-    m &= seen <= k
-    modes = lp[head[m].reshape(len(order), k)]  # (nq, k, 12, 2)
+    modes = lp[nearest]  # (nq, k, 12, 2)
     diff = modes - qp[:, None, :, :]
     diff *= diff
     ade = np.sqrt(diff[..., 0] + diff[..., 1]).mean(axis=2)
@@ -220,24 +207,26 @@ def run_al_experiment(
     qp, qd = pool.points[holdout_idx], pool.dyn[holdout_idx]
     working = pool.take(train_idx)
 
-    unlabeled0 = sorted(working.unlabeled_ids)
-    if not unlabeled0:
+    n_unlabeled = len(working) - len(working.labeled_ids)
+    if not n_unlabeled:
         raise InsufficientPool("no unlabeled trajectory-states left after the holdout split")
     for cfg in grid:
-        if isinstance(cfg.budget, int) and cfg.budget > len(unlabeled0):
+        if isinstance(cfg.budget, int) and cfg.budget > n_unlabeled:
             raise InsufficientPool(
-                f"budget {cfg.budget} exceeds the unlabeled pool ({len(unlabeled0)})"
+                f"budget {cfg.budget} exceeds the unlabeled pool ({n_unlabeled})"
             )
 
     # training rows in id order, so the ranking breaks distance ties by id
     by_id = working.take(sorted(range(len(working)), key=working.ids.__getitem__))
     lp, ld = by_id.points, by_id.dyn
-    labeled0 = np.zeros(len(by_id), dtype=bool)
-    labeled0[[by_id.row(i) for i in working.labeled_ids]] = True
+    row_of = dict(zip(by_id.ids, range(len(by_id))))
+    labeled0 = np.fromiter(map(working.labeled_ids.__contains__, by_id.ids), bool, len(by_id))
+    # the id-sorted unlabeled ids are the unlabeled rows, ascending
+    unlabeled_rows0 = np.flatnonzero(~labeled0)
 
-    def score(picked: Sequence[str], order: np.ndarray) -> tuple[float, float]:
+    def score(picked: np.ndarray, order: np.ndarray) -> tuple[float, float]:
         labeled = labeled0.copy()
-        labeled[[by_id.row(i) for i in picked]] = True
+        labeled[picked] = True
         return _score_ranked(qp, lp, order, labeled, k_modes)
 
     ranked: dict[MetricWeights, tuple[Dendrogram, np.ndarray]] = {}
@@ -256,18 +245,17 @@ def run_al_experiment(
             partitions[cfg.weights, cfg.tau] = pool_partition(working, cfg, tree)
         partition = partitions[cfg.weights, cfg.tau]
         budget_frac = (
-            cfg.budget if isinstance(cfg.budget, float) else cfg.budget / len(unlabeled0)
+            cfg.budget if isinstance(cfg.budget, float) else cfg.budget / n_unlabeled
         )
         for seed in seeds:
             manifest = sampling_round(working, replace(cfg, seed=seed), partition=partition)
-            made5a, made10a = score(manifest.ids(), order)
             take = len(manifest.selected)
+            picked = np.fromiter(map(row_of.__getitem__, manifest.ids()), np.intp, take)
+            made5a, made10a = score(picked, order)
             if (cfg.weights, seed, take) not in baseline_scores:
                 rng = phase_rng(seed, BASELINE_STREAM)
-                baseline_ids = [
-                    unlabeled0[int(i)] for i in rng.permutation(len(unlabeled0))[:take]
-                ]
-                baseline_scores[cfg.weights, seed, take] = score(baseline_ids, order)
+                baseline = unlabeled_rows0[rng.permutation(n_unlabeled)[:take]]
+                baseline_scores[cfg.weights, seed, take] = score(baseline, order)
             made5r, made10r = baseline_scores[cfg.weights, seed, take]
             rows.append(
                 ExperimentRow(budget_frac, cfg.alpha, cfg.beta, seed, "active", made5a, made10a)

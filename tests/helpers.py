@@ -18,6 +18,7 @@ from trajcurate import (
     ClusterPartition,
     CondensedDistanceMatrix,
     Dendrogram,
+    ExperimentResult,
     Merge,
     MetricWeights,
     Selection,
@@ -30,14 +31,7 @@ from trajcurate import (
     sampling_round,
     upgma_linkage,
 )
-from trajcurate.errors import (
-    EmptyTrainingPool,
-    EmptyUnlabeledPool,
-    NoPredictions,
-    ParseError,
-    UnknownId,
-    UnknownLeaf,
-)
+from trajcurate.errors import CurationError, EmptyUnlabeledPool, ParseError, UnknownId
 from trajcurate.sampling import (
     DEFAULT_GRID_ALPHAS,
     DEFAULT_GRID_BETAS,
@@ -58,6 +52,19 @@ from trajcurate.sampling import (
 )
 from trajcurate.metric import _distance
 from trajcurate.surrogate import PREFIX_LEN
+
+
+class UnknownLeaf(CurationError):
+    """Leaf id is outside the dendrogram's leaf range."""
+
+
+class EmptyTrainingPool(CurationError):
+    """The nearest-neighbor surrogate needs a non-empty labeled pool."""
+
+
+class NoPredictions(CurationError):
+    """Displacement scoring needs at least one predicted trajectory."""
+
 
 BASE_LINE = tuple((float(k), 0.0) for k in range(12))
 # block side for mirroring the upper triangle in to_square
@@ -231,6 +238,31 @@ def _score_split(
     made5 = float(ade[:, : min(5, k)].min(axis=1).mean())
     made10 = float(ade[:, : min(10, k)].min(axis=1).mean())
     return made5, made10
+
+
+def experiment_cells(result: ExperimentResult) -> tuple[tuple[float, float, float], ...]:
+    """The (budget, alpha, beta) cells of an experiment, sorted."""
+    return tuple(sorted({(r.budget, r.alpha, r.beta) for r in result.rows}))
+
+
+def improvement_over_random(
+    result: ExperimentResult,
+) -> tuple[tuple[float, float, float, float, float, int], ...]:
+    """Per cell: (budget, alpha, beta, delta5, delta10, n_seeds).
+
+    Deltas are random minus active mean minADE, so positive means the
+    strategy beat the baseline.
+    """
+    groups: dict[tuple, list] = {}
+    for r in result.rows:
+        groups.setdefault((r.budget, r.alpha, r.beta, r.strategy), []).append(r)
+    out = []
+    for cell in experiment_cells(result):
+        active, random_ = groups[cell + ("active",)], groups[cell + ("random",)]
+        delta5 = np.mean([r.made5 for r in random_]) - np.mean([r.made5 for r in active])
+        delta10 = np.mean([r.made10 for r in random_]) - np.mean([r.made10 for r in active])
+        out.append(cell + (float(delta5), float(delta10), len(active)))
+    return tuple(out)
 
 
 def upgma_oracle(square):

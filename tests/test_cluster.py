@@ -13,10 +13,11 @@ from trajcurate import (
     pairwise_distances,
     upgma_linkage,
 )
-from trajcurate.errors import DuplicateId, ParseError, UnknownId, UnknownLeaf
+from trajcurate.errors import DuplicateId, ParseError, UnknownId
 from trajcurate.synth import CANONICAL_TAU, canonical_pool_spec
 
 from helpers import (
+    UnknownLeaf,
     cluster_members,
     cophenetic_distance,
     cophenetic_matrix,

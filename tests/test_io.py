@@ -101,10 +101,15 @@ def test_jsonl_errors(tmp_path):
         ("v", None, ParseError),
         ("points", [[[0.0, 0.0], [0.0, 0.0]]] + [[0.0, 0.0]] * 11, ParseError),
         ("h", 10**400, ParseError),
+        # float() would read these as 1.5, (1.0, 2.0) and the object's keys
+        ("v", "1.5", ParseError),
+        ("points", ["12"] + [[0.0, 0.0]] * 11, ParseError),
+        ("points", [{"1": 0.0, "2": 0.0}] + [[0.0, 0.0]] * 11, ParseError),
     ],
     ids=[
-        "labeled-string", "point-3d", "point-bool", "v-string", "v-true", "v-nan", "id-empty",
+        "labeled-string", "point-3d", "point-bool", "v-abc", "v-true", "v-nan", "id-empty",
         "id-int", "point-null", "point-none", "v-null", "point-nested", "h-huge-int",
+        "v-string", "point-string", "point-object",
     ],
 )
 def test_jsonl_mistyped_field_names_file_and_line(tmp_path, field, value, error):
@@ -451,6 +456,18 @@ def test_manifest_fault_names_the_file(tmp_path, fault):
         edit()
     path.write_text(json.dumps(doc))
     with pytest.raises((ParseError, SchemaVersionMismatch)) as err:
+        read_manifest(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("budget", ["0.5", "4", None])
+def test_manifest_budget_that_is_not_a_number_names_the_file(tmp_path, budget):
+    path = tmp_path / "manifest.json"
+    write_manifest(sample_manifest(), path)
+    doc = json.loads(path.read_text())
+    doc["config"]["budget"] = budget
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="budget") as err:
         read_manifest(path)
     assert str(path) in str(err.value)
 

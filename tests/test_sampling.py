@@ -67,6 +67,12 @@ def test_config_validation():
         SamplingConfig(alpha=0.5, beta=0.5, budget=5, tau=float("nan"))
 
 
+@pytest.mark.parametrize("budget", ["0.5", "5", None, [1], True])
+def test_config_rejects_a_budget_that_is_not_a_number(budget):
+    with pytest.raises(InvalidFlagValue, match="budget"):
+        SamplingConfig(alpha=0.5, beta=0.5, budget=budget)
+
+
 def test_quota_and_cap_arithmetic():
     assert round_half_up(0.2 * 10) == 2
     assert round_half_up(2.5) == 3

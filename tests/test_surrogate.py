@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,18 +15,18 @@ from trajcurate import (
     run_al_experiment,
     stratified_holdout,
 )
-from trajcurate.errors import (
-    EmptyTrainingPool,
-    InsufficientPool,
-    NoPredictions,
-    ParseError,
-)
+from trajcurate.errors import InsufficientPool, ParseError
+from trajcurate.io import load_trajectories, read_labeled_ids
 from trajcurate.sampling import BASELINE_STREAM, phase_rng, sampling_round
 from trajcurate.surrogate import PREFIX_LEN, _rank_holdout, _score_ranked
 
 from helpers import (
+    EmptyTrainingPool,
+    NoPredictions,
     ObservedPrefix,
     _score_split,
+    experiment_cells,
+    improvement_over_random,
     knn_predict,
     make_state,
     min_ade_k,
@@ -223,6 +224,7 @@ def oracle_experiment(pool, grid, seeds, k_modes):
     unlabeled0 = sorted(working.unlabeled_ids)
     rows = []
     for cfg in grid:
+        budget = cfg.budget if isinstance(cfg.budget, float) else cfg.budget / len(unlabeled0)
         for seed in seeds:
             manifest = sampling_round(working, replace(cfg, seed=seed))
             order = phase_rng(seed, BASELINE_STREAM).permutation(len(unlabeled0))
@@ -233,7 +235,7 @@ def oracle_experiment(pool, grid, seeds, k_modes):
                     qp, qd, working, [working.row(i) for i in labeled], k_modes, cfg.weights
                 )
                 rows.append(
-                    ExperimentRow(cfg.budget, cfg.alpha, cfg.beta, seed, strategy, made5, made10)
+                    ExperimentRow(budget, cfg.alpha, cfg.beta, seed, strategy, made5, made10)
                 )
     return tuple(rows)
 
@@ -251,6 +253,66 @@ def test_experiment_rows_match_oracle_loop_across_weights():
     ]
     res = run_al_experiment(pool, grid, seeds=(0, 1), k_modes=4)
     assert res.rows == oracle_experiment(pool, grid, seeds=(0, 1), k_modes=4)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _pool_400():
+    pool = load_trajectories(DATA / "pool-400.jsonl")
+    return TrajectoryPool.from_columns(
+        pool.ids, pool.points, pool.dyn, read_labeled_ids(DATA / "labeled-400.txt")
+    )
+
+
+def _kth_labeled_column(order, mask, k):
+    """Per query row, the column of its k-th labeled neighbor."""
+    return np.argmax(np.cumsum(mask[order], axis=1) >= k, axis=1)
+
+
+def test_ranked_scorer_equals_oracle_on_rows_widened_apart():
+    # 320 training rows: the head starts at 64 columns, rows short there
+    # widen on their own, and some reach the full row
+    pool = _pool_400()
+    train, held = stratified_holdout(pool.ids, 0.2, 1)
+    working = pool.take(train)
+    by_id = working.take(sorted(range(len(working)), key=working.ids.__getitem__))
+    qp, qd = pool.points[held], pool.dyn[held]
+    w = MetricWeights()
+    order = _rank_holdout(qp, qd, by_id.points, by_id.dyn, w)
+    n = order.shape[1]
+    assert n == 320
+
+    rng = np.random.default_rng(5)
+    masks = []
+    for q in range(3):  # the 64 rows query q ranks last: q needs the full row
+        mask = np.zeros(n, dtype=bool)
+        mask[order[q, n - 64 :]] = True
+        masks.append(mask)
+    for size in (50, 60, 80, 120):
+        mask = np.zeros(n, dtype=bool)
+        mask[rng.choice(n, size=size, replace=False)] = True
+        masks.append(mask)
+
+    kth = np.concatenate([_kth_labeled_column(order, mask, 10) for mask in masks])
+    assert (kth < 64).any() and ((64 <= kth) & (kth < 256)).any() and (kth >= 256).any()
+    for mask in masks:
+        for k_modes in (1, 5, 10):
+            got = _score_ranked(qp, by_id.points, order, mask, k_modes)
+            want = _score_split(qp, qd, by_id, np.flatnonzero(mask), k_modes, w)
+            assert got == want
+
+
+def test_experiment_rows_match_oracle_loop_on_pool_400():
+    pool = _pool_400()
+    grid = [
+        SamplingConfig(alpha=0.6, beta=0.4, budget=0.05),
+        SamplingConfig(alpha=0.0, beta=1.0, budget=0.2),
+        SamplingConfig(alpha=1.0, beta=0.2, budget=0.1, tau=6.0),
+        SamplingConfig(alpha=0.4, beta=0.6, budget=12, tau=6.0),
+    ]
+    res = run_al_experiment(pool, grid, seeds=(0, 1))
+    assert res.rows == oracle_experiment(pool, grid, seeds=(0, 1), k_modes=10)
 
 
 def test_experiment_empty_holdout_is_insufficient_pool():
@@ -305,9 +367,9 @@ def test_experiment_result_validation_and_helpers():
         ExperimentRow(0.1, 0.0, 0.2, 1, "random", 1.5, 1.4),
     )
     res = ExperimentResult(rows=rows)
-    assert res.cells() == ((0.1, 0.0, 0.2),)
+    assert experiment_cells(res) == ((0.1, 0.0, 0.2),)
     assert res.mean_made5(0.1, 0.0, 0.2, "active") == 1.5
-    ((budget, alpha, beta, d5, d10, n),) = res.improvement_over_random()
+    ((budget, alpha, beta, d5, d10, n),) = improvement_over_random(res)
     assert (budget, alpha, beta, n) == (0.1, 0.0, 0.2, 2)
     assert d5 == pytest.approx(0.0)  # random 1.5 mean vs active 1.5 mean
     assert d10 == pytest.approx(1.3 - 1.0)

@@ -5,11 +5,13 @@ with the smallest average inter-member distance; the recorded merge height
 is that average. Flat clusters at threshold tau are the maximal subtrees
 whose root height is <= tau, which bounds every within-cluster cophenetic
 distance by tau. The partition is then split by novelty relative to a
-labeled id set:
+labeled id set, and each id gets the novelty class of its cluster:
 
-  * novel clusters: >= 2 members, none labeled
-  * singletons: 1-member clusters whose member is unlabeled
-  * familiar clusters: at least one labeled member
+  * novel: a cluster of >= 2 members, none labeled
+  * singleton: a 1-member cluster whose member is unlabeled
+  * familiar: a cluster with at least one labeled member
+  * labeled-singleton: a familiar 1-member cluster, whose one member is
+    labeled; it is tracked but holds nothing left to sample
 
 Tie-break rule (merges with exactly equal linkage distances): pick the
 candidate pair whose merged member set has the lexicographically smallest
@@ -204,8 +206,8 @@ class ClusterPartition:
     """Flat clusters at threshold tau, split by novelty against a labeled set.
 
     Labels are dense integers assigned in order of each cluster's minimum
-    leaf index. A labeled singleton belongs to the familiar set by
-    definition (it has a labeled member) but carries no sampleable mass.
+    leaf index. ``novel_clusters`` and ``familiar_clusters`` hold labels,
+    ``singletons`` the ids of the novel singletons.
     """
 
     assignments: Mapping[Hashable, int]
@@ -228,16 +230,15 @@ class ClusterPartition:
         mask.flags.writeable = False
         return mask
 
-
-def novelty_rows(rows: RankRows, hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Novel cluster labels and novel singleton rows, each ascending, from
-    each label's count of labeled members (``hits``); a label with a nonzero
-    count is familiar."""
-    free = hits == 0
-    return (
-        np.flatnonzero(free & (rows.sizes >= 2)),
-        np.flatnonzero((free & (rows.sizes == 1))[rows.labels]),
-    )
+    def novelty_class(self, id_) -> str:
+        """The novelty class of ``id_``, as named in the module docstring."""
+        label = self.assignments[id_]
+        if label in self.novel_clusters:
+            return "novel"
+        if label not in self.familiar_clusters:
+            return "singleton"
+        # a familiar 1-member cluster's only member is a labeled one
+        return "labeled-singleton" if self.cluster_size(label) == 1 else "familiar"
 
 
 def flat_clusters(
@@ -298,11 +299,12 @@ def flat_clusters(
     labeled = frozenset(labeled_ids) & set(ids)
     labeled_labels = np.fromiter(map(assignments.__getitem__, labeled), np.intp, len(labeled))
     hits = np.bincount(labeled_labels, minlength=len(sizes))
-    novel, single = novelty_rows(rows, hits)
+    free = hits == 0
+    single = np.flatnonzero((free & (sizes == 1))[labels])
     return ClusterPartition(
         assignments=assignments,
-        novel_clusters=frozenset(novel.tolist()),
-        singletons=frozenset(rank_ids[r] for r in single.tolist()),
+        novel_clusters=frozenset(np.flatnonzero(free & (sizes >= 2)).tolist()),
+        singletons=frozenset(map(rank_ids.__getitem__, single.tolist())),
         familiar_clusters=frozenset(np.flatnonzero(hits).tolist()),
         tau=float(tau),
         labeled_ids=labeled,

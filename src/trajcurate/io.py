@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, fields, replace
 from itertools import chain
 from pathlib import Path
 
@@ -75,7 +75,7 @@ def detect_format(path) -> str:
     raise ParseError(f"cannot infer trajectory format from {path!r}; use .jsonl or .csv")
 
 
-def load_trajectories(path, fmt: str | None = None) -> TrajectoryPool:
+def load_trajectories(path) -> TrajectoryPool:
     """Read a trajectory record file into a validated pool.
 
     Records parse straight into the pool's columns. A fault in a file's
@@ -84,10 +84,8 @@ def load_trajectories(path, fmt: str | None = None) -> TrajectoryPool:
     values and uniqueness in file order, so of those faults the first
     record's is reported, with its line.
     """
-    fmt = fmt or detect_format(path)
-    if fmt not in ("jsonl", "csv"):
-        raise ParseError(f"unknown trajectory format {fmt!r}")
-    ids, values, lines, labeled, malformed = (_read_jsonl if fmt == "jsonl" else _read_csv)(path)
+    read = _read_jsonl if detect_format(path) == "jsonl" else _read_csv
+    ids, values, lines, labeled, malformed = read(path)
     if not ids:
         raise ParseError(f"{path}: no trajectory records")
     values = np.array(values, dtype=np.float64).reshape(len(ids), _N_VALUES)
@@ -211,21 +209,20 @@ def _read_csv(path):
     return ids, values, lines, labeled, {}
 
 
-def write_trajectories(pool: TrajectoryPool, path, fmt: str | None = None) -> None:
+def write_trajectories(pool: TrajectoryPool, path) -> None:
     """Write a pool back out in either record schema (lossless round-trip)."""
-    fmt = fmt or detect_format(path)
     # a row at a time: lists of the whole pool would double its memory
     rows = zip(pool.ids, pool.points, pool.dyn)
     records = ((id_, points.tolist(), dyn.tolist()) for id_, points, dyn in rows)
     labeled = pool.labeled_ids
-    if fmt == "jsonl":
+    if detect_format(path) == "jsonl":
         with open(path, "w", encoding="utf-8") as fh:
             # json writes each float's shortest round-trip repr, which is exact
             for id_, points, (v, a, h) in records:
                 obj = {"id": id_, "points": points, "v": v, "a": a, "h": h}
                 obj["labeled"] = id_ in labeled
                 fh.write(json.dumps(obj) + "\n")
-    elif fmt == "csv":
+    else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(_CSV_FIELDS)
@@ -233,8 +230,6 @@ def write_trajectories(pool: TrajectoryPool, path, fmt: str | None = None) -> No
                 row = [id_, *(_fmt(c) for point in points for c in point), *map(_fmt, dyn)]
                 row.append("true" if id_ in labeled else "false")
                 writer.writerow(row)
-    else:
-        raise ParseError(f"unknown trajectory format {fmt!r}")
 
 
 def read_labeled_ids(path) -> frozenset[str]:
@@ -248,18 +243,6 @@ def read_labeled_ids(path) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-def novelty_class(p: ClusterPartition, id_) -> str:
-    label = p.assignments[id_]
-    if label in p.familiar_clusters:
-        if p.cluster_size(label) == 1:
-            # labeled singleton: tracked but never sampleable
-            return "labeled-singleton" if id_ in p.labeled_ids else "familiar"
-        return "familiar"
-    if label in p.novel_clusters:
-        return "novel"
-    return "singleton"
-
-
 def export_clusters(p: ClusterPartition, t: Dendrogram, out_dir) -> tuple[Path, Path]:
     """Write ``assignments.csv`` and ``dendrogram.txt`` under ``out_dir``."""
     out = Path(out_dir)
@@ -270,7 +253,7 @@ def export_clusters(p: ClusterPartition, t: Dendrogram, out_dir) -> tuple[Path, 
         writer = csv.writer(fh)
         writer.writerow(["id", "cluster", "novelty_class"])
         for id_ in p.assignments:
-            writer.writerow([id_, p.assignments[id_], novelty_class(p, id_)])
+            writer.writerow([id_, p.assignments[id_], p.novelty_class(id_)])
     with open(dendro_path, "w", encoding="utf-8") as fh:
         fh.write(format_dendrogram(t))
     return assignments_path, dendro_path
@@ -279,16 +262,6 @@ def export_clusters(p: ClusterPartition, t: Dendrogram, out_dir) -> tuple[Path, 
 # ---------------------------------------------------------------------------
 # selection manifests
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ManifestDocument:
-    """A stored manifest plus provenance: tool version and input digest."""
-
-    manifest: SelectionManifest
-    tool_version: str
-    input_digest: str
-    schema_version: int = MANIFEST_SCHEMA_VERSION
 
 
 def write_manifest(m: SelectionManifest, out_path, input_digest: str = "") -> None:
@@ -307,7 +280,8 @@ def write_manifest(m: SelectionManifest, out_path, input_digest: str = "") -> No
         fh.write("\n")
 
 
-def read_manifest_document(path) -> ManifestDocument:
+def read_manifest(path) -> SelectionManifest:
+    """The selection manifest of a file ``write_manifest`` wrote."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -332,21 +306,11 @@ def read_manifest_document(path) -> ManifestDocument:
         values["selected"] = tuple(
             Selection(s["id"], s["phase"], s["cluster"]) for s in doc["selected"]
         )
-        manifest = SelectionManifest(**values)
+        return SelectionManifest(**values)
     except KeyError as exc:
         raise SchemaVersionMismatch(f"{path}: manifest missing field {exc}") from None
     except (TypeError, ValueError, OverflowError, CurationError) as exc:
         raise ParseError(f"{path}: malformed manifest ({exc})") from None
-    return ManifestDocument(
-        manifest=manifest,
-        tool_version=doc.get("tool_version", ""),
-        input_digest=doc.get("input_digest", ""),
-        schema_version=doc["schema_version"],
-    )
-
-
-def read_manifest(path) -> SelectionManifest:
-    return read_manifest_document(path).manifest
 
 
 def sha256_file(path) -> str:

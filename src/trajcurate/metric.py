@@ -220,20 +220,18 @@ def pairwise_distances(
     # item-fastest copies, so each tile reads every column term contiguously
     pts, dyn = np.asfortranarray(pts), np.asfortranarray(dyn)
     if workers is None:
-        workers = max(1, min(4, os.cpu_count() or 1))
-    if workers <= 1 or n < 64:
-        _row_block(pts, dyn, w, out, 0, n)
-    else:
-        # small chunks keep the decreasing row costs balanced across threads
-        chunk = _TILE * max(1, n // (workers * 8 * _TILE))
-        bounds = list(range(0, n, chunk)) + [n]
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            futures = [
-                ex.submit(_row_block, pts, dyn, w, out, lo, hi)
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            for f in futures:
-                f.result()
+        workers = min(4, os.cpu_count() or 1)
+    workers = max(1, workers)
+    # small chunks keep the decreasing row costs balanced across threads
+    chunk = _TILE * max(1, n // (workers * 8 * _TILE))
+    bounds = list(range(0, n, chunk)) + [n]
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        futures = [
+            ex.submit(_row_block, pts, dyn, w, out, lo, hi)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        for f in futures:
+            f.result()
     return CondensedDistanceMatrix(n=n, values=out)
 
 

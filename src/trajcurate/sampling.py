@@ -15,16 +15,17 @@ One round clusters the whole pool, then spends a budget B in two phases:
 Any shortfall is filled at the end of the round uniformly at random from
 the remaining unlabeled pool and tagged as fallback. Selection is driven
 by a seeded PCG64 generator with one spawned substream per phase
-(spawn_key 0 = novel, 1 = familiar, 2 = fallback, 3 = the random-baseline
-stream used by the benchmark), so a manifest is a pure function of
-(pool, config).
+(spawn_key 0 = novel, 1 = familiar, 2 = fallback; the benchmark draws its
+random baseline from 3 and its holdout split from 4), so a manifest is a
+pure function of (pool, config).
 
 A round runs on the cut's rank rows, the pool's items in sorted-id order
 (``ClusterPartition.rows``): a boolean mask marks the rows labeled or
-picked so far, and novelty is split with one bincount over the labels of
-the marked rows. Every candidate and member list is in ascending rows,
-which is ascending id order, so each phase makes its PCG64 draws on the
-same lists, in the same order, as over sorted id strings.
+picked so far. The novel phase draws from the partition's own novelty
+split; the familiar phase re-splits with one bincount over the labels of
+the marked rows, the novel picks among them. Every candidate and member
+list is in ascending rows or sorted ids, so each phase makes its PCG64
+draws on the same lists, in the same order, as over sorted id strings.
 """
 
 from __future__ import annotations
@@ -37,13 +38,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cluster import (
-    ClusterPartition,
-    Dendrogram,
-    flat_clusters,
-    novelty_rows,
-    upgma_linkage,
-)
+from .cluster import ClusterPartition, Dendrogram, flat_clusters, upgma_linkage
 from .errors import EmptyUnlabeledPool, InvalidFlagValue, ParseError
 from .metric import DEFAULT_WEIGHTS, MetricWeights, pairwise_distances
 from .states import TrajectoryPool
@@ -57,6 +52,7 @@ NOVEL_STREAM = 0
 FAMILIAR_STREAM = 1
 FALLBACK_STREAM = 2
 BASELINE_STREAM = 3
+HOLDOUT_STREAM = 4
 
 # absorbs float representation error in alpha*B and beta*size products;
 # far below the 20% grid resolution of either parameter
@@ -189,7 +185,7 @@ def sampling_round(
         part = pool_partition(pool, cfg)
     elif part.tau != cfg.tau:
         raise ParseError(f"partition was cut at tau {part.tau}, config has tau {cfg.tau}")
-    elif part.assignments.keys() != set(pool.ids):
+    elif len(part.assignments) != len(pool) or not all(map(part.assignments.__contains__, pool.ids)):
         raise ParseError("partition leaves are not the pool's ids")
     elif part.labeled_ids != pool.labeled_ids:
         raise ParseError("partition labeled set is not the pool's")
@@ -201,9 +197,8 @@ def sampling_round(
 
     # novel phase: clusters without a labeled member, then singletons by id;
     # a picked candidate is out of the running for the rest of the round
-    hits = np.bincount(rows.labels[taken], minlength=len(rows.sizes))
-    novel, singles = novelty_rows(rows, hits)
-    candidates = novel.tolist() + rows.labels[singles].tolist()
+    candidates = sorted(part.novel_clusters)
+    candidates += map(part.assignments.__getitem__, sorted(part.singletons))
     rng = phase_rng(cfg.seed, NOVEL_STREAM)
     novel_rows: list[int] = []
     while novel_quota - len(novel_rows) > 0 and candidates:

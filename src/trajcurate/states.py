@@ -201,13 +201,6 @@ class TrajectoryPool:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def row(self, id_: str) -> int:
-        """Row of ``id_`` in the columns."""
-        try:
-            return self._rows[id_]
-        except KeyError:
-            raise UnknownId(f"no trajectory with id {id_!r}") from None
-
     def take(self, rows: Sequence[int]) -> TrajectoryPool:
         """The pool of ``rows``, in that order, with the labeled ids among them."""
         ids = tuple(map(self.ids.__getitem__, rows))

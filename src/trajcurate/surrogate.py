@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .errors import InsufficientPool, ParseError
 from .metric import MetricWeights, _distance
 from .sampling import (
     BASELINE_STREAM,
+    HOLDOUT_STREAM,
     SamplingConfig,
     phase_rng,
     pool_partition,
@@ -85,7 +86,6 @@ def stratified_holdout(
     ids: Sequence[str],
     fraction: float = 0.2,
     seed: int = 0,
-    key: Callable[[str], str] = motif_key,
 ) -> tuple[list[int], list[int]]:
     """Split the rows of ``ids`` into (train, holdout), stratified by the
     motif key of each id.
@@ -99,7 +99,7 @@ def stratified_holdout(
     n = len(ids)
     groups: dict[str, list[int]] = {}
     for idx, id_ in enumerate(ids):
-        groups.setdefault(key(id_), []).append(idx)
+        groups.setdefault(motif_key(id_), []).append(idx)
     names = sorted(groups)
     target = int(round(fraction * n))
     weights = [len(groups[g]) / n for g in names]
@@ -107,7 +107,7 @@ def stratified_holdout(
     # a group can not give more than it has
     for gi, g in enumerate(names):
         quotas[gi] = min(quotas[gi], len(groups[g]))
-    rng = phase_rng(seed, stream=4)
+    rng = phase_rng(seed, HOLDOUT_STREAM)
     holdout: list[int] = []
     for g, quota in zip(names, quotas):
         members = groups[g]
@@ -188,7 +188,6 @@ def run_al_experiment(
     k_modes: int = 10,
     holdout_fraction: float = 0.2,
     split_seed: int = 1,
-    group_key: Callable[[str], str] = motif_key,
 ) -> ExperimentResult:
     """Sweep sampling configs against a paired uniform-random baseline.
 
@@ -199,7 +198,7 @@ def run_al_experiment(
     linkage nor the holdout's distance ranking, so both are computed once
     per distinct weight setting, and the tree is cut once per tau.
     """
-    train_idx, holdout_idx = stratified_holdout(pool.ids, holdout_fraction, split_seed, group_key)
+    train_idx, holdout_idx = stratified_holdout(pool.ids, holdout_fraction, split_seed)
     if not holdout_idx:
         raise InsufficientPool(
             f"holdout fraction {holdout_fraction} holds out none of {len(pool)} trajectory-states"

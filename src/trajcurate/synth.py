@@ -21,11 +21,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidSpec
-from .states import TrajectoryState, estimate_dynamics
+from .states import TRAJECTORY_LEN, TrajectoryState, estimate_dynamics
 
 DT = 0.5
 N_PAST = 5  # positions at t = -2.0 .. 0.0 inclusive
-N_FUTURE = 12
 
 KINDS = ("straight", "left-turn", "right-turn", "stop", "stop-then-turn", "u-turn")
 _TURNING = {"left-turn", "right-turn", "u-turn", "stop-then-turn"}
@@ -35,7 +34,7 @@ _DECELERATING = {"stop", "stop-then-turn"}
 _DWELL_S = 1.0
 _TURN_RADIUS_M = 8.0
 
-_T_GRID = np.arange(-(N_PAST - 1), N_FUTURE + 1, dtype=np.float64) * DT
+_T_GRID = np.arange(-(N_PAST - 1), TRAJECTORY_LEN + 1, dtype=np.float64) * DT
 
 
 @dataclass(frozen=True)

@@ -368,8 +368,16 @@ def cophenetic_distance(t: Dendrogram, i: int, j: int) -> float:
     return t.merges[node - n].height
 
 
+def pool_row(pool: TrajectoryPool, id_: str) -> int:
+    """Row of ``id_`` in the pool's columns."""
+    try:
+        return pool.ids.index(id_)
+    except ValueError:
+        raise UnknownId(f"no trajectory with id {id_!r}") from None
+
+
 def by_id(pool: TrajectoryPool, id_: str) -> TrajectoryState:
-    return pool.items[pool.row(id_)]
+    return pool.items[pool_row(pool, id_)]
 
 
 def with_labeled(pool: TrajectoryPool, extra: Iterable[str]) -> TrajectoryPool:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from trajcurate import TrajectoryPool, canonical_pool_spec, generate_synthetic_pool
@@ -6,7 +8,7 @@ from trajcurate.errors import InvalidFlagValue
 from trajcurate.io import (
     load_trajectories,
     read_experiment_csv,
-    read_manifest_document,
+    read_manifest,
     sha256_file,
     write_trajectories,
 )
@@ -107,10 +109,10 @@ def test_sample_command(pool_file, tmp_path):
         ]
     )
     assert code == 0
-    doc = read_manifest_document(out)
-    assert len(doc.manifest.selected) == 4
-    assert doc.manifest.seed == 7
-    assert doc.input_digest == sha256_file(pool_file)
+    manifest = read_manifest(out)
+    assert len(manifest.selected) == 4
+    assert manifest.seed == 7
+    assert json.loads(out.read_text(encoding="utf-8"))["input_digest"] == sha256_file(pool_file)
 
 
 def test_sample_alpha_out_of_range(pool_file, tmp_path, capsys):

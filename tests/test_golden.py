@@ -4,7 +4,8 @@
 and is read as committed, so the digests do not depend on the platform's
 ``sin``/``cos``. ``data/labeled-400.txt`` holds every tenth id of the pool,
 which sends the ``sample`` round below through the novel, familiar and
-fallback phases. Any change to the distances, the linkage, the cut, the
+fallback phases and gives the labeled cluster export all four novelty
+classes. Any change to the distances, the linkage, the cut, the
 sampling round or the surrogate scores shows up here as a new digest.
 """
 
@@ -26,6 +27,22 @@ def test_cluster_artifacts(tmp_path):
     assert sha256_file(tmp_path / "dendrogram.txt") == (
         "7aea7fcef336418a6f942fb4d28836d52833c1d1ea27403f829586f0978afd14"
     )
+
+
+def test_labeled_cluster_assignments(tmp_path):
+    # the one export here that holds all four novelty classes
+    argv = ["cluster", "--input", str(POOL), "--labeled", str(LABELED), "--out", str(tmp_path)]
+    assert dispatch(argv) == 0
+    assert sha256_file(tmp_path / "assignments.csv") == (
+        "61d60b8651f27371ad03d70e947315001959e5c34a814f79a087f0c3f0690a5d"
+    )
+
+
+def test_labeled_stats_report(tmp_path):
+    out = tmp_path / "stats.txt"
+    argv = ["stats", "--input", str(POOL), "--labeled", str(LABELED), "--out", str(out)]
+    assert dispatch(argv) == 0
+    assert sha256_file(out) == "5c2b19c333d3390bf21dafebc2a423e159cb187921ceec27d332ecfc50134a91"
 
 
 def test_sample_manifest(tmp_path):

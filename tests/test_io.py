@@ -27,7 +27,6 @@ from trajcurate.io import (
     read_experiment_csv,
     read_labeled_ids,
     read_manifest,
-    read_manifest_document,
     sha256_file,
     write_experiment_csv,
     write_manifest,
@@ -362,10 +361,9 @@ def test_manifest_round_trip(tmp_path):
     manifest = sample_manifest()
     path = tmp_path / "manifest.json"
     write_manifest(manifest, path, input_digest="abc123")
-    doc = read_manifest_document(path)
-    assert doc.manifest == manifest
-    assert doc.input_digest == "abc123"
-    assert doc.schema_version == 1
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["input_digest"] == "abc123"
+    assert doc["schema_version"] == 1
     assert read_manifest(path) == manifest
 
 

@@ -270,6 +270,10 @@ def test_round_rejects_mismatched_dendrogram():
     for part in mismatched:
         with pytest.raises(ParseError):
             sampling_round(pool, cfg, partition=part)
+    # as many leaves as the pool, one of them another id
+    renamed = TrajectoryPool((*items[:-1], replace(items[-1], id="e4")), frozenset(labels))
+    with pytest.raises(ParseError, match="leaves are not the pool's ids"):
+        sampling_round(pool, cfg, partition=pool_partition(renamed, cfg))
 
 
 def test_invariant_fixtures_quick():

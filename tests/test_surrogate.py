@@ -30,6 +30,7 @@ from helpers import (
     knn_predict,
     make_state,
     min_ade_k,
+    pool_row,
     prefix_distance,
 )
 
@@ -195,7 +196,7 @@ def test_ranked_scorer_equals_per_score_oracle():
     train, held = stratified_holdout([s.id for s in items], fraction=0.2, seed=1)
     train_pool = TrajectoryPool(tuple(items[i] for i in train))
     by_id = sorted(train_pool.ids)
-    id_rows = [train_pool.row(i) for i in by_id]
+    id_rows = [pool_row(train_pool, i) for i in by_id]
     pool = TrajectoryPool(tuple(items))
     qp, qd = pool.points[held], pool.dyn[held]
     lp, ld = train_pool.points[id_rows], train_pool.dyn[id_rows]
@@ -232,7 +233,7 @@ def oracle_experiment(pool, grid, seeds, k_modes):
             for strategy, picked in (("active", manifest.ids()), ("random", baseline)):
                 labeled = sorted(working.labeled_ids.union(picked))
                 made5, made10 = _score_split(
-                    qp, qd, working, [working.row(i) for i in labeled], k_modes, cfg.weights
+                    qp, qd, working, [pool_row(working, i) for i in labeled], k_modes, cfg.weights
                 )
                 rows.append(
                     ExperimentRow(budget, cfg.alpha, cfg.beta, seed, strategy, made5, made10)

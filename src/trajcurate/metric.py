@@ -46,7 +46,6 @@ _MATRIX_HEADER_LEN = 16  # magic, u32 version, u64 n
 # rows per kernel call in pairwise_distances; each call's temporaries are
 # _TILE x n float64 arrays (1.3 MB each at n = 10k)
 _TILE = 16
-_CHECK_BLOCK = 1 << 20  # values per finiteness check, bounding its bool temporary
 
 
 @dataclass(frozen=True)
@@ -92,10 +91,7 @@ class CondensedDistanceMatrix:
             raise ParseError(
                 f"condensed matrix for n={self.n} needs {expected} values, got {vals.shape}"
             )
-        for lo in range(0, expected, _CHECK_BLOCK):
-            block = vals[lo : lo + _CHECK_BLOCK]
-            if not np.isfinite(block).all() or block.min() < 0.0:
-                raise NonFiniteValue("condensed matrix values must be finite and >= 0")
+        check_distances(vals)
         vals = vals.view()  # freeze a view, so a caller's own array stays writable
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -106,6 +102,16 @@ class CondensedDistanceMatrix:
         if i > j:
             i, j = j, i
         return float(self.values[condensed_index(self.n, i, j)])
+
+
+def check_distances(vals: np.ndarray) -> None:
+    """Raise ``NonFiniteValue`` unless every value of ``vals`` is finite and >= 0.
+
+    Both reductions propagate NaN, so the two of them catch NaN, +-inf and
+    negative values with no boolean temporary; -0.0 passes.
+    """
+    if vals.size and not (vals.min() >= 0.0 and vals.max() < np.inf):
+        raise NonFiniteValue("distances must be finite and >= 0")
 
 
 def condensed_index(n: int, i: int, j: int) -> int:

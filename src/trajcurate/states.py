@@ -163,25 +163,25 @@ class TrajectoryPool:
         if points.shape != (len(ids), TRAJECTORY_LEN, 2) or dyn.shape != (len(ids), 3):
             raise WrongPointCount(f"{len(ids)} ids, columns {points.shape} and {dyn.shape}")
         finite = np.isfinite(points).all(axis=(1, 2)) & np.isfinite(dyn).all(axis=1)
-        rows: dict[str, int] = {}
+        seen: set[str] = set()
         for r, (id_, ok) in enumerate(zip(ids, finite.tolist())):
             if not isinstance(id_, str) or not id_:
                 exc = EmptyId("trajectory id must be a non-empty string")
             elif not ok:
                 exc = NonFiniteValue(f"trajectory {id_!r} contains a non-finite value")
-            elif id_ in rows:
+            elif id_ in seen:
                 exc = DuplicateId(f"duplicate trajectory id {id_!r}")
             else:
-                rows[id_] = r
+                seen.add(id_)
                 continue
             exc.row = r
             raise exc
         labeled = frozenset(labeled_ids)
-        if not labeled <= rows.keys():
-            raise UnknownId(f"labeled ids not present in pool: {sorted(labeled - set(rows))[:5]}")
+        if not labeled <= seen:
+            raise UnknownId(f"labeled ids not present in pool: {sorted(labeled - seen)[:5]}")
         points.flags.writeable = dyn.flags.writeable = False
         # set once, past the frozen __setattr__
-        self.__dict__.update(ids=ids, points=points, dyn=dyn, labeled_ids=labeled, _rows=rows)
+        self.__dict__.update(ids=ids, points=points, dyn=dyn, labeled_ids=labeled)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrajectoryPool):
@@ -196,7 +196,7 @@ class TrajectoryPool:
 
     @property
     def unlabeled_ids(self) -> frozenset[str]:
-        return frozenset(self._rows) - self.labeled_ids
+        return frozenset(self.ids) - self.labeled_ids
 
     def __len__(self) -> int:
         return len(self.ids)

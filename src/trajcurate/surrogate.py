@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .cluster import ClusterPartition, Dendrogram
-from .errors import InsufficientPool, ParseError
-from .metric import MetricWeights, _distance
+from .errors import InsufficientPool, NonFiniteValue, ParseError
+from .metric import MetricWeights, _distance, check_distances
 from .sampling import (
     BASELINE_STREAM,
     HOLDOUT_STREAM,
@@ -126,12 +126,14 @@ def _rank_holdout(
 
     ``qp``/``qd`` are the queries' point and ``[v, a, h]`` columns and
     ``lp``/``ld`` the training pool's, in id order, so distance ties rank
-    by id. Queries go through the kernel in blocks to bound temporaries.
+    by id. Queries go through the kernel in blocks to bound temporaries,
+    and each block passes the distance matrix's own value check.
     """
     order = np.empty((len(qp), len(lp)), dtype=np.int32)
     for lo in range(0, len(qp), _QUERY_BLOCK):
         hi = lo + _QUERY_BLOCK
         dist = _distance(qp[lo:hi, None], qd[lo:hi, None], lp[None], ld[None], w, PREFIX_LEN)
+        check_distances(dist)
         order[lo:hi] = np.argsort(dist, axis=1, kind="stable")
     return order
 
@@ -178,6 +180,9 @@ def _score_ranked(
     ade = np.sqrt(diff[..., 0] + diff[..., 1]).mean(axis=2)
     made5 = float(ade[:, : min(5, k)].min(axis=1).mean())
     made10 = float(ade[:, : min(10, k)].min(axis=1).mean())
+    # a query whose later points overflow has finite prefix distances
+    if not np.isfinite((made5, made10)).all():
+        raise NonFiniteValue(f"minADE scores must be finite, got {made5} and {made10}")
     return made5, made10
 
 

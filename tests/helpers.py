@@ -1,8 +1,8 @@
 """Shared test fixtures and the independent oracles: UPGMA (naive and on the
 square matrix), square and cophenetic matrices, distance, k-NN surrogate,
 per-score surrogate scoring, and the sampling round over id strings and
-sets (novelty refresh, novel and familiar phases); plus the pool and
-dendrogram lookups only tests use."""
+sets (novelty refresh, novel and familiar phases); the dendrogram
+structure check; plus the pool and dendrogram lookups only tests use."""
 
 from __future__ import annotations
 
@@ -331,6 +331,33 @@ def to_square(m: CondensedDistanceMatrix) -> np.ndarray:
             j1 = min(j0 + _MIRROR_BLOCK, n)
             out[j0:j1, i0:i1] = out[i0:i1, j0:j1].T
     return out
+
+
+def check_dendrogram(t: Dendrogram) -> Dendrogram:
+    """Raise ``ParseError`` unless ``t`` is a well-formed UPGMA dendrogram:
+    n - 1 merges, each consuming two earlier nodes not yet consumed, with
+    finite, non-negative, non-decreasing heights and sizes that add up.
+    Returns ``t``."""
+    n = t.n_leaves
+    merges = t.merges
+    if n < 1 or len(merges) != n - 1:
+        raise ParseError(f"{n} leaves need {n - 1} merges, got {len(merges)}")
+    sizes = {i: 1 for i in range(n)}
+    consumed: set[int] = set()
+    prev = 0.0
+    for k, (left, right, height, size) in enumerate(merges):
+        node = n + k
+        for child in (left, right):
+            if child < 0 or child >= node or child in consumed:
+                raise ParseError(f"merge {k} consumes invalid or reused node {child}")
+            consumed.add(child)
+        if height < prev or not np.isfinite(height) or height < 0.0:
+            raise ParseError(f"merge {k} height {height} breaks monotonicity")
+        prev = height
+        if sizes[left] + sizes[right] != size:
+            raise ParseError(f"merge {k} size {size} != {sizes[left]} + {sizes[right]}")
+        sizes[node] = size
+    return t
 
 
 def cophenetic_matrix(t: Dendrogram) -> np.ndarray:

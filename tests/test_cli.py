@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from trajcurate import TrajectoryPool, canonical_pool_spec, generate_synthetic_pool
@@ -13,6 +14,7 @@ from trajcurate.io import (
     write_trajectories,
 )
 from trajcurate.metric import read_distance_matrix
+from trajcurate.surrogate import stratified_holdout
 
 from helpers import stationary_state
 
@@ -345,6 +347,70 @@ def test_simulate_empty_holdout_exits_1(tmp_path, capsys):
     assert code == 1
     assert "holdout" in err and "Traceback" not in err
     assert not out.exists()
+
+
+_LINE_IDS = tuple(f"m{i % 4}-{i}" for i in range(40))
+
+
+def _line_pool(tmp_path, edit):
+    """40 records on a line in four motif groups, after ``edit(points, dyn)``."""
+    points = np.zeros((40, 12, 2))
+    points[..., 0] = np.arange(12.0) + 0.5 * np.arange(40)[:, None]
+    dyn = np.zeros((40, 3))
+    edit(points, dyn)
+    path = tmp_path / "pool.jsonl"
+    write_trajectories(TrajectoryPool.from_columns(_LINE_IDS, points, dyn), path)
+    return path
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("split_seed, in_holdout", [(1, False), (2, True)], ids=["train", "holdout"])
+@pytest.mark.parametrize("column", ["x", "x-tail", "a"])
+def test_simulate_overflowing_record_exits_1(tmp_path, capsys, column, split_seed, in_holdout):
+    # x = 1e308 overflows every distance to record 7: in training the matrix
+    # check fails; in the holdout its prefix distances do or, with only its
+    # tail overflowing, its minADE score. a = 1e308 against a = -1e308 on
+    # the other side of the split overflows only the distances between them
+    holdout = stratified_holdout(_LINE_IDS, 0.5, split_seed)[1]
+    assert (7 in holdout) == in_holdout
+    partner = next(r for r in range(40) if (r in holdout) != in_holdout)
+
+    def edit(points, dyn):
+        if column == "a":
+            dyn[7, 1], dyn[partner, 1] = 1e308, -1e308
+        else:
+            points[7, 2 if column == "x-tail" else 0 :, 0] = 1e308
+
+    out = tmp_path / "r.csv"
+    code = dispatch(
+        ["simulate", "--input", str(_line_pool(tmp_path, edit)), "--holdout", "0.5"]
+        + ["--split-seed", str(split_seed), "--seeds", "1", "--out", str(out)]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "must be finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["cluster", "stats"])
+@pytest.mark.parametrize("column", ["x", "a"])
+def test_overflowing_distances_exit_1(tmp_path, capsys, command, column):
+    # x = +-1e308 overflows the point terms to inf; a = +-1e308 under
+    # k_a = 0 makes the acceleration term 0 * inf = NaN
+    def edit(points, dyn):
+        if column == "x":
+            points[3, :, 0], points[4, :, 0] = 1e308, -1e308
+        else:
+            dyn[3, 1], dyn[4, 1] = 1e308, -1e308
+
+    argv = [command, "--input", str(_line_pool(tmp_path, edit)), "--weights", "0,0.025,1"]
+    if command == "cluster":
+        argv += ["--out", str(tmp_path / "out")]
+    code = dispatch(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "finite and >= 0" in err and "Traceback" not in err
 
 
 _HEADER_ONLY_CSV = ",".join(

@@ -18,6 +18,7 @@ from trajcurate.synth import CANONICAL_TAU, canonical_pool_spec
 
 from helpers import (
     UnknownLeaf,
+    check_dendrogram,
     cluster_members,
     cophenetic_distance,
     cophenetic_matrix,
@@ -34,6 +35,7 @@ THREE_LEAF = CondensedDistanceMatrix(n=3, values=np.array([1.0, 5.0, 7.0]))
 
 
 def assert_matches_oracle(tree, square, atol=1e-9):
+    check_dendrogram(tree)
     expected = upgma_oracle(square)
     assert len(tree.merges) == len(expected)
     for got, (left, right, height, size) in zip(tree.merges, expected):
@@ -289,7 +291,7 @@ def test_condensed_linkage_equals_square_oracle_random():
         else:
             values = rng.uniform(0.0, 10.0, count)
         m = CondensedDistanceMatrix(n=n, values=values)
-        assert upgma_linkage(m) == square_upgma_oracle(m), (trial, n, kind)
+        assert check_dendrogram(upgma_linkage(m)) == square_upgma_oracle(m), (trial, n, kind)
 
 
 @pytest.mark.parametrize("pool", ["canonical-2k", "tie-plateau"])
@@ -299,7 +301,7 @@ def test_condensed_linkage_equals_square_oracle_pools(pool):
     else:
         states = _tie_plateau_states()
     m = pairwise_distances(states)
-    assert upgma_linkage(m) == square_upgma_oracle(m)
+    assert check_dendrogram(upgma_linkage(m)) == square_upgma_oracle(m)
 
 
 @pytest.mark.parametrize("tau", [10.0, CANONICAL_TAU])
@@ -325,14 +327,14 @@ def test_cophenetic_single_leaf():
 
 
 def test_dendrogram_validation():
-    with pytest.raises(ParseError):
-        Dendrogram(3, (Merge(0, 1, 1.0, 2),))  # missing a merge
-    with pytest.raises(ParseError):
-        Dendrogram(3, (Merge(0, 1, 2.0, 2), Merge(3, 2, 1.0, 3)))  # heights decrease
-    with pytest.raises(ParseError):
-        Dendrogram(3, (Merge(0, 0, 1.0, 2), Merge(3, 2, 2.0, 3)))  # child reused
-    with pytest.raises(ParseError):
-        Dendrogram(3, (Merge(0, 1, 1.0, 3), Merge(3, 2, 2.0, 3)))  # size wrong
+    with pytest.raises(ParseError):  # missing a merge
+        check_dendrogram(Dendrogram(3, (Merge(0, 1, 1.0, 2),)))
+    with pytest.raises(ParseError):  # heights decrease
+        check_dendrogram(Dendrogram(3, (Merge(0, 1, 2.0, 2), Merge(3, 2, 1.0, 3))))
+    with pytest.raises(ParseError):  # child reused
+        check_dendrogram(Dendrogram(3, (Merge(0, 0, 1.0, 2), Merge(3, 2, 2.0, 3))))
+    with pytest.raises(ParseError):  # size wrong
+        check_dendrogram(Dendrogram(3, (Merge(0, 1, 1.0, 3), Merge(3, 2, 2.0, 3))))
 
 
 def test_format_dendrogram():

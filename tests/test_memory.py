@@ -3,9 +3,7 @@
 ``cluster``, ``cluster --matrix-out`` and ``stats`` each build one
 condensed matrix and hand it to the linkage, which takes over its buffer;
 a matrix dump is written from that buffer. So each command's traced peak
-stays near one matrix, not the two or three a copy would hold. The
-blocked finiteness check in ``CondensedDistanceMatrix`` must still catch a
-bad value wherever it sits relative to its blocks.
+stays near one matrix, not the two or three a copy would hold.
 """
 
 import contextlib
@@ -19,7 +17,6 @@ from trajcurate import CondensedDistanceMatrix, TrajectoryPool, upgma_linkage
 from trajcurate.cli import dispatch
 from trajcurate.errors import NonFiniteValue
 from trajcurate.io import write_trajectories
-from trajcurate.metric import _CHECK_BLOCK
 from trajcurate.synth import canonical_pool_spec, generate_synthetic_pool
 
 POOL_SIZE = 2000
@@ -81,14 +78,15 @@ def test_overwrite_gives_the_default_dendrogram(seed):
     assert upgma_linkage(_tie_heavy(np.random.default_rng(seed), n), overwrite=True) == expected
 
 
-N_CHECK = 1500  # 1,124,250 values: one full block and a partial one
-_COUNT = N_CHECK * (N_CHECK - 1) // 2
+N_CHECK = 1500
+_COUNT = N_CHECK * (N_CHECK - 1) // 2  # 1,124,250 values
 
 
-@pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
-@pytest.mark.parametrize("index", [0, _CHECK_BLOCK - 1, _CHECK_BLOCK, _COUNT - 1])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, -1.0])
+# first, middle and last; 2**20 - 1 and 2**20 also catch a check that goes
+# back to scanning the vector in 2**20-value pieces
+@pytest.mark.parametrize("index", [0, (1 << 20) - 1, 1 << 20, _COUNT // 2, _COUNT - 1])
 def test_blocked_check_finds_bad_value(bad, index):
-    assert _CHECK_BLOCK < _COUNT < 2 * _CHECK_BLOCK
     values = np.ones(_COUNT)
     values[index] = bad
     with pytest.raises(NonFiniteValue, match="finite and >= 0"):

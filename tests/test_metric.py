@@ -183,6 +183,7 @@ def test_condensed_validation():
         CondensedDistanceMatrix(n=3, values=np.array([1.0, -2.0, 1.0]))
     with pytest.raises(NonFiniteValue):
         CondensedDistanceMatrix(n=3, values=np.array([1.0, np.nan, 1.0]))
+    assert CondensedDistanceMatrix(n=3, values=np.array([1.0, -0.0, 1.0])).get(0, 2) == 0.0
 
 
 def test_matrix_dump_round_trip(tmp_path):

@@ -20,10 +20,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from trajcurate import (
     SamplingConfig,
-    TrajectoryPool,
     canonical_pool_spec,
-    generate_synthetic_pool,
     run_al_experiment,
+    synthetic_pool,
 )
 from trajcurate.io import write_experiment_csv
 from trajcurate.synth import CANONICAL_SPLIT_SEED, CANONICAL_TAU
@@ -48,7 +47,7 @@ def main() -> None:
     budgets = [float(b) for b in args.budgets.split(",")]
 
     print(f"generating canonical pool ({args.pool_size} trajectory-states) ...")
-    pool = TrajectoryPool(tuple(generate_synthetic_pool(canonical_pool_spec(args.pool_size))))
+    pool = synthetic_pool(canonical_pool_spec(args.pool_size))
     grid = [
         SamplingConfig(alpha=a, beta=args.beta, budget=b, tau=args.tau)
         for b in budgets

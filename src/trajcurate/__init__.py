@@ -42,6 +42,7 @@ from .synth import (
     SyntheticPoolSpec,
     canonical_pool_spec,
     generate_synthetic_pool,
+    synthetic_pool,
 )
 
 __all__ = [
@@ -71,6 +72,7 @@ __all__ = [
     "run_al_experiment",
     "sampling_round",
     "stratified_holdout",
+    "synthetic_pool",
     "trajectory_state_distance",
     "upgma_linkage",
     "write_distance_matrix",

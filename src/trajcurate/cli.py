@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
 from . import __version__
 from .cluster import flat_clusters, upgma_linkage
-from .errors import CurationError, InvalidFlagValue, UnknownId
+from .errors import CurationError, InvalidFlagValue, NonFiniteValue, UnknownId
 from .io import (
     export_clusters,
     load_trajectories,
@@ -36,7 +37,7 @@ from .sampling import (
 )
 from .states import TrajectoryPool
 from .surrogate import run_al_experiment
-from .synth import canonical_pool_spec, generate_synthetic_pool
+from .synth import canonical_pool_spec, synthetic_pool
 
 DEFAULT_TAU = 10.0
 DEFAULT_WEIGHTS_FLAG = "0.05,0.025,1"
@@ -147,6 +148,15 @@ def _load_pool(args) -> TrajectoryPool:
     return pool
 
 
+@contextmanager
+def _naming(path):
+    """Name ``path`` in an overflow of its loaded pool's values."""
+    try:
+        yield
+    except NonFiniteValue as exc:
+        raise NonFiniteValue(f"{path}: {exc}") from None
+
+
 def _check_tau(tau: float) -> None:
     if not tau >= 0:  # also rejects NaN
         raise InvalidFlagValue(f"--tau must be >= 0, got {tau}")
@@ -156,7 +166,8 @@ def cmd_cluster(args) -> int:
     _check_tau(args.tau)
     weights = parse_weights(args.weights)
     pool = _load_pool(args)
-    matrix = pairwise_distances(pool, weights)
+    with _naming(args.input):
+        matrix = pairwise_distances(pool, weights)
     if args.matrix_out:
         write_distance_matrix(matrix, args.matrix_out)
     tree = upgma_linkage(matrix, overwrite=True)
@@ -180,7 +191,8 @@ def cmd_sample(args) -> int:
         seed=args.seed,
     )
     pool = _load_pool(args)
-    manifest = sampling_round(pool, cfg)
+    with _naming(args.input):
+        manifest = sampling_round(pool, cfg)
     write_manifest(manifest, args.out, input_digest=sha256_file(args.input))
     print(
         f"wrote {args.out}: {len(manifest.selected)} selected "
@@ -220,16 +232,16 @@ def cmd_simulate(args) -> int:
     else:
         if args.pool_size < 10:
             raise InvalidFlagValue(f"--pool-size must be >= 10, got {args.pool_size}")
-        items = generate_synthetic_pool(canonical_pool_spec(total_count=args.pool_size))
-        pool = TrajectoryPool(tuple(items))
-    result = run_al_experiment(
-        pool,
-        grid,
-        seeds=range(args.seeds),
-        k_modes=args.k_modes,
-        holdout_fraction=args.holdout,
-        split_seed=args.split_seed,
-    )
+        pool = synthetic_pool(canonical_pool_spec(total_count=args.pool_size))
+    with _naming(args.input or "built-in pool"):
+        result = run_al_experiment(
+            pool,
+            grid,
+            seeds=range(args.seeds),
+            k_modes=args.k_modes,
+            holdout_fraction=args.holdout,
+            split_seed=args.split_seed,
+        )
     write_experiment_csv(result, args.out)
     print(f"wrote {args.out}: {len(result.rows)} rows")
     return 0
@@ -239,7 +251,8 @@ def cmd_stats(args) -> int:
     _check_tau(args.tau)
     weights = parse_weights(args.weights)
     pool = _load_pool(args)
-    tree = upgma_linkage(pairwise_distances(pool, weights), overwrite=True)
+    with _naming(args.input):
+        tree = upgma_linkage(pairwise_distances(pool, weights), overwrite=True)
     part = flat_clusters(tree, args.tau, labeled_ids=pool.labeled_ids, leaf_ids=pool.ids)
 
     histogram = Counter(part.rows.sizes.tolist())

@@ -269,7 +269,7 @@ def write_manifest(m: SelectionManifest, out_path, input_digest: str = "") -> No
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "tool_version": __version__,
         "input_digest": input_digest,
-        "round_index": m.round_index,
+        "round_index": 0,
         "seed": m.seed,
     }
     # merging keeps the head's keys first; the rest follow in field order

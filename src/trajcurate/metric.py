@@ -108,10 +108,14 @@ def check_distances(vals: np.ndarray) -> None:
     """Raise ``NonFiniteValue`` unless every value of ``vals`` is finite and >= 0.
 
     Both reductions propagate NaN, so the two of them catch NaN, +-inf and
-    negative values with no boolean temporary; -0.0 passes.
+    negative values with no boolean temporary; -0.0 passes. The error's
+    ``index`` is the flat index of the first bad value.
     """
     if vals.size and not (vals.min() >= 0.0 and vals.max() < np.inf):
-        raise NonFiniteValue("distances must be finite and >= 0")
+        index = int(np.argmin((vals >= 0.0) & (vals < np.inf)))
+        exc = NonFiniteValue(f"distances must be finite and >= 0, got {vals.flat[index]}")
+        exc.index = index
+        raise exc
 
 
 def condensed_index(n: int, i: int, j: int) -> int:
@@ -134,7 +138,8 @@ def _distance(pa, da, pb, db, w: MetricWeights, prefix_len: int = TRAJECTORY_LEN
     earlier ``sqrt((diff**2).sum(-1)).sum(-1)`` form, written out so that
     distances stay byte-identical to artifacts made with that form whatever
     numpy version runs. Terms are added as they are made, so at most three
-    term arrays are live at once.
+    term arrays are live at once. Overflow gives inf or NaN without a
+    warning, in any thread; the callers' value checks report it.
     """
 
     def term(k: int) -> np.ndarray:
@@ -145,26 +150,27 @@ def _distance(pa, da, pb, db, w: MetricWeights, prefix_len: int = TRAJECTORY_LEN
         dx += dy
         return np.sqrt(dx, out=dx)
 
-    d = term(0)
-    if prefix_len < 8:
-        for k in range(1, prefix_len):
-            d += term(k)
-    else:
-        d += term(1)
-        pair = term(2)
-        pair += term(3)
-        d += pair
-        quad = term(4)
-        quad += term(5)
-        pair = term(6)
-        pair += term(7)
-        quad += pair
-        d += quad
-        for k in range(8, prefix_len):
-            d += term(k)
-    d += w.k_a * np.abs(da[..., 1] - db[..., 1])
-    d += w.k_v * np.abs(da[..., 0] - db[..., 0])
-    d += w.k_h * np.abs(da[..., 2] - db[..., 2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = term(0)
+        if prefix_len < 8:
+            for k in range(1, prefix_len):
+                d += term(k)
+        else:
+            d += term(1)
+            pair = term(2)
+            pair += term(3)
+            d += pair
+            quad = term(4)
+            quad += term(5)
+            pair = term(6)
+            pair += term(7)
+            quad += pair
+            d += quad
+            for k in range(8, prefix_len):
+                d += term(k)
+        d += w.k_a * np.abs(da[..., 1] - db[..., 1])
+        d += w.k_v * np.abs(da[..., 0] - db[..., 0])
+        d += w.k_h * np.abs(da[..., 2] - db[..., 2])
     return d
 
 
@@ -210,15 +216,14 @@ def pairwise_distances(
 ) -> CondensedDistanceMatrix:
     """Condensed pairwise distance matrix over a pool.
 
-    A ``TrajectoryPool`` supplies its own columns; a plain sequence of
-    states is packed first. ``workers`` threads partition the row space;
-    numpy kernels release the GIL so this scales on multicore boxes, and
-    the output is byte-identical for any worker count.
+    A plain sequence of states is made a ``TrajectoryPool`` first.
+    ``workers`` threads partition the row space; numpy kernels release the
+    GIL so this scales on multicore boxes, and the output is byte-identical
+    for any worker count.
     """
-    if isinstance(pool, TrajectoryPool):
-        pts, dyn = pool.points, pool.dyn
-    else:
-        pts, dyn = pack_states(tuple(pool))
+    if not isinstance(pool, TrajectoryPool):
+        pool = TrajectoryPool(pool)
+    pts, dyn = pool.points, pool.dyn
     n = len(pts)
     if n < 1:
         raise ParseError("pairwise_distances needs at least one trajectory-state")
@@ -238,7 +243,13 @@ def pairwise_distances(
         ]
         for f in futures:
             f.result()
-    return CondensedDistanceMatrix(n=n, values=out)
+    try:
+        return CondensedDistanceMatrix(n=n, values=out)
+    except NonFiniteValue as exc:
+        rows = np.arange(n)
+        i = int(np.searchsorted(condensed_index(n, rows, rows + 1), exc.index, "right")) - 1
+        j = exc.index - condensed_index(n, i, i + 1) + i + 1
+        raise NonFiniteValue(f"{exc} between {pool.ids[i]!r} and {pool.ids[j]!r}") from None
 
 
 def write_distance_matrix(m: CondensedDistanceMatrix, path) -> None:

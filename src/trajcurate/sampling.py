@@ -125,7 +125,6 @@ class Selection(NamedTuple):
 class SelectionManifest:
     """Audited record of one sampling round."""
 
-    round_index: int
     config: SamplingConfig
     seed: int
     budget_resolved: int
@@ -164,7 +163,6 @@ def pool_partition(
 def sampling_round(
     pool: TrajectoryPool,
     cfg: SamplingConfig,
-    round_index: int = 0,
     partition: ClusterPartition | None = None,
 ) -> SelectionManifest:
     """Run one full novelty-sensitive sampling round over a pool.
@@ -250,7 +248,6 @@ def sampling_round(
     selected = tuple(map(Selection, ids, phases, labels.tolist()))
 
     return SelectionManifest(
-        round_index=round_index,
         config=cfg,
         seed=cfg.seed,
         budget_resolved=budget,
@@ -273,11 +270,10 @@ def plan_experiment_grid(
     budgets: Sequence[int | float],
     tau: float = 10.0,
     weights: MetricWeights = DEFAULT_WEIGHTS,
-    seed: int = 0,
 ) -> tuple[SamplingConfig, ...]:
     """Cartesian sweep in deterministic budget-major, then alpha, then beta order."""
     return tuple(
-        SamplingConfig(alpha=a, beta=b, budget=bud, tau=tau, weights=weights, seed=seed)
+        SamplingConfig(alpha=a, beta=b, budget=bud, tau=tau, weights=weights)
         for bud in budgets
         for a in alphas
         for b in betas

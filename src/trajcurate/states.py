@@ -86,29 +86,27 @@ def estimate_dynamics(
         raise TooFewPoints("need at least three (x, y) positions")
     if not np.all(np.isfinite(pts)):
         raise NonFiniteValue("position track contains a non-finite value")
+    return tuple(_dynamics(pts[None], dt)[0].tolist())
 
-    disp = np.diff(pts, axis=0)
-    norms = np.hypot(disp[:, 0], disp[:, 1])
+
+def _dynamics(past: np.ndarray, dt: float) -> np.ndarray:
+    """``(m, 3)`` ``[v, a, h]`` of ``(m, n, 2)`` tracks, n >= 3, as in
+    ``estimate_dynamics``. Only the last two carried-forward headings enter
+    h; each is a ``math.atan2``, whose bits ``np.arctan2`` may not match."""
+    disp = np.diff(past, axis=1)
+    norms = np.hypot(disp[..., 0], disp[..., 1])
     speeds = norms / dt
-    v = float(speeds[-1])
-    a = float((speeds[-1] - speeds[-2]) / dt)
-
-    heading = 0.0
-    headings = []
-    for (dx, dy), norm in zip(disp, norms):
-        if norm >= _HEADING_EPS:
-            heading = math.atan2(dy, dx)
-        headings.append(heading)
-    h = _wrap_angle(headings[-1] - headings[-2]) / dt
-    return v, a, h
-
-
-def _wrap_angle(theta: float) -> float:
-    """Map an angle difference into (-pi, pi]."""
-    wrapped = math.fmod(theta + math.pi, 2.0 * math.pi)
-    if wrapped < 0.0:
-        wrapped += 2.0 * math.pi
-    return wrapped - math.pi
+    steps = np.arange(norms.shape[1])
+    last = np.maximum.accumulate(np.where(norms >= _HEADING_EPS, steps, -1), axis=1)[:, -2:]
+    moved = np.take_along_axis(disp, np.maximum(last, 0)[..., None], axis=1).reshape(-1, 2)
+    heading = np.array([math.atan2(dy, dx) for dx, dy in moved.tolist()]).reshape(last.shape)
+    heading[last < 0] = 0.0
+    # the turn wrapped into (-pi, pi]
+    turn = np.fmod(heading[:, 1] - heading[:, 0] + math.pi, 2.0 * math.pi)
+    turn[turn < 0.0] += 2.0 * math.pi
+    turn -= math.pi
+    a = (speeds[:, -1] - speeds[:, -2]) / dt
+    return np.stack([speeds[:, -1], a, turn / dt], axis=1)
 
 
 def pack_states(states: Sequence[TrajectoryState]) -> tuple[np.ndarray, np.ndarray]:

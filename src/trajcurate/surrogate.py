@@ -118,36 +118,38 @@ def stratified_holdout(
     return train, sorted(holdout_set)
 
 
-def _rank_holdout(
-    qp: np.ndarray, qd: np.ndarray, lp: np.ndarray, ld: np.ndarray, w: MetricWeights
-) -> np.ndarray:
+def _rank_holdout(held: TrajectoryPool, train: TrajectoryPool, w: MetricWeights) -> np.ndarray:
     """Per query, the ``int32`` stable argsort of its prefix distances to
     every training row.
 
-    ``qp``/``qd`` are the queries' point and ``[v, a, h]`` columns and
-    ``lp``/``ld`` the training pool's, in id order, so distance ties rank
-    by id. Queries go through the kernel in blocks to bound temporaries,
-    and each block passes the distance matrix's own value check.
+    ``train`` is the training pool in id order, so distance ties rank by
+    id. Queries go through the kernel in blocks to bound temporaries, and
+    each block passes the distance matrix's own value check.
     """
+    qp, qd, lp, ld = held.points, held.dyn, train.points, train.dyn
     order = np.empty((len(qp), len(lp)), dtype=np.int32)
     for lo in range(0, len(qp), _QUERY_BLOCK):
         hi = lo + _QUERY_BLOCK
         dist = _distance(qp[lo:hi, None], qd[lo:hi, None], lp[None], ld[None], w, PREFIX_LEN)
-        check_distances(dist)
+        try:
+            check_distances(dist)
+        except NonFiniteValue as exc:
+            q, t = divmod(exc.index, len(lp))
+            pair = f"{held.ids[lo + q]!r} and {train.ids[t]!r}"
+            raise NonFiniteValue(f"{exc} between {pair}") from None
         order[lo:hi] = np.argsort(dist, axis=1, kind="stable")
     return order
 
 
 def _score_ranked(
-    qp: np.ndarray, lp: np.ndarray, order: np.ndarray, labeled: np.ndarray, k_modes: int
+    held: TrajectoryPool, train: TrajectoryPool, order: np.ndarray, labeled: np.ndarray, k_modes: int
 ) -> tuple[float, float]:
     """Mean minADE_5 and minADE_10 of the surrogate over the queries.
 
-    ``order`` is ``_rank_holdout`` over the training points ``lp`` and
-    ``labeled`` a boolean mask over the same rows. A stable sort filtered
-    to a subset keeps the order the subset's own stable sort gives, so the
-    first k labeled columns of each row are its k nearest labeled
-    neighbors, ties by id. Only a head of each row is scanned: a row whose
+    ``order`` is ``_rank_holdout`` over ``train`` and ``labeled`` a boolean
+    mask over its rows. A stable sort filtered to a subset keeps the order
+    the subset's own stable sort gives, so the first k labeled columns of
+    each row are its k nearest labeled neighbors, ties by id. Only a head of each row is scanned: a row whose
     head holds fewer than k labeled columns is widened on its own, and the
     first k labeled columns are the same at any width that holds them, so
     the scores do not depend on the widths.
@@ -174,15 +176,17 @@ def _score_ranked(
         nearest[short[ok]] = head.ravel()[pos]
         short = short[~ok]
         width *= 2
-    modes = lp[nearest]  # (nq, k, 12, 2)
-    diff = modes - qp[:, None, :, :]
-    diff *= diff
-    ade = np.sqrt(diff[..., 0] + diff[..., 1]).mean(axis=2)
-    made5 = float(ade[:, : min(5, k)].min(axis=1).mean())
-    made10 = float(ade[:, : min(10, k)].min(axis=1).mean())
-    # a query whose later points overflow has finite prefix distances
-    if not np.isfinite((made5, made10)).all():
-        raise NonFiniteValue(f"minADE scores must be finite, got {made5} and {made10}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = train.points[nearest] - held.points[:, None]  # (nq, k, 12, 2)
+        diff *= diff
+        ade = np.sqrt(diff[..., 0] + diff[..., 1]).mean(axis=2)
+        best5, best10 = ade[:, : min(5, k)].min(axis=1), ade[:, : min(10, k)].min(axis=1)
+        made5, made10 = float(best5.mean()), float(best10.mean())
+        # a query whose later points overflow has finite prefix distances
+        if not np.isfinite((made5, made10)).all():
+            worst = held.ids[int(np.argmax(best5 + best10))]  # NaN ranks first
+            made = f"got {made5} and {made10}; worst query {worst!r}"
+            raise NonFiniteValue(f"minADE scores must be finite, {made}")
     return made5, made10
 
 
@@ -208,8 +212,7 @@ def run_al_experiment(
         raise InsufficientPool(
             f"holdout fraction {holdout_fraction} holds out none of {len(pool)} trajectory-states"
         )
-    qp, qd = pool.points[holdout_idx], pool.dyn[holdout_idx]
-    working = pool.take(train_idx)
+    held, working = pool.take(holdout_idx), pool.take(train_idx)
 
     n_unlabeled = len(working) - len(working.labeled_ids)
     if not n_unlabeled:
@@ -222,7 +225,6 @@ def run_al_experiment(
 
     # training rows in id order, so the ranking breaks distance ties by id
     by_id = working.take(sorted(range(len(working)), key=working.ids.__getitem__))
-    lp, ld = by_id.points, by_id.dyn
     row_of = dict(zip(by_id.ids, range(len(by_id))))
     labeled0 = np.fromiter(map(working.labeled_ids.__contains__, by_id.ids), bool, len(by_id))
     # the id-sorted unlabeled ids are the unlabeled rows, ascending
@@ -231,7 +233,7 @@ def run_al_experiment(
     def score(picked: np.ndarray, order: np.ndarray) -> tuple[float, float]:
         labeled = labeled0.copy()
         labeled[picked] = True
-        return _score_ranked(qp, lp, order, labeled, k_modes)
+        return _score_ranked(held, by_id, order, labeled, k_modes)
 
     ranked: dict[MetricWeights, tuple[Dendrogram, np.ndarray]] = {}
     partitions: dict[tuple[MetricWeights, float], ClusterPartition] = {}
@@ -242,7 +244,7 @@ def run_al_experiment(
         if cfg.weights not in ranked:
             ranked[cfg.weights] = (
                 upgma_linkage_for_pool(working, cfg.weights),
-                _rank_holdout(qp, qd, lp, ld, cfg.weights),
+                _rank_holdout(held, by_id, cfg.weights),
             )
         tree, order = ranked[cfg.weights]
         if (cfg.weights, cfg.tau) not in partitions:

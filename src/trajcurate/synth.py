@@ -9,7 +9,8 @@ recorded (v, a, h) are always consistent with the stored points.
 
 Generation is a pure function of the spec: motif counts come from
 largest-remainder rounding of the weights and each motif owns an RNG
-substream spawned from the pool seed.
+substream spawned from the pool seed. A motif's tracks are built as one
+block, and the pool as columns.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidSpec
-from .states import TRAJECTORY_LEN, TrajectoryState, estimate_dynamics
+from .states import TRAJECTORY_LEN, TrajectoryPool, TrajectoryState, _dynamics
 
 DT = 0.5
 N_PAST = 5  # positions at t = -2.0 .. 0.0 inclusive
@@ -104,87 +105,78 @@ def largest_remainder(weights: Sequence[float], total: int) -> list[int]:
     return counts
 
 
-def _straight(t: np.ndarray, v0: float, accel: float) -> np.ndarray:
-    x = v0 * t + 0.5 * accel * t * t
-    return np.column_stack([x, np.zeros_like(t)])
+def _straight(t: np.ndarray, v0, accel):
+    return v0 * t + 0.5 * accel * t * t, 0.0
 
 
-def _arc(t: np.ndarray, v0: float, omega: float) -> np.ndarray:
+def _arc(t: np.ndarray, v0, omega):
     radius = v0 / omega
-    return np.column_stack([radius * np.sin(omega * t), radius * (1.0 - np.cos(omega * t))])
+    return radius * np.sin(omega * t), radius * (1.0 - np.cos(omega * t))
 
 
-def _stop(t: np.ndarray, v0: float, decel: float) -> np.ndarray:
+def _stop(t: np.ndarray, v0, decel):
     t_stop = v0 / decel
     moving = v0 * t - 0.5 * decel * t * t
-    x = np.where(t < t_stop, moving, v0 * v0 / (2.0 * decel))
-    return np.column_stack([x, np.zeros_like(t)])
+    return np.where(t < t_stop, moving, v0 * v0 / (2.0 * decel)), 0.0
 
 
-def _stop_then_turn(t: np.ndarray, v0: float, decel: float, accel: float) -> np.ndarray:
-    t_stop = v0 / decel
-    x_stop = v0 * v0 / (2.0 * decel)
-    t_go = t_stop + _DWELL_S
-    pts = np.empty((t.shape[0], 2))
-    for k, tk in enumerate(t):
-        if tk < t_stop:
-            pts[k] = (v0 * tk - 0.5 * decel * tk * tk, 0.0)
-        elif tk <= t_go:
-            pts[k] = (x_stop, 0.0)
-        else:
-            arc_len = 0.5 * accel * (tk - t_go) ** 2
-            phi = arc_len / _TURN_RADIUS_M
-            pts[k] = (
-                x_stop + _TURN_RADIUS_M * math.sin(phi),
-                _TURN_RADIUS_M * (1.0 - math.cos(phi)),
-            )
-    return pts
+def _stop_then_turn(t: np.ndarray, v0, decel, accel):
+    x, y = _stop(t, v0, decel)
+    t_go = v0 / decel + _DWELL_S
+    # libm pow per element, like a float's ** 2; an array's ** 2 squares, off in rare last bits
+    phi = 0.5 * accel * np.float_power(t - t_go, 2.0) / _TURN_RADIUS_M
+    turning = t > t_go  # and so past the stop, where x is the resting x
+    x = np.where(turning, x + _TURN_RADIUS_M * np.sin(phi), x)
+    return x, np.where(turning, _TURN_RADIUS_M * (1.0 - np.cos(phi)), y)
 
 
-def _motif_track(kind: str, v0: float, ap: float, hp: float) -> np.ndarray:
+def _motif_track(kind: str, v0, ap, hp) -> np.ndarray:
+    """The ``(..., 17, 2)`` track of ``kind`` for parameters that broadcast
+    against the time grid, such as ``(count, 1)`` columns."""
     if kind == "straight":
-        return _straight(_T_GRID, v0, ap)
-    if kind == "left-turn":
-        return _arc(_T_GRID, v0, hp)
-    if kind == "right-turn":
-        return _arc(_T_GRID, v0, -hp)
-    if kind == "u-turn":
-        return _arc(_T_GRID, v0, hp)
-    if kind == "stop":
-        return _stop(_T_GRID, v0, ap)
-    if kind == "stop-then-turn":
-        return _stop_then_turn(_T_GRID, v0, ap, max(ap, 1.0))
-    raise InvalidSpec(f"unknown motif kind {kind!r}")
+        x, y = _straight(_T_GRID, v0, ap)
+    elif kind == "stop":
+        x, y = _stop(_T_GRID, v0, ap)
+    elif kind == "stop-then-turn":
+        x, y = _stop_then_turn(_T_GRID, v0, ap, np.maximum(ap, 1.0))
+    else:  # a turn or a u-turn; MotifSpec has checked the kind
+        x, y = _arc(_T_GRID, v0, -hp if kind == "right-turn" else hp)
+    return np.stack(np.broadcast_arrays(x, y), axis=-1)
 
 
-def generate_synthetic_pool(spec: SyntheticPoolSpec) -> list[TrajectoryState]:
-    """Deterministically generate ``spec.total_count`` trajectory-states."""
+def _tracks(spec: SyntheticPoolSpec) -> tuple[list[str], np.ndarray]:
+    """The ids and ``(n, 17, 2)`` noisy tracks of a spec, motif by motif."""
     counts = largest_remainder([m.weight for m in spec.motifs], spec.total_count)
-    states: list[TrajectoryState] = []
+    ids: list[str] = []
+    tracks = []
     for midx, (motif, count) in enumerate(zip(spec.motifs, counts)):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(spec.seed, spawn_key=(midx,)))
         )
+        ranges = (motif.v_range, motif.a_range, motif.h_range)
+        params = np.empty((3, count, 1))  # v0, ap and hp as columns
+        noise = np.empty((count, _T_GRID.shape[0], 2))
         for i in range(count):
             # fixed draw order per item keeps the stream layout stable
-            v0 = rng.uniform(*motif.v_range)
-            ap = rng.uniform(*motif.a_range)
-            hp = rng.uniform(*motif.h_range)
-            noise = rng.standard_normal((_T_GRID.shape[0], 2))
-            track = _motif_track(motif.kind, v0, ap, hp)
-            if motif.noise_sigma > 0.0:
-                track = track + motif.noise_sigma * noise
-            v, a, h = estimate_dynamics(track[:N_PAST], DT)
-            states.append(
-                TrajectoryState(
-                    id=f"{motif.kind}-m{midx:02d}-{i:04d}",
-                    points=tuple(map(tuple, track[N_PAST:])),
-                    v=v,
-                    a=a,
-                    h=h,
-                )
-            )
-    return states
+            params[:, i, 0] = [rng.uniform(*r) for r in ranges]
+            rng.standard_normal(out=noise[i])
+        track = _motif_track(motif.kind, *params)
+        if motif.noise_sigma > 0.0:
+            track = track + motif.noise_sigma * noise
+        ids += [f"{motif.kind}-m{midx:02d}-{i:04d}" for i in range(count)]
+        tracks.append(track)
+    return ids, np.concatenate(tracks)
+
+
+def synthetic_pool(spec: SyntheticPoolSpec) -> TrajectoryPool:
+    """Deterministically generate ``spec.total_count`` trajectory-states."""
+    ids, tracks = _tracks(spec)
+    return TrajectoryPool.from_columns(ids, tracks[:, N_PAST:], _dynamics(tracks[:, :N_PAST], DT))
+
+
+def generate_synthetic_pool(spec: SyntheticPoolSpec) -> list[TrajectoryState]:
+    """``synthetic_pool(spec)`` as a list of ``TrajectoryState`` records."""
+    return list(synthetic_pool(spec).items)
 
 
 def motif_key(id_: str) -> str:

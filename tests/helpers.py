@@ -1,8 +1,9 @@
 """Shared test fixtures and the independent oracles: UPGMA (naive and on the
 square matrix), square and cophenetic matrices, distance, k-NN surrogate,
-per-score surrogate scoring, and the sampling round over id strings and
-sets (novelty refresh, novel and familiar phases); the dendrogram
-structure check; plus the pool and dendrogram lookups only tests use."""
+per-score surrogate scoring, the sampling round over id strings and sets
+(novelty refresh, novel and familiar phases), the per-record dynamics
+estimate and the per-step stop-then-turn motif; the dendrogram structure
+check; plus the pool and dendrogram lookups only tests use."""
 
 from __future__ import annotations
 
@@ -51,7 +52,9 @@ from trajcurate.sampling import (
     round_half_up,
 )
 from trajcurate.metric import _distance
+from trajcurate.states import _HEADING_EPS
 from trajcurate.surrogate import PREFIX_LEN
+from trajcurate.synth import _DWELL_S, _TURN_RADIUS_M
 
 
 class UnknownLeaf(CurationError):
@@ -414,6 +417,61 @@ def with_labeled(pool: TrajectoryPool, extra: Iterable[str]) -> TrajectoryPool:
     )
 
 
+def dynamics_oracle(past_points, dt: float) -> tuple[float, float, float]:
+    """``estimate_dynamics`` one record at a time, with a heading per step.
+
+    v is the speed over the final displacement, a the change between the
+    last two segment speeds and h the change between the last two segment
+    headings, each divided by dt. A displacement shorter than
+    ``_HEADING_EPS`` carries the previous heading forward (0.0 before any).
+    """
+    pts = np.asarray(past_points, dtype=float)
+    disp = np.diff(pts, axis=0)
+    norms = np.hypot(disp[:, 0], disp[:, 1])
+    speeds = norms / dt
+    v = float(speeds[-1])
+    a = float((speeds[-1] - speeds[-2]) / dt)
+
+    heading = 0.0
+    headings = []
+    for (dx, dy), norm in zip(disp, norms):
+        if norm >= _HEADING_EPS:
+            heading = math.atan2(dy, dx)
+        headings.append(heading)
+    h = _wrap_angle(headings[-1] - headings[-2]) / dt
+    return v, a, h
+
+
+def _wrap_angle(theta: float) -> float:
+    """Map an angle difference into (-pi, pi]."""
+    wrapped = math.fmod(theta + math.pi, 2.0 * math.pi)
+    if wrapped < 0.0:
+        wrapped += 2.0 * math.pi
+    return wrapped - math.pi
+
+
+def stop_then_turn_oracle(t: np.ndarray, v0: float, decel: float, accel: float) -> np.ndarray:
+    """The stop-then-turn track for scalar parameters, one time step at a
+    time with ``math.sin`` and ``math.cos``."""
+    t_stop = v0 / decel
+    x_stop = v0 * v0 / (2.0 * decel)
+    t_go = t_stop + _DWELL_S
+    pts = np.empty((t.shape[0], 2))
+    for k, tk in enumerate(t):
+        if tk < t_stop:
+            pts[k] = (v0 * tk - 0.5 * decel * tk * tk, 0.0)
+        elif tk <= t_go:
+            pts[k] = (x_stop, 0.0)
+        else:
+            arc_len = 0.5 * accel * (tk - t_go) ** 2
+            phi = arc_len / _TURN_RADIUS_M
+            pts[k] = (
+                x_stop + _TURN_RADIUS_M * math.sin(phi),
+                _TURN_RADIUS_M * (1.0 - math.cos(phi)),
+            )
+    return pts
+
+
 def square_upgma_oracle(d: CondensedDistanceMatrix) -> Dendrogram:
     """UPGMA with the greedy row-minimum search on the full square matrix.
 
@@ -707,7 +765,6 @@ def sample_familiar(
 def id_space_round(
     pool: TrajectoryPool,
     cfg: SamplingConfig,
-    round_index: int = 0,
     partition: ClusterPartition | None = None,
 ) -> SelectionManifest:
     """The sampling round over sorted id strings and sets, as it ran before
@@ -768,7 +825,6 @@ def id_space_round(
     selected += [Selection(sid, PHASE_FALLBACK, part.assignments[sid]) for sid in fallback_ids]
 
     return SelectionManifest(
-        round_index=round_index,
         config=cfg,
         seed=cfg.seed,
         budget_resolved=budget,
@@ -783,9 +839,8 @@ def id_space_round(
 def default_experiment_grid(
     tau: float = 10.0,
     weights: MetricWeights = DEFAULT_WEIGHTS,
-    seed: int = 0,
 ) -> tuple[SamplingConfig, ...]:
     """The standard 150-cell sweep: alpha and beta in 20% steps, budgets 10-50%."""
     return plan_experiment_grid(
-        DEFAULT_GRID_ALPHAS, DEFAULT_GRID_BETAS, DEFAULT_GRID_BUDGETS, tau, weights, seed
+        DEFAULT_GRID_ALPHAS, DEFAULT_GRID_BETAS, DEFAULT_GRID_BUDGETS, tau, weights
     )

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -363,7 +364,15 @@ def _line_pool(tmp_path, edit):
     return path
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def _dispatch_warning_free(argv):
+    """``dispatch(argv)``, asserting that no warning was issued on any thread."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = dispatch(argv)
+    assert [str(w.message) for w in caught] == []
+    return code
+
+
 @pytest.mark.parametrize("split_seed, in_holdout", [(1, False), (2, True)], ids=["train", "holdout"])
 @pytest.mark.parametrize("column", ["x", "x-tail", "a"])
 def test_simulate_overflowing_record_exits_1(tmp_path, capsys, column, split_seed, in_holdout):
@@ -381,19 +390,19 @@ def test_simulate_overflowing_record_exits_1(tmp_path, capsys, column, split_see
         else:
             points[7, 2 if column == "x-tail" else 0 :, 0] = 1e308
 
-    out = tmp_path / "r.csv"
-    code = dispatch(
-        ["simulate", "--input", str(_line_pool(tmp_path, edit)), "--holdout", "0.5"]
+    out, pool = tmp_path / "r.csv", _line_pool(tmp_path, edit)
+    code = _dispatch_warning_free(
+        ["simulate", "--input", str(pool), "--holdout", "0.5"]
         + ["--split-seed", str(split_seed), "--seeds", "1", "--out", str(out)]
     )
     err = capsys.readouterr().err
     assert code == 1
     assert "must be finite" in err and "Traceback" not in err
+    assert err.count(str(pool)) == 1 and "'m3-7'" in err
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("command", ["cluster", "stats"])
+@pytest.mark.parametrize("command", ["cluster", "stats", "sample"])
 @pytest.mark.parametrize("column", ["x", "a"])
 def test_overflowing_distances_exit_1(tmp_path, capsys, command, column):
     # x = +-1e308 overflows the point terms to inf; a = +-1e308 under
@@ -404,13 +413,18 @@ def test_overflowing_distances_exit_1(tmp_path, capsys, command, column):
         else:
             dyn[3, 1], dyn[4, 1] = 1e308, -1e308
 
-    argv = [command, "--input", str(_line_pool(tmp_path, edit)), "--weights", "0,0.025,1"]
-    if command == "cluster":
+    pool = _line_pool(tmp_path, edit)
+    argv = [command, "--input", str(pool), "--weights", "0,0.025,1"]
+    if command != "stats":
         argv += ["--out", str(tmp_path / "out")]
-    code = dispatch(argv)
+    if command == "sample":
+        argv += ["--alpha", "0.5", "--beta", "0.5", "--budget", "4"]
+    code = _dispatch_warning_free(argv)
     err = capsys.readouterr().err
     assert code == 1
     assert "finite and >= 0" in err and "Traceback" not in err
+    # record 3 is on the first overflowing pair in both columns
+    assert err.count(str(pool)) == 1 and "'m3-3'" in err
 
 
 _HEADER_ONLY_CSV = ",".join(

@@ -12,7 +12,8 @@ sampling round or the surrogate scores shows up here as a new digest.
 from pathlib import Path
 
 from trajcurate.cli import dispatch
-from trajcurate.io import sha256_file
+from trajcurate.io import sha256_file, write_trajectories
+from trajcurate.synth import canonical_pool_spec, synthetic_pool
 
 DATA = Path(__file__).parent / "data"
 POOL = DATA / "pool-400.jsonl"
@@ -59,3 +60,11 @@ def test_simulate_rows(tmp_path):
             "--out", str(out)]
     assert dispatch(argv) == 0
     assert sha256_file(out) == "588bbe10b8b7f0cf27f561168e193626ff9fc1b54122de9f60883a7d343afa80"
+
+
+def test_synthetic_pool_file(tmp_path):
+    # unlike the digests above, this one rests on the platform's sin, cos
+    # and atan2, through the generated tracks and their dynamics
+    path = tmp_path / "pool.jsonl"
+    write_trajectories(synthetic_pool(canonical_pool_spec(2000, 7)), path)
+    assert sha256_file(path) == "1453fe74b846246e9dcd04bcec8b94abcefe90be992163a015f3a141bd1c85ae"

@@ -20,7 +20,10 @@ from trajcurate.errors import (
     ZeroDt,
 )
 
-from helpers import by_id, with_labeled
+from trajcurate.states import _HEADING_EPS, _dynamics
+from trajcurate.synth import DT, N_PAST, _tracks, canonical_pool_spec
+
+from helpers import by_id, dynamics_oracle, with_labeled
 
 VALID = {
     "id": "veh-1",
@@ -132,3 +135,53 @@ def test_pool_with_labeled():
     grown = with_labeled(pool, ["veh-2"])
     assert grown.labeled_ids == {"veh-2"}
     assert pool.labeled_ids == frozenset()
+
+
+def _assert_block_dynamics_match_oracle(past, dt=DT):
+    got = _dynamics(np.asarray(past, dtype=float), dt)
+    want = np.array([dynamics_oracle(p, dt) for p in past]).reshape(-1, 3)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_block_dynamics_match_oracle_on_canonical_pasts():
+    _, tracks = _tracks(canonical_pool_spec(2000, 7))
+    _assert_block_dynamics_match_oracle(tracks[:, :N_PAST])
+
+
+def _hand_built_tracks(n, rng):
+    """Tracks of n points whose steps stand still (a zero or a
+    sub-``_HEADING_EPS`` displacement) or move 0.1-5 m, heading anywhere or
+    just either side of +-pi; and tracks ending in steps of exactly
+    ``_HEADING_EPS``, which count as moving."""
+    still = [(0.0, 0.0), (0.4 * _HEADING_EPS, -0.3 * _HEADING_EPS)]
+    near_pi = [math.pi - 1e-9, -math.pi + 1e-9, math.pi - 0.3, -math.pi + 0.3]
+
+    def step(kind):
+        if kind < len(still):
+            return still[kind]
+        angle = rng.choice(near_pi) if kind % 2 else rng.uniform(-math.pi, math.pi)
+        return tuple(rng.uniform(0.1, 5.0) * np.array([math.cos(angle), math.sin(angle)]))
+
+    moving = len(still)
+    patterns = [[kind] * (n - 1) for kind in range(moving + 1)]
+    for k in range(n - 1):  # one standstill at each step, the first included
+        patterns += [[kind if j == k else moving + 1 for j in range(n - 1)] for kind in range(moving)]
+    patterns += rng.integers(0, moving + 2, size=(200, n - 1)).tolist()
+    tracks = []
+    for pattern in patterns:
+        disp = np.array([(0.0, 0.0)] + [step(kind) for kind in pattern])
+        tracks.append(rng.uniform(-50.0, 50.0, size=2) + np.cumsum(disp, axis=0))
+    eps = _HEADING_EPS
+    tracks.append([(0.0, 0.0)] * (n - 2) + [(0.0, 1.0), (eps, 1.0)])
+    tracks.append([(0.0, 0.0)] * (n - 2) + [(0.0, -eps), (1.0, -eps)])
+    # a reversal, and a turn across the branch cut at +-pi
+    tracks.append([(0.0, 0.0)] * (n - 2) + [(1.0, 0.0), (0.0, 0.0)])
+    tracks.append([(0.0, 0.0)] * (n - 2) + [(-1.0, 0.0), (-2.0, -1e-9)])
+    return tracks
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 17])
+def test_block_dynamics_match_oracle_on_hand_built_tracks(n):
+    tracks = _hand_built_tracks(n, np.random.default_rng(n))
+    _assert_block_dynamics_match_oracle(tracks)
+    _assert_block_dynamics_match_oracle(tracks, dt=1)

@@ -197,11 +197,9 @@ def test_ranked_scorer_equals_per_score_oracle():
     train_pool = TrajectoryPool(tuple(items[i] for i in train))
     by_id = sorted(train_pool.ids)
     id_rows = [pool_row(train_pool, i) for i in by_id]
-    pool = TrajectoryPool(tuple(items))
-    qp, qd = pool.points[held], pool.dyn[held]
-    lp, ld = train_pool.points[id_rows], train_pool.dyn[id_rows]
+    queries, ranked = TrajectoryPool(tuple(items)).take(held), train_pool.take(id_rows)
     w = MetricWeights(k_a=0.1, k_v=0.05, k_h=2.0)
-    order = _rank_holdout(qp, qd, lp, ld, w)
+    order = _rank_holdout(queries, ranked, w)
     assert order.dtype == np.int32
 
     rng = np.random.default_rng(11)
@@ -212,8 +210,9 @@ def test_ranked_scorer_equals_per_score_oracle():
         mask[picked] = True
         labeled_rows = [id_rows[k] for k in picked]
         for k_modes in (1, 5, 10, size + 3):
-            got = _score_ranked(qp, lp, order, mask, k_modes)
-            assert got == _score_split(qp, qd, train_pool, labeled_rows, k_modes, w)
+            got = _score_ranked(queries, ranked, order, mask, k_modes)
+            want = _score_split(queries.points, queries.dyn, train_pool, labeled_rows, k_modes, w)
+            assert got == want
 
 
 def oracle_experiment(pool, grid, seeds, k_modes):
@@ -278,9 +277,9 @@ def test_ranked_scorer_equals_oracle_on_rows_widened_apart():
     train, held = stratified_holdout(pool.ids, 0.2, 1)
     working = pool.take(train)
     by_id = working.take(sorted(range(len(working)), key=working.ids.__getitem__))
-    qp, qd = pool.points[held], pool.dyn[held]
+    queries = pool.take(held)
     w = MetricWeights()
-    order = _rank_holdout(qp, qd, by_id.points, by_id.dyn, w)
+    order = _rank_holdout(queries, by_id, w)
     n = order.shape[1]
     assert n == 320
 
@@ -299,8 +298,8 @@ def test_ranked_scorer_equals_oracle_on_rows_widened_apart():
     assert (kth < 64).any() and ((64 <= kth) & (kth < 256)).any() and (kth >= 256).any()
     for mask in masks:
         for k_modes in (1, 5, 10):
-            got = _score_ranked(qp, by_id.points, order, mask, k_modes)
-            want = _score_split(qp, qd, by_id, np.flatnonzero(mask), k_modes, w)
+            got = _score_ranked(queries, by_id, order, mask, k_modes)
+            want = _score_split(queries.points, queries.dyn, by_id, np.flatnonzero(mask), k_modes, w)
             assert got == want
 
 

@@ -5,7 +5,16 @@ import pytest
 
 from trajcurate import MotifSpec, SyntheticPoolSpec, canonical_pool_spec, generate_synthetic_pool
 from trajcurate.errors import InvalidSpec
-from trajcurate.synth import DT, N_PAST, largest_remainder, motif_key
+from trajcurate.synth import (
+    _T_GRID,
+    DT,
+    N_PAST,
+    _stop_then_turn,
+    largest_remainder,
+    motif_key,
+)
+
+from helpers import stop_then_turn_oracle
 
 
 def test_generator_deterministic():
@@ -155,3 +164,11 @@ def test_past_grid_shape():
     (s,) = generate_synthetic_pool(spec)
     assert N_PAST == 5
     assert s.points[0] == (2.0, 0.0)  # first future point at t = 0.5 s
+
+
+def test_block_stop_then_turn_matches_per_step_formula():
+    # stops from 0.1 s to 40 s in: some tracks turn early, some never do
+    params = np.random.default_rng(4).uniform((0.5, 0.5, 0.5), (20.0, 4.0, 4.0), (300, 3))
+    got = np.stack(_stop_then_turn(_T_GRID, *params.T[..., None]), axis=-1)
+    want = [stop_then_turn_oracle(_T_GRID, *p) for p in params.tolist()]
+    np.testing.assert_array_equal(got.view(np.int64), np.array(want).view(np.int64))

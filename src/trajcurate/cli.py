@@ -12,11 +12,12 @@ import argparse
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import astuple
 from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .cluster import flat_clusters, upgma_linkage
+from .cluster import DEFAULT_TAU, check_tau, flat_clusters, upgma_linkage
 from .errors import CurationError, InvalidFlagValue, NonFiniteValue, UnknownId
 from .io import (
     export_clusters,
@@ -26,21 +27,19 @@ from .io import (
     write_experiment_csv,
     write_manifest,
 )
-from .metric import MetricWeights, pairwise_distances, write_distance_matrix
+from .metric import DEFAULT_WEIGHTS, MetricWeights, pairwise_distances, write_distance_matrix
 from .sampling import (
     DEFAULT_GRID_ALPHAS,
     DEFAULT_GRID_BETAS,
     DEFAULT_GRID_BUDGETS,
     SamplingConfig,
+    check_budget,
     plan_experiment_grid,
     sampling_round,
 )
 from .states import TrajectoryPool
-from .surrogate import run_al_experiment
+from .surrogate import check_holdout, check_k_modes, run_al_experiment
 from .synth import canonical_pool_spec, synthetic_pool
-
-DEFAULT_TAU = 10.0
-DEFAULT_WEIGHTS_FLAG = "0.05,0.025,1"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau", type=float, default=DEFAULT_TAU, help="cophenetic cut threshold")
         p.add_argument(
             "--weights",
-            default=DEFAULT_WEIGHTS_FLAG,
+            default=",".join(map(str, astuple(DEFAULT_WEIGHTS))),
             help="metric weights as ka,kv,kh",
         )
 
@@ -115,10 +114,11 @@ def parse_weights(flag: str) -> MetricWeights:
     if len(parts) != 3:
         raise InvalidFlagValue(f"--weights needs ka,kv,kh, got {flag!r}")
     try:
-        ka, kv, kh = (float(p) for p in parts)
+        return MetricWeights(*map(float, parts))
     except ValueError:
         raise InvalidFlagValue(f"--weights values must be numbers, got {flag!r}") from None
-    return MetricWeights(k_a=ka, k_v=kv, k_h=kh)
+    except NonFiniteValue as exc:  # MetricWeights owns the range rule
+        raise InvalidFlagValue(f"--weights: {exc}") from None
 
 
 def parse_budget(flag: str, name: str = "--budget") -> int | float:
@@ -130,10 +130,7 @@ def parse_budget(flag: str, name: str = "--budget") -> int | float:
             value = int(flag)
     except ValueError:
         raise InvalidFlagValue(f"{name} must be a count or fraction, got {flag!r}") from None
-    if isinstance(value, float) and not 0.0 < value <= 1.0:
-        raise InvalidFlagValue(f"fractional {name} must be in (0, 1], got {value}")
-    if isinstance(value, int) and value < 1:
-        raise InvalidFlagValue(f"{name} count must be >= 1, got {value}")
+    check_budget(value, name)
     return value
 
 
@@ -157,13 +154,8 @@ def _naming(path):
         raise NonFiniteValue(f"{path}: {exc}") from None
 
 
-def _check_tau(tau: float) -> None:
-    if not tau >= 0:  # also rejects NaN
-        raise InvalidFlagValue(f"--tau must be >= 0, got {tau}")
-
-
 def cmd_cluster(args) -> int:
-    _check_tau(args.tau)
+    check_tau(args.tau, "--tau")
     weights = parse_weights(args.weights)
     pool = _load_pool(args)
     with _naming(args.input):
@@ -179,7 +171,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    _check_tau(args.tau)
+    check_tau(args.tau, "--tau")
     weights = parse_weights(args.weights)
     budget = parse_budget(args.budget)
     cfg = SamplingConfig(
@@ -210,14 +202,12 @@ def _parse_float_list(flag: str, name: str) -> tuple[float, ...]:
 
 
 def cmd_simulate(args) -> int:
-    _check_tau(args.tau)
+    check_tau(args.tau, "--tau")
     weights = parse_weights(args.weights)
     if args.seeds < 1:
         raise InvalidFlagValue(f"--seeds must be >= 1, got {args.seeds}")
-    if args.k_modes < 1:
-        raise InvalidFlagValue(f"--k-modes must be >= 1, got {args.k_modes}")
-    if not 0.0 <= args.holdout < 1.0:
-        raise InvalidFlagValue(f"--holdout must be in [0, 1), got {args.holdout}")
+    check_k_modes(args.k_modes, "--k-modes")
+    check_holdout(args.holdout, "--holdout")
     if args.grid == "default":
         alphas, betas, budgets = DEFAULT_GRID_ALPHAS, DEFAULT_GRID_BETAS, DEFAULT_GRID_BUDGETS
     else:
@@ -248,7 +238,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    _check_tau(args.tau)
+    check_tau(args.tau, "--tau")
     weights = parse_weights(args.weights)
     pool = _load_pool(args)
     with _naming(args.input):
@@ -256,7 +246,7 @@ def cmd_stats(args) -> int:
     part = flat_clusters(tree, args.tau, labeled_ids=pool.labeled_ids, leaf_ids=pool.ids)
 
     histogram = Counter(part.rows.sizes.tolist())
-    labeled_singletons = sum(part.cluster_size(label) == 1 for label in part.familiar_clusters)
+    labeled_classes = Counter(map(part.novelty_class, part.labeled_ids))
     lines = [
         f"items: {len(pool)} labeled: {len(pool.labeled_ids)} "
         f"unlabeled: {len(pool.unlabeled_ids)}",
@@ -269,7 +259,7 @@ def cmd_stats(args) -> int:
         f"novel clusters (no labeled member, size >= 2): {len(part.novel_clusters)}",
         f"unclustered singletons: {len(part.singletons)}",
         f"familiar clusters: {len(part.familiar_clusters)}",
-        f"labeled singletons: {labeled_singletons}",
+        f"labeled singletons: {labeled_classes['labeled-singleton']}",
     ]
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)

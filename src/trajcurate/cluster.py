@@ -24,14 +24,17 @@ the topology a pure function of the distance matrix.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DuplicateId, ParseError, UnknownId
-from .metric import CondensedDistanceMatrix
+from .errors import DuplicateId, InvalidFlagValue, UnknownId
+from .metric import CondensedDistanceMatrix, condensed_index
+
+DEFAULT_TAU = 10.0
 
 
 class Merge(NamedTuple):
@@ -84,7 +87,7 @@ def upgma_linkage(d: CondensedDistanceMatrix, overwrite: bool = False) -> Dendro
     vals = d.values if overwrite else d.values.copy()
     vals.flags.writeable = True  # a matrix keeps its values read-only
     idx = np.arange(n, dtype=np.int64)
-    first = idx * (2 * n - idx - 1) // 2  # index of pair (i, i + 1)
+    first = condensed_index(n, idx, idx + 1)
     base = first - idx - 1
     rowmin = np.full(n, np.inf)
     rowmin[:-1] = np.minimum.reduceat(vals, first[:-1])
@@ -203,9 +206,6 @@ class ClusterPartition:
     # the cut over rank rows; derived once by flat_clusters
     rows: RankRows = field(repr=False, compare=False)
 
-    def cluster_size(self, label: int) -> int:
-        return int(self.rows.sizes[label])
-
     @cached_property
     def labeled_rows(self) -> np.ndarray:
         """``labeled_ids`` as a read-only boolean mask over ``rows``."""
@@ -222,7 +222,13 @@ class ClusterPartition:
         if label not in self.familiar_clusters:
             return "singleton"
         # a familiar 1-member cluster's only member is a labeled one
-        return "labeled-singleton" if self.cluster_size(label) == 1 else "familiar"
+        return "labeled-singleton" if self.rows.sizes[label] == 1 else "familiar"
+
+
+def check_tau(tau: float, name: str = "tau") -> None:
+    """Raise ``InvalidFlagValue`` unless the cut threshold ``tau`` is >= 0."""
+    if not tau >= 0:  # also rejects NaN
+        raise InvalidFlagValue(f"{name} must be >= 0, got {tau}")
 
 
 def flat_clusters(
@@ -237,43 +243,32 @@ def flat_clusters(
     (inclusive). ``leaf_ids`` names leaf i; by default leaves are their own
     integer ids. Labeled ids not present among the leaves are ignored.
     """
-    if not tau >= 0:  # also rejects NaN
-        raise ParseError(f"tau must be >= 0, got {tau}")
+    check_tau(tau)
     n = t.n_leaves
     ids: Sequence[Hashable] = tuple(range(n)) if leaf_ids is None else tuple(leaf_ids)
     if len(ids) != n:
         raise UnknownId(f"expected {n} leaf ids, got {len(ids)}")
 
-    # union-find over the monotone prefix of merges with height <= tau
-    parent = list(range(2 * n - 1))
+    # heights never decrease, so the merges up to tau are a prefix; walked
+    # from its top, each merge hands its cluster root down to its children
+    cut = bisect_right([m.height for m in t.merges], tau)
+    root = list(range(n + cut))
+    for k in range(cut - 1, -1, -1):
+        m = t.merges[k]
+        root[m.left] = root[m.right] = root[n + k]
+    # labels in order of each cluster's first leaf
+    label_of: dict[int, int] = {}
+    leaf_labels = np.fromiter((label_of.setdefault(r, len(label_of)) for r in root[:n]), np.intp, n)
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for k, m in enumerate(t.merges):
-        if m.height > tau:
-            break
-        root = n + k
-        parent[find(m.left)] = root
-        parent[find(m.right)] = root
-
-    groups: dict[int, list[int]] = {}
-    for leaf in range(n):
-        groups.setdefault(find(leaf), []).append(leaf)
-    ordered = sorted(groups.values(), key=lambda leaves: leaves[0])
-
-    assignments: dict[Hashable, int] = {}
-    for label, leaves in enumerate(ordered):
-        for leaf in leaves:
-            assignments[ids[leaf]] = label
+    # cluster-major, leaves ascending within a cluster
+    order = np.argsort(leaf_labels, kind="stable").tolist()
+    assignments = dict(zip(map(ids.__getitem__, order), leaf_labels[order].tolist()))
     if len(assignments) != n:
         raise DuplicateId(f"leaf ids repeat: {n} leaves, {len(assignments)} distinct ids")
 
-    rank_ids = tuple(sorted(ids))
-    labels = np.fromiter(map(assignments.__getitem__, rank_ids), dtype=np.intp, count=n)
+    rank = sorted(range(n), key=ids.__getitem__)
+    rank_ids = tuple(map(ids.__getitem__, rank))
+    labels = leaf_labels[rank]
     sizes = np.bincount(labels)
     members = tuple(np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1]))
     for a in (labels, sizes, *members):

@@ -38,7 +38,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cluster import ClusterPartition, Dendrogram, flat_clusters, upgma_linkage
+from .cluster import DEFAULT_TAU, ClusterPartition, Dendrogram, check_tau, flat_clusters, upgma_linkage
 from .errors import EmptyUnlabeledPool, InvalidFlagValue, ParseError
 from .metric import DEFAULT_WEIGHTS, MetricWeights, pairwise_distances
 from .states import TrajectoryPool
@@ -60,7 +60,7 @@ _GRID_EPS = 1e-9
 
 
 def phase_rng(seed: int, stream: int) -> np.random.Generator:
-    """Seeded PCG64 substream; documented spawn keys keep phases independent."""
+    """Seeded PCG64 substream; spawn keys keep phases and synthetic motifs independent."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
 
 
@@ -85,7 +85,7 @@ class SamplingConfig:
     alpha: float
     beta: float
     budget: int | float
-    tau: float = 10.0
+    tau: float = DEFAULT_TAU
     weights: MetricWeights = field(default_factory=MetricWeights)
     seed: int = 0
 
@@ -94,16 +94,18 @@ class SamplingConfig:
             raise InvalidFlagValue(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 < self.beta <= 1.0:
             raise InvalidFlagValue(f"beta must be in (0, 1], got {self.beta}")
-        if isinstance(self.budget, bool) or not isinstance(self.budget, (int, float)):
-            raise InvalidFlagValue(f"budget must be an int or a float, got {self.budget!r}")
-        if isinstance(self.budget, int) and self.budget < 1:
-            raise InvalidFlagValue(f"budget count must be >= 1, got {self.budget}")
-        if isinstance(self.budget, float) and not 0.0 < self.budget <= 1.0:
-            raise InvalidFlagValue(
-                f"fractional budget must be in (0, 1], got {self.budget}"
-            )
-        if not self.tau >= 0:  # also rejects NaN
-            raise InvalidFlagValue(f"tau must be >= 0, got {self.tau}")
+        check_budget(self.budget)
+        check_tau(self.tau)
+
+
+def check_budget(budget: int | float, name: str = "budget") -> None:
+    """Raise ``InvalidFlagValue`` unless ``budget`` is a count >= 1 or a fraction in (0, 1]."""
+    if isinstance(budget, bool) or not isinstance(budget, (int, float)):
+        raise InvalidFlagValue(f"{name} must be an int or a float, got {budget!r}")
+    if isinstance(budget, int) and budget < 1:
+        raise InvalidFlagValue(f"{name} count must be >= 1, got {budget}")
+    if isinstance(budget, float) and not 0.0 < budget <= 1.0:
+        raise InvalidFlagValue(f"fractional {name} must be in (0, 1], got {budget}")
 
 
 def resolve_budget(budget: int | float, n_unlabeled: int) -> int:
@@ -268,7 +270,7 @@ def plan_experiment_grid(
     alphas: Sequence[float],
     betas: Sequence[float],
     budgets: Sequence[int | float],
-    tau: float = 10.0,
+    tau: float = DEFAULT_TAU,
     weights: MetricWeights = DEFAULT_WEIGHTS,
 ) -> tuple[SamplingConfig, ...]:
     """Cartesian sweep in deterministic budget-major, then alpha, then beta order."""

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .cluster import ClusterPartition, Dendrogram
-from .errors import InsufficientPool, NonFiniteValue, ParseError
+from .errors import InsufficientPool, InvalidFlagValue, NonFiniteValue, ParseError
 from .metric import MetricWeights, _distance, check_distances
 from .sampling import (
     BASELINE_STREAM,
@@ -82,6 +82,18 @@ class ExperimentResult:
         return self._made5[budget, alpha, beta, strategy]
 
 
+def check_holdout(fraction: float, name: str = "holdout fraction") -> None:
+    """Raise ``InvalidFlagValue`` unless the held-out ``fraction`` is in [0, 1)."""
+    if not 0.0 <= fraction < 1.0:
+        raise InvalidFlagValue(f"{name} must be in [0, 1), got {fraction}")
+
+
+def check_k_modes(k_modes: int, name: str = "k_modes") -> None:
+    """Raise ``InvalidFlagValue`` unless the surrogate predicts ``k_modes`` >= 1 modes."""
+    if k_modes < 1:
+        raise InvalidFlagValue(f"{name} must be >= 1, got {k_modes}")
+
+
 def stratified_holdout(
     ids: Sequence[str],
     fraction: float = 0.2,
@@ -94,8 +106,7 @@ def stratified_holdout(
     by largest remainder, with per-group membership drawn from a seeded
     substream, so the split is a pure function of (ids, fraction, seed).
     """
-    if not 0.0 <= fraction < 1.0:
-        raise ValueError(f"holdout fraction must be in [0, 1), got {fraction}")
+    check_holdout(fraction)
     n = len(ids)
     groups: dict[str, list[int]] = {}
     for idx, id_ in enumerate(ids):
@@ -207,6 +218,7 @@ def run_al_experiment(
     linkage nor the holdout's distance ranking, so both are computed once
     per distinct weight setting, and the tree is cut once per tau.
     """
+    check_k_modes(k_modes)
     train_idx, holdout_idx = stratified_holdout(pool.ids, holdout_fraction, split_seed)
     if not holdout_idx:
         raise InsufficientPool(

@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidSpec
+from .sampling import phase_rng
 from .states import TRAJECTORY_LEN, TrajectoryPool, TrajectoryState, _dynamics
 
 DT = 0.5
@@ -150,9 +151,7 @@ def _tracks(spec: SyntheticPoolSpec) -> tuple[list[str], np.ndarray]:
     ids: list[str] = []
     tracks = []
     for midx, (motif, count) in enumerate(zip(spec.motifs, counts)):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(spec.seed, spawn_key=(midx,)))
-        )
+        rng = phase_rng(spec.seed, midx)
         ranges = (motif.v_range, motif.a_range, motif.h_range)
         params = np.empty((3, count, 1))  # v0, ap and hp as columns
         noise = np.empty((count, _T_GRID.shape[0], 2))

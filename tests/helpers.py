@@ -2,8 +2,8 @@
 square matrix), square and cophenetic matrices, distance, k-NN surrogate,
 per-score surrogate scoring, the sampling round over id strings and sets
 (novelty refresh, novel and familiar phases), the per-record dynamics
-estimate and the per-step stop-then-turn motif; the dendrogram structure
-check; plus the pool and dendrogram lookups only tests use."""
+estimate, the per-step stop-then-turn motif and the union-find cut; the
+dendrogram structure check; plus the pool and dendrogram lookups only tests use."""
 
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ from trajcurate import (
     sampling_round,
     upgma_linkage,
 )
+from trajcurate.cluster import RankRows
 from trajcurate.errors import CurationError, EmptyUnlabeledPool, ParseError, UnknownId
 from trajcurate.sampling import (
     DEFAULT_GRID_ALPHAS,
@@ -398,6 +399,60 @@ def cophenetic_distance(t: Dendrogram, i: int, j: int) -> float:
     return t.merges[node - n].height
 
 
+def cut_oracle(
+    t: Dendrogram,
+    tau: float,
+    labeled_ids: Iterable = (),
+    leaf_ids: Sequence | None = None,
+) -> ClusterPartition:
+    """``flat_clusters`` by union-find: join the two children of every merge
+    up to the first one above tau, group the leaves by root, and label the
+    groups in order of their first leaf."""
+    n = t.n_leaves
+    ids = tuple(range(n)) if leaf_ids is None else tuple(leaf_ids)
+    parent = list(range(2 * n - 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for k, m in enumerate(t.merges):
+        if m.height > tau:
+            break
+        root = n + k
+        parent[find(m.left)] = root
+        parent[find(m.right)] = root
+
+    groups: dict[int, list[int]] = {}
+    for leaf in range(n):
+        groups.setdefault(find(leaf), []).append(leaf)
+    ordered = sorted(groups.values(), key=lambda leaves: leaves[0])
+
+    assignments: dict = {}
+    for label, leaves in enumerate(ordered):
+        for leaf in leaves:
+            assignments[ids[leaf]] = label
+
+    rank_ids = tuple(sorted(ids))
+    labels = np.fromiter(map(assignments.__getitem__, rank_ids), dtype=np.intp, count=n)
+    sizes = np.bincount(labels)
+    members = tuple(np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1]))
+    labeled = frozenset(labeled_ids) & set(ids)
+    by_label = {label: [ids[leaf] for leaf in leaves] for label, leaves in enumerate(ordered)}
+    novel, single, familiar = _split_novelty(by_label, labeled)
+    return ClusterPartition(
+        assignments=assignments,
+        novel_clusters=novel,
+        singletons=single,
+        familiar_clusters=familiar,
+        tau=float(tau),
+        labeled_ids=labeled,
+        rows=RankRows(rank_ids, labels, members, sizes),
+    )
+
+
 def pool_row(pool: TrajectoryPool, id_: str) -> int:
     """Row of ``id_`` in the pool's columns."""
     try:
@@ -606,7 +661,7 @@ def check_round_invariants(fix_seed, check_determinism=False):
     for s in novel:
         per_cluster[s.cluster] = per_cluster.get(s.cluster, 0) + 1
     for label, count in per_cluster.items():
-        assert count <= cluster_cap(beta, part.cluster_size(label))
+        assert count <= cluster_cap(beta, int(part.rows.sizes[label]))
     # novel picks come from the novel side of the start-of-round partition
     for s in novel:
         if s.phase == PHASE_NOVEL_CLUSTER:
@@ -709,7 +764,7 @@ def sample_novel(
         members = [m for m in cluster_members(p, ref) if m in unlabeled]
         if not members:
             continue
-        cap = cluster_cap(beta, p.cluster_size(ref))
+        cap = cluster_cap(beta, int(p.rows.sizes[ref]))
         take = min(cap, quota - len(picked), len(members))
         order = rng.permutation(len(members))[:take]
         picked.extend(members[i] for i in order)
@@ -748,7 +803,7 @@ def sample_familiar(
             members = [m for m in cluster_members(p, label) if m in remaining]
             if not members:
                 continue
-            cap = cluster_cap(beta, p.cluster_size(label))
+            cap = cluster_cap(beta, int(p.rows.sizes[label]))
             take = min(cap, quota - len(picked), len(members))
             chosen = rng.permutation(len(members))[:take]
             for i in chosen:
@@ -818,7 +873,7 @@ def id_space_round(
     for sid in novel_ids:
         label = part.assignments[sid]
         phase = (
-            PHASE_NOVEL_SINGLETON if part.cluster_size(label) == 1 else PHASE_NOVEL_CLUSTER
+            PHASE_NOVEL_SINGLETON if part.rows.sizes[label] == 1 else PHASE_NOVEL_CLUSTER
         )
         selected.append(Selection(sid, phase, label))
     selected += [Selection(sid, PHASE_FAMILIAR, part.assignments[sid]) for sid in familiar_ids]

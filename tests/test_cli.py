@@ -50,6 +50,14 @@ def test_parse_weights():
         parse_weights("a,b,c")
 
 
+@pytest.mark.parametrize("weights", ["-1,0,0", "nan,0,0"])
+def test_cluster_weights_out_of_range_exit_2(pool_file, tmp_path, capsys, weights):
+    argv = ["cluster", "--input", str(pool_file), f"--weights={weights}", "--out", str(tmp_path)]
+    code = dispatch(argv)
+    assert code == 2
+    assert "--weights" in capsys.readouterr().err
+
+
 def test_parse_budget():
     assert parse_budget("10") == 10
     assert isinstance(parse_budget("10"), int)

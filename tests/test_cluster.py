@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,16 @@ from trajcurate import (
     CondensedDistanceMatrix,
     Dendrogram,
     Merge,
+    TrajectoryPool,
     flat_clusters,
     format_dendrogram,
     generate_synthetic_pool,
     pairwise_distances,
+    synthetic_pool,
     upgma_linkage,
 )
-from trajcurate.errors import DuplicateId, ParseError, UnknownId
+from trajcurate.errors import DuplicateId, InvalidFlagValue, ParseError, UnknownId
+from trajcurate.io import load_trajectories
 from trajcurate.synth import CANONICAL_TAU, canonical_pool_spec
 
 from helpers import (
@@ -22,6 +27,7 @@ from helpers import (
     cluster_members,
     cophenetic_distance,
     cophenetic_matrix,
+    cut_oracle,
     members_by_label,
     random_condensed,
     refresh_partition,
@@ -31,6 +37,7 @@ from helpers import (
     upgma_oracle,
 )
 
+DATA = Path(__file__).parent / "data"
 THREE_LEAF = CondensedDistanceMatrix(n=3, values=np.array([1.0, 5.0, 7.0]))
 
 
@@ -114,7 +121,7 @@ def test_flat_clusters_extremes():
 
 @pytest.mark.parametrize("tau", [-1.0, float("nan")])
 def test_flat_clusters_rejects_bad_tau(tau):
-    with pytest.raises(ParseError):
+    with pytest.raises(InvalidFlagValue):
         flat_clusters(upgma_linkage(THREE_LEAF), tau)
 
 
@@ -319,6 +326,46 @@ def test_linkage_matches_scipy_average_at_2k(tau):
     pairs = {(ours[i], int(theirs[i])) for i in range(m.n)}
     assert len(pairs) == len(set(ours.values())) == len(set(theirs.tolist()))
     assert len(pairs) > 1
+
+
+def _tie_heavy_pool():
+    # shaped like the benchmark's sample-ties pool: parked records at the
+    # origin with zero dynamics, every pair of them an exact tie
+    base = synthetic_pool(canonical_pool_spec(total_count=540, seed=0))
+    parked = 60
+    return TrajectoryPool.from_columns(
+        base.ids + tuple(f"parked-{k:04d}" for k in range(parked)),
+        np.concatenate([base.points, np.zeros((parked, 12, 2))]),
+        np.concatenate([base.dyn, np.zeros((parked, 3))]),
+    )
+
+
+_CUT_POOLS = {
+    "canonical-2k": lambda: synthetic_pool(canonical_pool_spec(2000)),
+    "pool-400": lambda: load_trajectories(DATA / "pool-400.jsonl"),
+    "tie-heavy": _tie_heavy_pool,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CUT_POOLS))
+def test_cut_equals_union_find_oracle(name):
+    pool = _CUT_POOLS[name]()
+    tree = upgma_linkage(pairwise_distances(pool), overwrite=True)
+    heights = [m.height for m in tree.merges]
+    # the cut is inclusive, so exact merge heights are the edge cases
+    taus = [0.0, *(heights[k * len(heights) // 4] for k in range(1, 4)), heights[-1], np.inf]
+    rng = np.random.default_rng(3)
+    labeled = frozenset(rng.choice(pool.ids, len(pool) // 5, replace=False).tolist())
+    for tau in taus:
+        for lab in ((), labeled):
+            got = flat_clusters(tree, tau, labeled_ids=lab, leaf_ids=pool.ids)
+            want = cut_oracle(tree, tau, labeled_ids=lab, leaf_ids=pool.ids)
+            assert got == want
+            assert list(got.assignments.items()) == list(want.assignments.items())
+            assert got.rows.ids == want.rows.ids
+            assert got.rows.labels.tolist() == want.rows.labels.tolist()
+            assert list(map(list, got.rows.members)) == list(map(list, want.rows.members))
+            assert got.rows.sizes.tolist() == want.rows.sizes.tolist()
 
 
 def test_cophenetic_single_leaf():

@@ -1,5 +1,9 @@
 """Pinned sha256 digests of CLI artifacts made from a committed pool.
 
+The six CLI digests live in ``data/golden.sha256``, in ``sha256sum``
+format, named by each artifact's path under the output directory; the CI
+job that runs the installed CLI checks the same file with ``sha256sum -c``.
+
 ``data/pool-400.jsonl`` was written once from ``canonical_pool_spec(400)``
 and is read as committed, so the digests do not depend on the platform's
 ``sin``/``cos``. ``data/labeled-400.txt`` holds every tenth id of the pool,
@@ -18,32 +22,30 @@ from trajcurate.synth import canonical_pool_spec, synthetic_pool
 DATA = Path(__file__).parent / "data"
 POOL = DATA / "pool-400.jsonl"
 LABELED = DATA / "labeled-400.txt"
+GOLDEN = {
+    name: digest
+    for digest, name in map(str.split, (DATA / "golden.sha256").read_text().splitlines())
+}
 
 
 def test_cluster_artifacts(tmp_path):
     assert dispatch(["cluster", "--input", str(POOL), "--out", str(tmp_path)]) == 0
-    assert sha256_file(tmp_path / "assignments.csv") == (
-        "af2e01fe87d91146677d8391431b9e5233fa262e7e3726b840d2672c2d430dba"
-    )
-    assert sha256_file(tmp_path / "dendrogram.txt") == (
-        "7aea7fcef336418a6f942fb4d28836d52833c1d1ea27403f829586f0978afd14"
-    )
+    assert sha256_file(tmp_path / "assignments.csv") == GOLDEN["assignments.csv"]
+    assert sha256_file(tmp_path / "dendrogram.txt") == GOLDEN["dendrogram.txt"]
 
 
 def test_labeled_cluster_assignments(tmp_path):
     # the one export here that holds all four novelty classes
     argv = ["cluster", "--input", str(POOL), "--labeled", str(LABELED), "--out", str(tmp_path)]
     assert dispatch(argv) == 0
-    assert sha256_file(tmp_path / "assignments.csv") == (
-        "61d60b8651f27371ad03d70e947315001959e5c34a814f79a087f0c3f0690a5d"
-    )
+    assert sha256_file(tmp_path / "assignments.csv") == GOLDEN["labeled/assignments.csv"]
 
 
 def test_labeled_stats_report(tmp_path):
     out = tmp_path / "stats.txt"
     argv = ["stats", "--input", str(POOL), "--labeled", str(LABELED), "--out", str(out)]
     assert dispatch(argv) == 0
-    assert sha256_file(out) == "5c2b19c333d3390bf21dafebc2a423e159cb187921ceec27d332ecfc50134a91"
+    assert sha256_file(out) == GOLDEN["labeled/stats.txt"]
 
 
 def test_sample_manifest(tmp_path):
@@ -51,7 +53,7 @@ def test_sample_manifest(tmp_path):
     argv = ["sample", "--input", str(POOL), "--labeled", str(LABELED), "--alpha", "0.6",
             "--beta", "0.4", "--budget", "0.5", "--seed", "3", "--out", str(out)]
     assert dispatch(argv) == 0
-    assert sha256_file(out) == "37397b40598632830041e6b7f1a3509f213ff7a203ed00c98f3e4cf4c23b9e40"
+    assert sha256_file(out) == GOLDEN["manifest.json"]
 
 
 def test_simulate_rows(tmp_path):
@@ -59,7 +61,7 @@ def test_simulate_rows(tmp_path):
     argv = ["simulate", "--input", str(POOL), "--grid", "default", "--seeds", "1",
             "--out", str(out)]
     assert dispatch(argv) == 0
-    assert sha256_file(out) == "588bbe10b8b7f0cf27f561168e193626ff9fc1b54122de9f60883a7d343afa80"
+    assert sha256_file(out) == GOLDEN["rows.csv"]
 
 
 def test_synthetic_pool_file(tmp_path):

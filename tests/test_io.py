@@ -436,6 +436,7 @@ def _edit_manifest(doc):
         "weights-without-k_h": lambda: doc["config"]["weights"].pop("k_h"),
         "alpha-string": lambda: doc["config"].update(alpha="x"),
         "k_a-huge-int": lambda: doc["config"]["weights"].update(k_a=10**400),
+        "k_a-negative": lambda: doc["config"]["weights"].update(k_a=-1.0),
         "alpha-out-of-range": lambda: doc["config"].update(alpha=2.0),
         "selected-not-a-list": lambda: doc.update(selected=5),
         "not-an-object": None,

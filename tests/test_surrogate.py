@@ -14,8 +14,9 @@ from trajcurate import (
     generate_synthetic_pool,
     run_al_experiment,
     stratified_holdout,
+    synthetic_pool,
 )
-from trajcurate.errors import InsufficientPool, ParseError
+from trajcurate.errors import InsufficientPool, InvalidFlagValue, ParseError
 from trajcurate.io import load_trajectories, read_labeled_ids
 from trajcurate.sampling import BASELINE_STREAM, phase_rng, sampling_round
 from trajcurate.surrogate import PREFIX_LEN, _rank_holdout, _score_ranked
@@ -321,6 +322,28 @@ def test_experiment_empty_holdout_is_insufficient_pool():
     for fraction in (0.0, 0.004):
         with pytest.raises(InsufficientPool):
             run_al_experiment(pool, grid, seeds=(0,), holdout_fraction=fraction)
+
+
+def _small_experiment():
+    pool = synthetic_pool(canonical_pool_spec(total_count=100, seed=8))
+    return pool, [SamplingConfig(alpha=0.5, beta=0.5, budget=0.2, tau=30.0)]
+
+
+def test_experiment_rejects_zero_modes():
+    pool, grid = _small_experiment()
+    with pytest.raises(InvalidFlagValue, match="k_modes"):
+        run_al_experiment(pool, grid, seeds=(0,), k_modes=0)
+
+
+def test_experiment_rejects_holdout_fraction_above_one():
+    pool, grid = _small_experiment()
+    with pytest.raises(InvalidFlagValue, match="holdout fraction"):
+        run_al_experiment(pool, grid, seeds=(0,), holdout_fraction=1.5)
+
+
+def test_stratified_holdout_rejects_fraction_above_one():
+    with pytest.raises(InvalidFlagValue, match="holdout fraction"):
+        stratified_holdout([f"m-{i:04d}" for i in range(10)], fraction=1.5)
 
 
 def test_experiment_row_accounting_and_pairing():

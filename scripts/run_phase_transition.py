@@ -25,7 +25,7 @@ from trajcurate import (
     synthetic_pool,
 )
 from trajcurate.io import write_experiment_csv
-from trajcurate.synth import CANONICAL_SPLIT_SEED, CANONICAL_TAU
+from trajcurate.synth import CANONICAL_TAU
 
 
 def main() -> None:
@@ -54,9 +54,7 @@ def main() -> None:
         for a in alphas
     ]
     t0 = time.time()
-    result = run_al_experiment(
-        pool, grid, seeds=range(args.seeds), split_seed=CANONICAL_SPLIT_SEED
-    )
+    result = run_al_experiment(pool, grid, seeds=range(args.seeds))
     print(f"ran {len(grid)} cells x {args.seeds} seeds in {time.time() - t0:.1f}s\n")
 
     header = "budget " + "".join(f"  a={a:<5}" for a in alphas)

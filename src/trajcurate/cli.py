@@ -34,11 +34,20 @@ from .sampling import (
     DEFAULT_GRID_BUDGETS,
     SamplingConfig,
     check_budget,
+    check_seed,
     plan_experiment_grid,
     sampling_round,
 )
 from .states import TrajectoryPool
-from .surrogate import check_holdout, check_k_modes, run_al_experiment
+from .surrogate import (
+    DEFAULT_HOLDOUT,
+    DEFAULT_K_MODES,
+    DEFAULT_SPLIT_SEED,
+    check_holdout,
+    check_k_modes,
+    check_seeds,
+    run_al_experiment,
+)
 from .synth import canonical_pool_spec, synthetic_pool
 
 
@@ -97,9 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--budgets", help="comma list for --grid custom; each entry as in sample --budget"
     )
     p_sim.add_argument("--seeds", type=int, default=3, help="number of training seeds (0..n-1)")
-    p_sim.add_argument("--k-modes", type=int, default=10, dest="k_modes")
-    p_sim.add_argument("--holdout", type=float, default=0.2, help="held-out fraction")
-    p_sim.add_argument("--split-seed", type=int, default=1, dest="split_seed")
+    p_sim.add_argument("--k-modes", type=int, default=DEFAULT_K_MODES, dest="k_modes")
+    p_sim.add_argument("--holdout", type=float, default=DEFAULT_HOLDOUT, help="held-out fraction")
+    p_sim.add_argument("--split-seed", type=int, default=DEFAULT_SPLIT_SEED, dest="split_seed")
     p_sim.add_argument("--out", required=True, help="result CSV path")
 
     p_stats = sub.add_parser("stats", help="cluster size histogram and novelty census")
@@ -174,6 +183,7 @@ def cmd_sample(args) -> int:
     check_tau(args.tau, "--tau")
     weights = parse_weights(args.weights)
     budget = parse_budget(args.budget)
+    check_seed(args.seed, "--seed")
     cfg = SamplingConfig(
         alpha=args.alpha,
         beta=args.beta,
@@ -204,10 +214,10 @@ def _parse_float_list(flag: str, name: str) -> tuple[float, ...]:
 def cmd_simulate(args) -> int:
     check_tau(args.tau, "--tau")
     weights = parse_weights(args.weights)
-    if args.seeds < 1:
-        raise InvalidFlagValue(f"--seeds must be >= 1, got {args.seeds}")
+    check_seeds(args.seeds, "--seeds")
     check_k_modes(args.k_modes, "--k-modes")
     check_holdout(args.holdout, "--holdout")
+    check_seed(args.split_seed, "--split-seed")
     if args.grid == "default":
         alphas, betas, budgets = DEFAULT_GRID_ALPHAS, DEFAULT_GRID_BETAS, DEFAULT_GRID_BUDGETS
     else:

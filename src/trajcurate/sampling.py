@@ -64,6 +64,12 @@ def phase_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
 
 
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Raise ``InvalidFlagValue`` unless ``seed`` is >= 0, as ``SeedSequence`` needs."""
+    if seed < 0:
+        raise InvalidFlagValue(f"{name} must be >= 0, got {seed}")
+
+
 def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5 + _GRID_EPS))
 
@@ -96,6 +102,7 @@ class SamplingConfig:
             raise InvalidFlagValue(f"beta must be in (0, 1], got {self.beta}")
         check_budget(self.budget)
         check_tau(self.tau)
+        check_seed(self.seed)
 
 
 def check_budget(budget: int | float, name: str = "budget") -> None:
@@ -197,8 +204,7 @@ def sampling_round(
 
     # novel phase: clusters without a labeled member, then singletons by id;
     # a picked candidate is out of the running for the rest of the round
-    candidates = sorted(part.novel_clusters)
-    candidates += map(part.assignments.__getitem__, sorted(part.singletons))
+    candidates = list(part.novel_candidates)
     rng = phase_rng(cfg.seed, NOVEL_STREAM)
     novel_rows: list[int] = []
     while novel_quota - len(novel_rows) > 0 and candidates:
@@ -247,7 +253,8 @@ def sampling_round(
     phases += repeat(PHASE_FAMILIAR, len(familiar_rows))
     phases += repeat(PHASE_FALLBACK, len(fallback_rows))
     ids = map(rows.ids.__getitem__, picked)
-    selected = tuple(map(Selection, ids, phases, labels.tolist()))
+    # tuple.__new__ skips NamedTuple's Python-level __new__
+    selected = tuple(map(tuple.__new__, repeat(Selection), zip(ids, phases, labels.tolist())))
 
     return SelectionManifest(
         config=cfg,

@@ -12,6 +12,16 @@ K first modes of the mean pointwise displacement from the ground truth.
 with a uniform-random baseline of the same size drawn from the same
 initial state and scores both on one fixed, motif-stratified held-out
 split, writing rows suitable for budget/alpha/beta curves.
+
+Labels change neither the linkage nor a query's distance ranking, so
+once per weight setting the sweep builds the dendrogram, ranks every
+held-out query against the whole training pool (``_rank_holdout``) and
+tabulates each query's ADE against its first ranked rows
+(``_ade_table``); the tree is cut once per tau. Per cell it runs one
+sampling round and draws the baseline, and each distinct labeled set is
+scored once: ``_score_ranked`` finds a query's k nearest labeled rows as
+positions in its ranking, reads their ADE from the table and computes
+only the positions past the table's width.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from .sampling import (
     BASELINE_STREAM,
     HOLDOUT_STREAM,
     SamplingConfig,
+    check_seed,
     phase_rng,
     pool_partition,
     sampling_round,
@@ -39,11 +50,18 @@ from .synth import largest_remainder, motif_key
 
 PREFIX_LEN = 2
 
-# holdout queries per distance block in _rank_holdout
+# the sweep's defaults: modes per prediction, held-out fraction, split seed
+DEFAULT_K_MODES = 10
+DEFAULT_HOLDOUT = 0.2
+DEFAULT_SPLIT_SEED = 1
+
+# holdout queries per distance block in _rank_holdout and _ade_table
 _QUERY_BLOCK = 64
 # fewest ranked columns _score_ranked first scans per row for labeled
 # neighbors; a row holding fewer than k of them doubles its own head
 _HEAD_WIDTH = 64
+# ranked columns per query whose ADE _ade_table holds
+_TABLE_WIDTH = 256
 
 
 @dataclass(frozen=True)
@@ -94,10 +112,16 @@ def check_k_modes(k_modes: int, name: str = "k_modes") -> None:
         raise InvalidFlagValue(f"{name} must be >= 1, got {k_modes}")
 
 
+def check_seeds(n_seeds: int, name: str = "number of seeds") -> None:
+    """Raise ``InvalidFlagValue`` unless the sweep runs ``n_seeds`` >= 1 seeds."""
+    if n_seeds < 1:
+        raise InvalidFlagValue(f"{name} must be >= 1, got {n_seeds}")
+
+
 def stratified_holdout(
     ids: Sequence[str],
-    fraction: float = 0.2,
-    seed: int = 0,
+    fraction: float = DEFAULT_HOLDOUT,
+    seed: int = DEFAULT_SPLIT_SEED,
 ) -> tuple[list[int], list[int]]:
     """Split the rows of ``ids`` into (train, holdout), stratified by the
     motif key of each id.
@@ -107,6 +131,7 @@ def stratified_holdout(
     substream, so the split is a pure function of (ids, fraction, seed).
     """
     check_holdout(fraction)
+    check_seed(seed)
     n = len(ids)
     groups: dict[str, list[int]] = {}
     for idx, id_ in enumerate(ids):
@@ -152,8 +177,37 @@ def _rank_holdout(held: TrajectoryPool, train: TrajectoryPool, w: MetricWeights)
     return order
 
 
+def _ade(modes: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Mean pointwise displacement of each ``(12, 2)`` mode from its truth.
+
+    The squared offsets are summed per point and the ``(..., 12)`` distances
+    averaged over their own C-contiguous last axis, so a mode scores the
+    same bits whatever the shape of the batch it is scored in.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = modes - truth
+        diff *= diff
+        return np.sqrt(diff[..., 0] + diff[..., 1]).mean(axis=-1)
+
+
+def _ade_table(held: TrajectoryPool, train: TrajectoryPool, order: np.ndarray) -> np.ndarray:
+    """Per query, the ADE of its first ``_TABLE_WIDTH`` ranked training rows
+    (fewer when the row is shorter), in rank order; built in query blocks."""
+    head = order[:, :_TABLE_WIDTH]
+    table = np.empty(head.shape)
+    for lo in range(0, len(head), _QUERY_BLOCK):
+        hi = lo + _QUERY_BLOCK
+        table[lo:hi] = _ade(train.points[head[lo:hi]], held.points[lo:hi, None])
+    return table
+
+
 def _score_ranked(
-    held: TrajectoryPool, train: TrajectoryPool, order: np.ndarray, labeled: np.ndarray, k_modes: int
+    held: TrajectoryPool,
+    train: TrajectoryPool,
+    order: np.ndarray,
+    labeled: np.ndarray,
+    k_modes: int,
+    table: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Mean minADE_5 and minADE_10 of the surrogate over the queries.
 
@@ -163,7 +217,9 @@ def _score_ranked(
     each row are its k nearest labeled neighbors, ties by id. Only a head of each row is scanned: a row whose
     head holds fewer than k labeled columns is widened on its own, and the
     first k labeled columns are the same at any width that holds them, so
-    the scores do not depend on the widths.
+    the scores do not depend on the widths. ``table`` is ``_ade_table`` of
+    ``order``; the ADE of a column past its width (of every column, without
+    one) is computed here, to the same bits.
     """
     n_labeled = int(labeled.sum())
     k = min(k_modes, n_labeled)
@@ -172,11 +228,10 @@ def _score_ranked(
     width = _HEAD_WIDTH
     while width * n_labeled < k * order.shape[1]:
         width *= 2
-    nearest = np.empty((len(order), k), dtype=order.dtype)
+    cols = np.empty((len(order), k), dtype=np.intp)  # rank positions
     short = np.arange(len(order))  # rows not yet holding k labeled columns
     while short.size:
-        head = order[short, :width]
-        m = labeled[head]
+        m = labeled[order[short, :width]]
         count = np.count_nonzero(m, axis=1)
         ok = count >= k
         # the labeled positions of the head, row after row: a row's run
@@ -184,13 +239,18 @@ def _score_ranked(
         # its k nearest labeled neighbors
         first = np.cumsum(count) - count
         pos = np.flatnonzero(m)[first[ok, None] + np.arange(k)]
-        nearest[short[ok]] = head.ravel()[pos]
+        cols[short[ok]] = pos % m.shape[1]  # a head wider than the row is the row
         short = short[~ok]
         width *= 2
+    if table is None:
+        table = np.empty((len(order), 0))
+    query = np.broadcast_to(np.arange(len(order))[:, None], cols.shape)
+    near = cols < table.shape[1]
+    far = ~near
+    ade = np.empty(cols.shape)
+    ade[near] = table[query[near], cols[near]]
+    ade[far] = _ade(train.points[order[query[far], cols[far]]], held.points[query[far]])
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = train.points[nearest] - held.points[:, None]  # (nq, k, 12, 2)
-        diff *= diff
-        ade = np.sqrt(diff[..., 0] + diff[..., 1]).mean(axis=2)
         best5, best10 = ade[:, : min(5, k)].min(axis=1), ade[:, : min(10, k)].min(axis=1)
         made5, made10 = float(best5.mean()), float(best10.mean())
         # a query whose later points overflow has finite prefix distances
@@ -205,9 +265,9 @@ def run_al_experiment(
     pool: TrajectoryPool,
     grid: Sequence[SamplingConfig],
     seeds: Sequence[int],
-    k_modes: int = 10,
-    holdout_fraction: float = 0.2,
-    split_seed: int = 1,
+    k_modes: int = DEFAULT_K_MODES,
+    holdout_fraction: float = DEFAULT_HOLDOUT,
+    split_seed: int = DEFAULT_SPLIT_SEED,
 ) -> ExperimentResult:
     """Sweep sampling configs against a paired uniform-random baseline.
 
@@ -215,9 +275,12 @@ def run_al_experiment(
     round starting from the pool's own labeled set, the baseline draws the
     same number of ids uniformly from the same unlabeled pool, and both
     are scored on the identical held-out split. Labels change neither the
-    linkage nor the holdout's distance ranking, so both are computed once
-    per distinct weight setting, and the tree is cut once per tau.
+    linkage nor the holdout's distance ranking, so the linkage, the ranking
+    and its ADE table are built once per distinct weight setting, the tree
+    is cut once per tau, and a labeled set scored before (the same as an
+    earlier cell's or its own baseline's) is not scored again.
     """
+    check_seeds(len(seeds))
     check_k_modes(k_modes)
     train_idx, holdout_idx = stratified_holdout(pool.ids, holdout_fraction, split_seed)
     if not holdout_idx:
@@ -242,23 +305,28 @@ def run_al_experiment(
     # the id-sorted unlabeled ids are the unlabeled rows, ascending
     unlabeled_rows0 = np.flatnonzero(~labeled0)
 
-    def score(picked: np.ndarray, order: np.ndarray) -> tuple[float, float]:
+    ranked: dict[MetricWeights, tuple[Dendrogram, np.ndarray, np.ndarray]] = {}
+    partitions: dict[tuple[MetricWeights, float], ClusterPartition] = {}
+    # the baseline draw depends only on (seed, size)
+    baselines: dict[tuple[int, int], np.ndarray] = {}
+    scores: dict[tuple[MetricWeights, bytes], tuple[float, float]] = {}
+
+    def score(weights: MetricWeights, picked: np.ndarray) -> tuple[float, float]:
         labeled = labeled0.copy()
         labeled[picked] = True
-        return _score_ranked(held, by_id, order, labeled, k_modes)
+        key = (weights, np.packbits(labeled).tobytes())
+        if key not in scores:
+            _, order, table = ranked[weights]
+            scores[key] = _score_ranked(held, by_id, order, labeled, k_modes, table)
+        return scores[key]
 
-    ranked: dict[MetricWeights, tuple[Dendrogram, np.ndarray]] = {}
-    partitions: dict[tuple[MetricWeights, float], ClusterPartition] = {}
-    # the baseline draw depends only on (seed, size), so cells share its score
-    baseline_scores: dict[tuple[MetricWeights, int, int], tuple[float, float]] = {}
     rows: list[ExperimentRow] = []
     for cfg in grid:
         if cfg.weights not in ranked:
-            ranked[cfg.weights] = (
-                upgma_linkage_for_pool(working, cfg.weights),
-                _rank_holdout(held, by_id, cfg.weights),
-            )
-        tree, order = ranked[cfg.weights]
+            tree = upgma_linkage_for_pool(working, cfg.weights)
+            order = _rank_holdout(held, by_id, cfg.weights)
+            ranked[cfg.weights] = (tree, order, _ade_table(held, by_id, order))
+        tree = ranked[cfg.weights][0]
         if (cfg.weights, cfg.tau) not in partitions:
             partitions[cfg.weights, cfg.tau] = pool_partition(working, cfg, tree)
         partition = partitions[cfg.weights, cfg.tau]
@@ -269,12 +337,11 @@ def run_al_experiment(
             manifest = sampling_round(working, replace(cfg, seed=seed), partition=partition)
             take = len(manifest.selected)
             picked = np.fromiter(map(row_of.__getitem__, manifest.ids()), np.intp, take)
-            made5a, made10a = score(picked, order)
-            if (cfg.weights, seed, take) not in baseline_scores:
+            made5a, made10a = score(cfg.weights, picked)
+            if (seed, take) not in baselines:
                 rng = phase_rng(seed, BASELINE_STREAM)
-                baseline = unlabeled_rows0[rng.permutation(n_unlabeled)[:take]]
-                baseline_scores[cfg.weights, seed, take] = score(baseline, order)
-            made5r, made10r = baseline_scores[cfg.weights, seed, take]
+                baselines[seed, take] = unlabeled_rows0[rng.permutation(n_unlabeled)[:take]]
+            made5r, made10r = score(cfg.weights, baselines[seed, take])
             rows.append(
                 ExperimentRow(budget_frac, cfg.alpha, cfg.beta, seed, "active", made5a, made10a)
             )

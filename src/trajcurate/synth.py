@@ -192,7 +192,6 @@ def motif_key(id_: str) -> str:
 
 CANONICAL_TAU = 30.0
 CANONICAL_SEED = 7
-CANONICAL_SPLIT_SEED = 1
 
 
 def _dense_motifs(sigma: float) -> list[MotifSpec]:

@@ -37,11 +37,8 @@ from trajcurate import (
     trajectory_state_distance,
     upgma_linkage,
 )
-from trajcurate.synth import (
-    CANONICAL_SPLIT_SEED,
-    CANONICAL_TAU,
-    canonical_pool_spec,
-)
+from trajcurate.surrogate import DEFAULT_SPLIT_SEED
+from trajcurate.synth import CANONICAL_TAU, canonical_pool_spec
 
 from helpers import (
     check_round_invariants,
@@ -182,7 +179,7 @@ def test_criterion_phase_transition_direction():
             SamplingConfig(alpha=1.0, beta=0.2, budget=0.4, tau=CANONICAL_TAU),
         ]
         result = run_al_experiment(
-            pool, grid, seeds=range(10), k_modes=10, split_seed=CANONICAL_SPLIT_SEED
+            pool, grid, seeds=range(10), k_modes=10, split_seed=DEFAULT_SPLIT_SEED
         )
         typical_small = result.mean_made5(0.05, 0.0, 0.2, "active")
         novel_small = result.mean_made5(0.05, 1.0, 0.2, "active")

@@ -335,8 +335,15 @@ def test_simulate_custom_grid_requires_lists(synth_file, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--tau", "-1"], ["--tau", "nan"], ["--k-modes", "0"], ["--holdout", "1.5"]],
-    ids=["tau-negative", "tau-nan", "k-modes-0", "holdout-1.5"],
+    [
+        ["--tau", "-1"],
+        ["--tau", "nan"],
+        ["--k-modes", "0"],
+        ["--holdout", "1.5"],
+        ["--split-seed", "-1"],
+        ["--seeds", "0"],
+    ],
+    ids=["tau-negative", "tau-nan", "k-modes-0", "holdout-1.5", "split-seed-negative", "seeds-0"],
 )
 def test_simulate_bad_flag_values_exit_2(synth_file, tmp_path, capsys, flags):
     code = dispatch(
@@ -345,6 +352,22 @@ def test_simulate_bad_flag_values_exit_2(synth_file, tmp_path, capsys, flags):
     )
     assert code == 2
     assert flags[0] in capsys.readouterr().err
+
+
+def test_simulate_zero_seeds_message(synth_file, tmp_path, capsys):
+    argv = ["simulate", "--input", str(synth_file), "--seeds", "0", "--out", str(tmp_path / "r.csv")]
+    assert dispatch(argv) == 2
+    assert capsys.readouterr().err == "error: --seeds must be >= 1, got 0\n"
+
+
+def test_sample_negative_seed_exits_2(pool_file, tmp_path, capsys):
+    out = tmp_path / "m.json"
+    argv = ["sample", "--input", str(pool_file), "--alpha", "0.5", "--beta", "0.4",
+            "--budget", "4", "--seed", "-1", "--out", str(out)]
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 def test_simulate_empty_holdout_exits_1(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Pinned sha256 digests of CLI artifacts made from a committed pool.
 
-The six CLI digests live in ``data/golden.sha256``, in ``sha256sum``
-format, named by each artifact's path under the output directory; the CI
-job that runs the installed CLI checks the same file with ``sha256sum -c``.
+The CLI digests live in ``data/golden.sha256``, in ``sha256sum`` format,
+named by each artifact's path under the output directory; the CI job that
+runs the installed CLI checks the same file with ``sha256sum -c``.
 
 ``data/pool-400.jsonl`` was written once from ``canonical_pool_spec(400)``
 and is read as committed, so the digests do not depend on the platform's
@@ -62,6 +62,15 @@ def test_simulate_rows(tmp_path):
             "--out", str(out)]
     assert dispatch(argv) == 0
     assert sha256_file(out) == GOLDEN["rows.csv"]
+
+
+def test_simulate_rows_on_builtin_2k_pool(tmp_path):
+    # the built-in 2k pool ranks 1600 training rows, wider than the ADE
+    # table, so this pins the table path and the columns computed past it;
+    # like the pool file below, it rests on the platform's sin, cos and atan2
+    out = tmp_path / "rows.csv"
+    assert dispatch(["simulate", "--grid", "default", "--seeds", "1", "--out", str(out)]) == 0
+    assert sha256_file(out) == GOLDEN["builtin-2k/rows.csv"]
 
 
 def test_synthetic_pool_file(tmp_path):

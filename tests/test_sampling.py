@@ -22,6 +22,7 @@ from trajcurate.sampling import (
     PHASE_FAMILIAR,
     PHASE_NOVEL_CLUSTER,
     PHASE_NOVEL_SINGLETON,
+    Selection,
     cluster_cap,
     phase_rng,
     pool_partition,
@@ -65,6 +66,12 @@ def test_config_validation():
         SamplingConfig(alpha=0.5, beta=0.5, budget=5, tau=-1.0)
     with pytest.raises(InvalidFlagValue):
         SamplingConfig(alpha=0.5, beta=0.5, budget=5, tau=float("nan"))
+
+
+def test_config_rejects_a_negative_seed():
+    with pytest.raises(InvalidFlagValue, match="seed must be >= 0, got -1"):
+        SamplingConfig(alpha=0.5, beta=0.5, budget=5, seed=-1)
+    assert SamplingConfig(alpha=0.5, beta=0.5, budget=5, seed=0).seed == 0
 
 
 @pytest.mark.parametrize("budget", ["0.5", "5", None, [1], True])
@@ -186,6 +193,9 @@ def test_round_novel_exhaustion_falls_back():
     assert phases.count(PHASE_FALLBACK) == 2
     assert m.novel_shortfall == 2 and m.familiar_quota == 0
     assert m.fallback_count == 2
+    # each pick is a Selection with its named fields
+    assert all(type(s) is Selection for s in m.selected)
+    assert [s.id for s in m.selected if s.phase == PHASE_NOVEL_SINGLETON] == ["s1"]
 
 
 def test_round_draws_fallback_stream_only_on_shortfall(monkeypatch):

@@ -19,7 +19,8 @@ from trajcurate import (
 from trajcurate.errors import InsufficientPool, InvalidFlagValue, ParseError
 from trajcurate.io import load_trajectories, read_labeled_ids
 from trajcurate.sampling import BASELINE_STREAM, phase_rng, sampling_round
-from trajcurate.surrogate import PREFIX_LEN, _rank_holdout, _score_ranked
+from trajcurate import surrogate
+from trajcurate.surrogate import PREFIX_LEN, _ade_table, _rank_holdout, _score_ranked
 
 from helpers import (
     EmptyTrainingPool,
@@ -216,6 +217,34 @@ def test_ranked_scorer_equals_per_score_oracle():
             assert got == want
 
 
+@pytest.mark.parametrize("table_width", [1, 10, 100, 1000])
+def test_table_scorer_equals_per_score_oracle_at_any_table_width(monkeypatch, table_width):
+    # 272 training rows: a 1000-column table holds whole rows
+    monkeypatch.setattr(surrogate, "_TABLE_WIDTH", table_width)
+    items = pool_with_twins()
+    train, held = stratified_holdout([s.id for s in items], fraction=0.2, seed=1)
+    train_pool = TrajectoryPool(tuple(items[i] for i in train))
+    by_id = sorted(train_pool.ids)
+    id_rows = [pool_row(train_pool, i) for i in by_id]
+    queries, ranked = TrajectoryPool(tuple(items)).take(held), train_pool.take(id_rows)
+    w = MetricWeights(k_a=0.1, k_v=0.05, k_h=2.0)
+    order = _rank_holdout(queries, ranked, w)
+    table = _ade_table(queries, ranked, order)
+    assert order.shape[1] == 272 and table.shape == (len(held), min(table_width, 272))
+
+    rng = np.random.default_rng(12)
+    for trial in range(20):
+        size = int(rng.integers(1, 12)) if trial % 3 == 0 else int(rng.integers(12, len(by_id) + 1))
+        picked = np.sort(rng.choice(len(by_id), size=size, replace=False))
+        mask = np.zeros(len(by_id), dtype=bool)
+        mask[picked] = True
+        labeled_rows = [id_rows[k] for k in picked]
+        for k_modes in (1, 5, 10, size + 3):
+            got = _score_ranked(queries, ranked, order, mask, k_modes, table)
+            want = _score_split(queries.points, queries.dyn, train_pool, labeled_rows, k_modes, w)
+            assert got == want
+
+
 def oracle_experiment(pool, grid, seeds, k_modes):
     """run_al_experiment written as a plain loop over the per-score oracle."""
     train, held = stratified_holdout(pool.ids, 0.2, 1)
@@ -302,6 +331,114 @@ def test_ranked_scorer_equals_oracle_on_rows_widened_apart():
             got = _score_ranked(queries, by_id, order, mask, k_modes)
             want = _score_split(queries.points, queries.dyn, by_id, np.flatnonzero(mask), k_modes, w)
             assert got == want
+
+
+def test_table_scorer_equals_oracle_inside_at_and_past_the_table_width():
+    pool = _pool_400()
+    train, held = stratified_holdout(pool.ids, 0.2, 1)
+    working = pool.take(train)
+    by_id = working.take(sorted(range(len(working)), key=working.ids.__getitem__))
+    queries = pool.take(held)
+    w = MetricWeights()
+    order = _rank_holdout(queries, by_id, w)
+    table = _ade_table(queries, by_id, order)
+    n, width = order.shape[1], table.shape[1]
+    assert (n, width) == (320, 256)
+
+    masks = []
+    for q, end in enumerate((width, width + 1, width + 20, n)):
+        # query q's 10th labeled column is end - 1: the table's last column,
+        # the first past it, further past, and the row's last column, which
+        # only a head wider than the 320-column row reaches
+        mask = np.zeros(n, dtype=bool)
+        mask[order[q, end - 10 : end]] = True
+        masks.append(mask)
+    rng = np.random.default_rng(6)
+    for size in (40, 80, 160):
+        mask = np.zeros(n, dtype=bool)
+        mask[rng.choice(n, size=size, replace=False)] = True
+        masks.append(mask)
+
+    kth = [_kth_labeled_column(order, mask, 10) for mask in masks]
+    assert [kth[q][q] for q in range(4)] == [width - 1, width, width + 19, n - 1]
+    assert (np.concatenate(kth[4:]) < width).any()
+    for mask in masks:
+        for k_modes in (1, 5, 10, 12):
+            want = _score_split(queries.points, queries.dyn, by_id, np.flatnonzero(mask), k_modes, w)
+            assert _score_ranked(queries, by_id, order, mask, k_modes, table) == want
+
+
+def test_experiment_rows_match_oracle_loop_with_repeated_label_sets(monkeypatch):
+    # no labeled items: an alpha-0 round picks only fallback rows, which beta
+    # can not change, and a whole-pool budget gives active and random one set
+    pool = synthetic_pool(canonical_pool_spec(total_count=200, seed=3))
+    assert not pool.labeled_ids
+    grid = [SamplingConfig(alpha=0.0, beta=b, budget=0.2, tau=8.0) for b in (0.2, 0.6, 1.0)]
+    grid += [
+        SamplingConfig(alpha=0.6, beta=0.4, budget=0.2, tau=8.0),
+        SamplingConfig(alpha=0.6, beta=0.4, budget=1.0, tau=8.0),
+    ]
+    scored = []
+    score = surrogate._score_ranked
+
+    def spy(held, train, order, labeled, k_modes, table):
+        scored.append(labeled.tobytes())
+        return score(held, train, order, labeled, k_modes, table)
+
+    monkeypatch.setattr(surrogate, "_score_ranked", spy)
+    res = run_al_experiment(pool, grid, seeds=(0, 1))
+    assert res.rows == oracle_experiment(pool, grid, seeds=(0, 1), k_modes=10)
+    # each distinct labeled set is scored once: per seed, one set for the
+    # three alpha-0 cells, the alpha-0.6 cell's and the baseline the
+    # budget-0.2 cells share; and the whole pool, for both seeds
+    assert len(scored) == len(set(scored)) == 2 * 3 + 1
+
+
+def test_sweep_scores_the_manifests_picks(monkeypatch):
+    pool = _pool_400()
+    grid = [
+        SamplingConfig(alpha=0.6, beta=0.4, budget=0.05),
+        SamplingConfig(alpha=1.0, beta=0.2, budget=12, tau=6.0),
+    ]
+    manifests, scored = [], set()
+    sample, score = surrogate.sampling_round, surrogate._score_ranked
+
+    def sample_spy(*args, **kwargs):
+        manifests.append(sample(*args, **kwargs))
+        return manifests[-1]
+
+    def score_spy(held, train, order, labeled, k_modes, table):
+        scored.add(labeled.tobytes())
+        return score(held, train, order, labeled, k_modes, table)
+
+    monkeypatch.setattr(surrogate, "sampling_round", sample_spy)
+    monkeypatch.setattr(surrogate, "_score_ranked", score_spy)
+    run_al_experiment(pool, grid, seeds=(0, 1))
+
+    train, _ = stratified_holdout(pool.ids)
+    ids = sorted(pool.ids[i] for i in train)
+    row = {id_: r for r, id_ in enumerate(ids)}
+    assert len(manifests) == 4
+    for manifest in manifests:
+        mask = np.fromiter(map(pool.labeled_ids.__contains__, ids), bool, len(ids))
+        mask[[row[id_] for id_ in manifest.ids()]] = True
+        assert mask.tobytes() in scored
+
+
+def test_negative_seeds_are_invalid_flag_values():
+    pool, grid = _small_experiment()
+    with pytest.raises(InvalidFlagValue, match="seed must be >= 0, got -1"):
+        stratified_holdout(pool.ids, seed=-1)
+    with pytest.raises(InvalidFlagValue, match="seed must be >= 0, got -1"):
+        run_al_experiment(pool, grid, seeds=(0,), split_seed=-1)
+    with pytest.raises(InvalidFlagValue, match="seed must be >= 0, got -2"):
+        run_al_experiment(pool, grid, seeds=(0, -2))
+
+
+def test_experiment_rejects_no_seeds():
+    pool, grid = _small_experiment()
+    with pytest.raises(InvalidFlagValue, match="number of seeds must be >= 1, got 0"):
+        run_al_experiment(pool, grid, seeds=())
 
 
 def test_experiment_rows_match_oracle_loop_on_pool_400():

@@ -34,8 +34,9 @@ from .sampling import (
     DEFAULT_GRID_BUDGETS,
     SamplingConfig,
     check_budget,
-    check_seed,
+    check_int,
     plan_experiment_grid,
+    pool_partition,
     sampling_round,
 )
 from .states import TrajectoryPool
@@ -44,8 +45,6 @@ from .surrogate import (
     DEFAULT_K_MODES,
     DEFAULT_SPLIT_SEED,
     check_holdout,
-    check_k_modes,
-    check_seeds,
     run_al_experiment,
 )
 from .synth import canonical_pool_spec, synthetic_pool
@@ -100,10 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="size of the built-in fixture when --input is omitted",
     )
     p_sim.add_argument("--grid", default="default", choices=["default", "custom"])
-    p_sim.add_argument("--alphas", help="comma list for --grid custom")
-    p_sim.add_argument("--betas", help="comma list for --grid custom")
+    p_sim.add_argument("--alphas", default="", help="comma list for --grid custom")
+    p_sim.add_argument("--betas", default="", help="comma list for --grid custom")
     p_sim.add_argument(
-        "--budgets", help="comma list for --grid custom; each entry as in sample --budget"
+        "--budgets",
+        default="",
+        help="comma list for --grid custom; each entry as in sample --budget",
     )
     p_sim.add_argument("--seeds", type=int, default=3, help="number of training seeds (0..n-1)")
     p_sim.add_argument("--k-modes", type=int, default=DEFAULT_K_MODES, dest="k_modes")
@@ -183,7 +184,7 @@ def cmd_sample(args) -> int:
     check_tau(args.tau, "--tau")
     weights = parse_weights(args.weights)
     budget = parse_budget(args.budget)
-    check_seed(args.seed, "--seed")
+    check_int(args.seed, 0, "--seed")
     cfg = SamplingConfig(
         alpha=args.alpha,
         beta=args.beta,
@@ -194,7 +195,7 @@ def cmd_sample(args) -> int:
     )
     pool = _load_pool(args)
     with _naming(args.input):
-        manifest = sampling_round(pool, cfg)
+        manifest = sampling_round(pool_partition(pool, cfg), cfg)
     write_manifest(manifest, args.out, input_digest=sha256_file(args.input))
     print(
         f"wrote {args.out}: {len(manifest.selected)} selected "
@@ -214,18 +215,18 @@ def _parse_float_list(flag: str, name: str) -> tuple[float, ...]:
 def cmd_simulate(args) -> int:
     check_tau(args.tau, "--tau")
     weights = parse_weights(args.weights)
-    check_seeds(args.seeds, "--seeds")
-    check_k_modes(args.k_modes, "--k-modes")
+    check_int(args.seeds, 1, "--seeds")
+    check_int(args.k_modes, 1, "--k-modes")
     check_holdout(args.holdout, "--holdout")
-    check_seed(args.split_seed, "--split-seed")
+    check_int(args.split_seed, 0, "--split-seed")
     if args.grid == "default":
         alphas, betas, budgets = DEFAULT_GRID_ALPHAS, DEFAULT_GRID_BETAS, DEFAULT_GRID_BUDGETS
     else:
-        if not (args.alphas and args.betas and args.budgets):
-            raise InvalidFlagValue("--grid custom needs --alphas, --betas and --budgets")
         alphas = _parse_float_list(args.alphas, "--alphas")
         betas = _parse_float_list(args.betas, "--betas")
         budgets = tuple(parse_budget(b, "--budgets") for b in args.budgets.split(",") if b.strip())
+        if not (alphas and betas and budgets):
+            raise InvalidFlagValue("--grid custom needs --alphas, --betas and --budgets")
     grid = plan_experiment_grid(alphas, betas, budgets, tau=args.tau, weights=weights)
     if args.input:
         pool = _load_pool(args)

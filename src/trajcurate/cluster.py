@@ -27,6 +27,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -234,8 +235,8 @@ class ClusterPartition:
 
 def check_tau(tau: float, name: str = "tau") -> None:
     """Raise ``InvalidFlagValue`` unless the cut threshold ``tau`` is >= 0."""
-    if not tau >= 0:  # also rejects NaN
-        raise InvalidFlagValue(f"{name} must be >= 0, got {tau}")
+    if not (isinstance(tau, Real) and tau >= 0):  # also rejects NaN
+        raise InvalidFlagValue(f"{name} must be >= 0, got {tau!r}")
 
 
 def flat_clusters(

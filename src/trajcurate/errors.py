@@ -46,11 +46,7 @@ class InsufficientPool(CurationError):
 
 
 class ParseError(CurationError):
-    """A trajectory, matrix, or manifest file is malformed."""
-
-
-class SchemaVersionMismatch(CurationError):
-    """Manifest document is missing required fields or has an unknown version."""
+    """An input file is malformed, or a cut or dendrogram does not fit its pool."""
 
 
 class InvalidFlagValue(CurationError):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from itertools import chain
 from pathlib import Path
 
@@ -27,17 +27,10 @@ import numpy as np
 
 from . import __version__
 from .cluster import ClusterPartition, Dendrogram, format_dendrogram
-from .errors import (
-    CurationError,
-    EmptyId,
-    ParseError,
-    SchemaVersionMismatch,
-    WrongPointCount,
-)
-from .metric import MetricWeights
-from .sampling import SamplingConfig, Selection, SelectionManifest
+from .errors import CurationError, EmptyId, ParseError, WrongPointCount
+from .sampling import SelectionManifest
 from .states import TRAJECTORY_LEN, TrajectoryPool
-from .surrogate import ExperimentResult, ExperimentRow
+from .surrogate import ExperimentResult
 
 MANIFEST_SCHEMA_VERSION = 1
 
@@ -270,7 +263,7 @@ def write_manifest(m: SelectionManifest, out_path, input_digest: str = "") -> No
         "tool_version": __version__,
         "input_digest": input_digest,
         "round_index": 0,
-        "seed": m.seed,
+        "seed": m.config.seed,
     }
     # merging keeps the head's keys first; the rest follow in field order
     body = asdict(replace(m, selected=()))
@@ -278,39 +271,6 @@ def write_manifest(m: SelectionManifest, out_path, input_digest: str = "") -> No
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump({**head, **body}, fh, indent=2)
         fh.write("\n")
-
-
-def read_manifest(path) -> SelectionManifest:
-    """The selection manifest of a file ``write_manifest`` wrote."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc.msg} (line {exc.lineno})") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    if doc.get("schema_version") != MANIFEST_SCHEMA_VERSION:
-        raise SchemaVersionMismatch(
-            f"{path}: schema version {doc.get('schema_version')}, "
-            f"expected {MANIFEST_SCHEMA_VERSION}"
-        )
-    try:
-        cfg, weights = doc["config"], doc["config"]["weights"]
-        values = {f.name: doc[f.name] for f in fields(SelectionManifest)}
-        values["config"] = SamplingConfig(
-            **{k: cfg[k] for k in ("alpha", "beta", "budget", "tau", "seed")},
-            weights=MetricWeights(**{k: weights[k] for k in ("k_a", "k_v", "k_h")}),
-        )
-        values["selected"] = tuple(
-            Selection(s["id"], s["phase"], s["cluster"]) for s in doc["selected"]
-        )
-        return SelectionManifest(**values)
-    except KeyError as exc:
-        raise SchemaVersionMismatch(f"{path}: manifest missing field {exc}") from None
-    except (TypeError, ValueError, OverflowError, CurationError) as exc:
-        raise ParseError(f"{path}: malformed manifest ({exc})") from None
 
 
 def sha256_file(path) -> str:
@@ -344,30 +304,3 @@ def write_experiment_csv(result: ExperimentResult, path) -> None:
                     _fmt(r.made10),
                 ]
             )
-
-
-def read_experiment_csv(path) -> ExperimentResult:
-    rows = []
-    try:
-        with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-            reader = csv.reader(_utf8_lines(fh, path))
-            header = next(reader, None)
-            if header != _RESULT_HEADER:
-                raise ParseError(f"{path}: unexpected result header {header}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(_RESULT_HEADER):
-                    raise ParseError(f"{path}: row {lineno} has {len(row)} fields")
-                try:
-                    budget, alpha, beta, made5, made10 = map(float, row[:3] + row[5:])
-                    seed = int(row[3])
-                except ValueError as exc:
-                    raise ParseError(f"{path}: row {lineno}: {exc}") from None
-                rows.append(ExperimentRow(budget, alpha, beta, seed, row[4], made5, made10))
-    except csv.Error as exc:  # e.g. a NUL byte before Python 3.11
-        raise ParseError(f"{path}: line {reader.line_num}: malformed CSV ({exc})") from None
-    try:
-        return ExperimentResult(rows=tuple(rows))
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None

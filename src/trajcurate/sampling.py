@@ -1,6 +1,7 @@
 """Novelty-sensitive active-learning sampling rounds.
 
-One round clusters the whole pool, then spends a budget B in two phases:
+One round takes the pool's flat clusters at tau, split by novelty against
+its labeled set (``pool_partition``), and spends a budget B in two phases:
 
   novel phase    quota = round(alpha * B), drawn uniformly from clusters
                  with no labeled member plus unclustered singletons; a
@@ -33,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
+from numbers import Integral, Real
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -64,10 +66,14 @@ def phase_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
 
 
-def check_seed(seed: int, name: str = "seed") -> None:
-    """Raise ``InvalidFlagValue`` unless ``seed`` is >= 0, as ``SeedSequence`` needs."""
-    if seed < 0:
-        raise InvalidFlagValue(f"{name} must be >= 0, got {seed}")
+def check_int(value: int, low: int, name: str) -> None:
+    """Raise ``InvalidFlagValue`` unless ``value`` is an integer >= ``low``
+    (a Python or numpy integer, not a bool): a seed, as ``SeedSequence``
+    needs, or a count."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InvalidFlagValue(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise InvalidFlagValue(f"{name} must be >= {low}, got {value}")
 
 
 def round_half_up(x: float) -> int:
@@ -96,13 +102,13 @@ class SamplingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise InvalidFlagValue(f"alpha must be in [0, 1], got {self.alpha}")
-        if not 0.0 < self.beta <= 1.0:
-            raise InvalidFlagValue(f"beta must be in (0, 1], got {self.beta}")
+        if not (isinstance(self.alpha, Real) and 0.0 <= self.alpha <= 1.0):
+            raise InvalidFlagValue(f"alpha must be in [0, 1], got {self.alpha!r}")
+        if not (isinstance(self.beta, Real) and 0.0 < self.beta <= 1.0):
+            raise InvalidFlagValue(f"beta must be in (0, 1], got {self.beta!r}")
         check_budget(self.budget)
         check_tau(self.tau)
-        check_seed(self.seed)
+        check_int(self.seed, 0, "seed")
 
 
 def check_budget(budget: int | float, name: str = "budget") -> None:
@@ -135,7 +141,6 @@ class SelectionManifest:
     """Audited record of one sampling round."""
 
     config: SamplingConfig
-    seed: int
     budget_resolved: int
     novel_quota: int
     familiar_quota: int
@@ -169,42 +174,29 @@ def pool_partition(
     return flat_clusters(tree, cfg.tau, labeled_ids=pool.labeled_ids, leaf_ids=pool.ids)
 
 
-def sampling_round(
-    pool: TrajectoryPool,
-    cfg: SamplingConfig,
-    partition: ClusterPartition | None = None,
-) -> SelectionManifest:
-    """Run one full novelty-sensitive sampling round over a pool.
+def sampling_round(partition: ClusterPartition, cfg: SamplingConfig) -> SelectionManifest:
+    """Run one full novelty-sensitive sampling round over a cut.
 
-    Clusters the whole pool at cfg.tau, runs the novel phase, marks its
-    picks as labeled, runs the familiar phase, then fills any shortfall
-    from the remaining unlabeled pool. ``partition`` may supply the cut
-    ``pool_partition(pool, cfg)`` would make (experiment harnesses reuse
-    one across seeds); when omitted it is computed here.
+    ``partition`` is the pool's cut at cfg.tau, as ``pool_partition(pool,
+    cfg)`` makes it (experiment harnesses reuse one across seeds). Runs the
+    novel phase, marks its picks as labeled, runs the familiar phase, then
+    fills any shortfall from the remaining unlabeled rows.
     """
-    n_unlabeled = len(pool) - len(pool.labeled_ids)
+    rows = partition.rows
+    n_unlabeled = len(rows.ids) - len(partition.labeled_ids)
     if not n_unlabeled:
         raise EmptyUnlabeledPool("no unlabeled trajectory-states to sample")
+    if partition.tau != cfg.tau:  # the manifest echoes cfg
+        raise ParseError(f"partition was cut at tau {partition.tau}, config has tau {cfg.tau}")
     budget = resolve_budget(cfg.budget, n_unlabeled)
-
-    part = partition
-    if part is None:
-        part = pool_partition(pool, cfg)
-    elif part.tau != cfg.tau:
-        raise ParseError(f"partition was cut at tau {part.tau}, config has tau {cfg.tau}")
-    elif len(part.assignments) != len(pool) or not all(map(part.assignments.__contains__, pool.ids)):
-        raise ParseError("partition leaves are not the pool's ids")
-    elif part.labeled_ids != pool.labeled_ids:
-        raise ParseError("partition labeled set is not the pool's")
-    rows = part.rows
-    taken = part.labeled_rows.copy()
+    taken = partition.labeled_rows.copy()
 
     novel_quota = round_half_up(cfg.alpha * budget)
     familiar_quota = budget - novel_quota
 
     # novel phase: clusters without a labeled member, then singletons by id;
     # a picked candidate is out of the running for the rest of the round
-    candidates = list(part.novel_candidates)
+    candidates = list(partition.novel_candidates)
     rng = phase_rng(cfg.seed, NOVEL_STREAM)
     novel_rows: list[int] = []
     while novel_quota - len(novel_rows) > 0 and candidates:
@@ -258,7 +250,6 @@ def sampling_round(
 
     return SelectionManifest(
         config=cfg,
-        seed=cfg.seed,
         budget_resolved=budget,
         novel_quota=novel_quota,
         familiar_quota=familiar_quota,

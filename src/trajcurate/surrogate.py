@@ -18,16 +18,17 @@ once per weight setting the sweep builds the dendrogram, ranks every
 held-out query against the whole training pool (``_rank_holdout``) and
 tabulates each query's ADE against its first ranked rows
 (``_ade_table``); the tree is cut once per tau. Per cell it runs one
-sampling round and draws the baseline, and each distinct labeled set is
-scored once: ``_score_ranked`` finds a query's k nearest labeled rows as
-positions in its ranking, reads their ADE from the table and computes
-only the positions past the table's width.
+sampling round on that cut and draws the baseline, and each distinct
+labeled set is scored once: ``_score_ranked`` finds a query's k nearest
+labeled rows as positions in its ranking, reads their ADE from the table
+and computes only the positions past the table's width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +40,7 @@ from .sampling import (
     BASELINE_STREAM,
     HOLDOUT_STREAM,
     SamplingConfig,
-    check_seed,
+    check_int,
     phase_rng,
     pool_partition,
     sampling_round,
@@ -102,20 +103,8 @@ class ExperimentResult:
 
 def check_holdout(fraction: float, name: str = "holdout fraction") -> None:
     """Raise ``InvalidFlagValue`` unless the held-out ``fraction`` is in [0, 1)."""
-    if not 0.0 <= fraction < 1.0:
-        raise InvalidFlagValue(f"{name} must be in [0, 1), got {fraction}")
-
-
-def check_k_modes(k_modes: int, name: str = "k_modes") -> None:
-    """Raise ``InvalidFlagValue`` unless the surrogate predicts ``k_modes`` >= 1 modes."""
-    if k_modes < 1:
-        raise InvalidFlagValue(f"{name} must be >= 1, got {k_modes}")
-
-
-def check_seeds(n_seeds: int, name: str = "number of seeds") -> None:
-    """Raise ``InvalidFlagValue`` unless the sweep runs ``n_seeds`` >= 1 seeds."""
-    if n_seeds < 1:
-        raise InvalidFlagValue(f"{name} must be >= 1, got {n_seeds}")
+    if not (isinstance(fraction, Real) and 0.0 <= fraction < 1.0):
+        raise InvalidFlagValue(f"{name} must be in [0, 1), got {fraction!r}")
 
 
 def stratified_holdout(
@@ -131,7 +120,7 @@ def stratified_holdout(
     substream, so the split is a pure function of (ids, fraction, seed).
     """
     check_holdout(fraction)
-    check_seed(seed)
+    check_int(seed, 0, "seed")
     n = len(ids)
     groups: dict[str, list[int]] = {}
     for idx, id_ in enumerate(ids):
@@ -207,7 +196,7 @@ def _score_ranked(
     order: np.ndarray,
     labeled: np.ndarray,
     k_modes: int,
-    table: np.ndarray | None = None,
+    table: np.ndarray,
 ) -> tuple[float, float]:
     """Mean minADE_5 and minADE_10 of the surrogate over the queries.
 
@@ -218,8 +207,8 @@ def _score_ranked(
     head holds fewer than k labeled columns is widened on its own, and the
     first k labeled columns are the same at any width that holds them, so
     the scores do not depend on the widths. ``table`` is ``_ade_table`` of
-    ``order``; the ADE of a column past its width (of every column, without
-    one) is computed here, to the same bits.
+    ``order``, or its first columns; the ADE of a column past the table's
+    width is computed here, to the same bits.
     """
     n_labeled = int(labeled.sum())
     k = min(k_modes, n_labeled)
@@ -242,8 +231,6 @@ def _score_ranked(
         cols[short[ok]] = pos % m.shape[1]  # a head wider than the row is the row
         short = short[~ok]
         width *= 2
-    if table is None:
-        table = np.empty((len(order), 0))
     query = np.broadcast_to(np.arange(len(order))[:, None], cols.shape)
     near = cols < table.shape[1]
     far = ~near
@@ -280,8 +267,9 @@ def run_al_experiment(
     is cut once per tau, and a labeled set scored before (the same as an
     earlier cell's or its own baseline's) is not scored again.
     """
-    check_seeds(len(seeds))
-    check_k_modes(k_modes)
+    check_int(len(grid), 1, "number of configs")
+    check_int(len(seeds), 1, "number of seeds")
+    check_int(k_modes, 1, "k_modes")
     train_idx, holdout_idx = stratified_holdout(pool.ids, holdout_fraction, split_seed)
     if not holdout_idx:
         raise InsufficientPool(
@@ -334,7 +322,7 @@ def run_al_experiment(
             cfg.budget if isinstance(cfg.budget, float) else cfg.budget / n_unlabeled
         )
         for seed in seeds:
-            manifest = sampling_round(working, replace(cfg, seed=seed), partition=partition)
+            manifest = sampling_round(partition, replace(cfg, seed=seed))
             take = len(manifest.selected)
             picked = np.fromiter(map(row_of.__getitem__, manifest.ids()), np.intp, take)
             made5a, made10a = score(cfg.weights, picked)

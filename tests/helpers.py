@@ -3,12 +3,15 @@ square matrix), square and cophenetic matrices, distance, k-NN surrogate,
 per-score surrogate scoring, the sampling round over id strings and sets
 (novelty refresh, novel and familiar phases), the per-record dynamics
 estimate, the per-step stop-then-turn motif and the union-find cut; the
-dendrogram structure check; plus the pool and dendrogram lookups only tests use."""
+dendrogram structure check; the manifest and result-CSV readers that check
+the writers' round trips; plus the pool and dendrogram lookups only tests use."""
 
 from __future__ import annotations
 
+import csv
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -20,6 +23,7 @@ from trajcurate import (
     CondensedDistanceMatrix,
     Dendrogram,
     ExperimentResult,
+    ExperimentRow,
     Merge,
     MetricWeights,
     Selection,
@@ -34,6 +38,7 @@ from trajcurate import (
 )
 from trajcurate.cluster import RankRows
 from trajcurate.errors import CurationError, EmptyUnlabeledPool, ParseError, UnknownId
+from trajcurate.io import _RESULT_HEADER, MANIFEST_SCHEMA_VERSION, _utf8_lines
 from trajcurate.sampling import (
     DEFAULT_GRID_ALPHAS,
     DEFAULT_GRID_BETAS,
@@ -622,6 +627,11 @@ def structured_pool(rng):
     return TrajectoryPool(tuple(items), labeled)
 
 
+def pool_round(pool: TrajectoryPool, cfg: SamplingConfig) -> SelectionManifest:
+    """One sampling round on the pool's own cut, as ``trajcurate sample`` runs it."""
+    return sampling_round(pool_partition(pool, cfg), cfg)
+
+
 ALPHA_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 BETA_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
 
@@ -637,7 +647,7 @@ def check_round_invariants(fix_seed, check_determinism=False):
     cfg = SamplingConfig(
         alpha=alpha, beta=beta, budget=budget, tau=10.0, seed=int(rng.integers(2**32))
     )
-    manifest = sampling_round(pool, cfg)
+    manifest = pool_round(pool, cfg)
 
     # budget exactness
     assert len(manifest.selected) == min(budget, n_unlabeled)
@@ -687,7 +697,7 @@ def check_round_invariants(fix_seed, check_determinism=False):
     assert n_fallback <= manifest.novel_shortfall + manifest.familiar_shortfall
 
     if check_determinism:
-        assert sampling_round(pool, cfg) == manifest
+        assert pool_round(pool, cfg) == manifest
     return manifest
 
 
@@ -817,34 +827,19 @@ def sample_familiar(
     return picked, quota - len(picked)
 
 
-def id_space_round(
-    pool: TrajectoryPool,
-    cfg: SamplingConfig,
-    partition: ClusterPartition | None = None,
-) -> SelectionManifest:
+def id_space_round(part: ClusterPartition, cfg: SamplingConfig) -> SelectionManifest:
     """The sampling round over sorted id strings and sets, as it ran before
-    the rank-row engine: ``sampling_round`` must give an equal manifest.
+    the rank-row engine: ``sampling_round`` must give an equal manifest on
+    the same cut.
 
-    Clusters the whole pool at cfg.tau, runs the novel phase, marks its
-    picks as labeled, runs the familiar phase, then fills any shortfall
-    from the remaining unlabeled pool. ``partition`` may supply the cut
-    ``pool_partition(pool, cfg)`` would make (experiment harnesses reuse
-    one across seeds); when omitted it is computed here.
+    Runs the novel phase on the cut, marks its picks as labeled, runs the
+    familiar phase, then fills any shortfall from the remaining unlabeled
+    ids.
     """
-    unlabeled = sorted(pool.unlabeled_ids)
+    unlabeled = sorted(part.assignments.keys() - part.labeled_ids)
     if not unlabeled:
         raise EmptyUnlabeledPool("no unlabeled trajectory-states to sample")
     budget = resolve_budget(cfg.budget, len(unlabeled))
-
-    part = partition
-    if part is None:
-        part = pool_partition(pool, cfg)
-    elif part.tau != cfg.tau:
-        raise ParseError(f"partition was cut at tau {part.tau}, config has tau {cfg.tau}")
-    elif part.assignments.keys() != set(pool.ids):
-        raise ParseError("partition leaves are not the pool's ids")
-    elif part.labeled_ids != pool.labeled_ids:
-        raise ParseError("partition labeled set is not the pool's")
 
     novel_quota = round_half_up(cfg.alpha * budget)
     familiar_quota = budget - novel_quota
@@ -881,7 +876,6 @@ def id_space_round(
 
     return SelectionManifest(
         config=cfg,
-        seed=cfg.seed,
         budget_resolved=budget,
         novel_quota=novel_quota,
         familiar_quota=familiar_quota,
@@ -899,3 +893,72 @@ def default_experiment_grid(
     return plan_experiment_grid(
         DEFAULT_GRID_ALPHAS, DEFAULT_GRID_BETAS, DEFAULT_GRID_BUDGETS, tau, weights
     )
+
+
+class SchemaVersionMismatch(CurationError):
+    """Manifest document is missing required fields or has an unknown version."""
+
+
+def read_manifest(path) -> SelectionManifest:
+    """The selection manifest of a file ``write_manifest`` wrote: the
+    writer's round-trip oracle, which also checks the head's seed against
+    the config's."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc.msg} (line {exc.lineno})") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    if doc.get("schema_version") != MANIFEST_SCHEMA_VERSION:
+        raise SchemaVersionMismatch(
+            f"{path}: schema version {doc.get('schema_version')}, "
+            f"expected {MANIFEST_SCHEMA_VERSION}"
+        )
+    try:
+        cfg, weights = doc["config"], doc["config"]["weights"]
+        values = {f.name: doc[f.name] for f in fields(SelectionManifest)}
+        values["config"] = SamplingConfig(
+            **{k: cfg[k] for k in ("alpha", "beta", "budget", "tau", "seed")},
+            weights=MetricWeights(**{k: weights[k] for k in ("k_a", "k_v", "k_h")}),
+        )
+        values["selected"] = tuple(
+            Selection(s["id"], s["phase"], s["cluster"]) for s in doc["selected"]
+        )
+        if doc["seed"] != values["config"].seed:
+            raise ParseError(f"{path}: head seed {doc['seed']!r} is not the config's")
+        return SelectionManifest(**values)
+    except KeyError as exc:
+        raise SchemaVersionMismatch(f"{path}: manifest missing field {exc}") from None
+    except (TypeError, ValueError, OverflowError, CurationError) as exc:
+        raise ParseError(f"{path}: malformed manifest ({exc})") from None
+
+
+def read_experiment_csv(path) -> ExperimentResult:
+    """The rows of a file ``write_experiment_csv`` wrote: the writer's round-trip oracle."""
+    rows = []
+    try:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            reader = csv.reader(_utf8_lines(fh, path))
+            header = next(reader, None)
+            if header != _RESULT_HEADER:
+                raise ParseError(f"{path}: unexpected result header {header}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(_RESULT_HEADER):
+                    raise ParseError(f"{path}: row {lineno} has {len(row)} fields")
+                try:
+                    budget, alpha, beta, made5, made10 = map(float, row[:3] + row[5:])
+                    seed = int(row[3])
+                except ValueError as exc:
+                    raise ParseError(f"{path}: row {lineno}: {exc}") from None
+                rows.append(ExperimentRow(budget, alpha, beta, seed, row[4], made5, made10))
+    except csv.Error as exc:  # e.g. a NUL byte before Python 3.11
+        raise ParseError(f"{path}: line {reader.line_num}: malformed CSV ({exc})") from None
+    try:
+        return ExperimentResult(rows=tuple(rows))
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None

@@ -7,17 +7,11 @@ import pytest
 from trajcurate import TrajectoryPool, canonical_pool_spec, generate_synthetic_pool
 from trajcurate.cli import dispatch, parse_budget, parse_weights
 from trajcurate.errors import InvalidFlagValue
-from trajcurate.io import (
-    load_trajectories,
-    read_experiment_csv,
-    read_manifest,
-    sha256_file,
-    write_trajectories,
-)
+from trajcurate.io import load_trajectories, sha256_file, write_trajectories
 from trajcurate.metric import read_distance_matrix
 from trajcurate.surrogate import stratified_holdout
 
-from helpers import stationary_state
+from helpers import read_experiment_csv, read_manifest, stationary_state
 
 
 @pytest.fixture
@@ -122,7 +116,7 @@ def test_sample_command(pool_file, tmp_path):
     assert code == 0
     manifest = read_manifest(out)
     assert len(manifest.selected) == 4
-    assert manifest.seed == 7
+    assert manifest.config.seed == 7
     assert json.loads(out.read_text(encoding="utf-8"))["input_digest"] == sha256_file(pool_file)
 
 
@@ -342,8 +336,17 @@ def test_simulate_custom_grid_requires_lists(synth_file, tmp_path, capsys):
         ["--holdout", "1.5"],
         ["--split-seed", "-1"],
         ["--seeds", "0"],
+        ["--grid", "custom", "--alphas", ",", "--betas", "0.2", "--budgets", "0.1"],
     ],
-    ids=["tau-negative", "tau-nan", "k-modes-0", "holdout-1.5", "split-seed-negative", "seeds-0"],
+    ids=[
+        "tau-negative",
+        "tau-nan",
+        "k-modes-0",
+        "holdout-1.5",
+        "split-seed-negative",
+        "seeds-0",
+        "custom-grid-empty",
+    ],
 )
 def test_simulate_bad_flag_values_exit_2(synth_file, tmp_path, capsys, flags):
     code = dispatch(

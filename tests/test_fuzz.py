@@ -16,13 +16,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajcurate import CondensedDistanceMatrix, SamplingConfig, TrajectoryPool, sampling_round
+from trajcurate import CondensedDistanceMatrix, SamplingConfig, TrajectoryPool
 from trajcurate.cli import dispatch
 from trajcurate.errors import CurationError
 from trajcurate.io import (
     load_trajectories,
-    read_experiment_csv,
-    read_manifest,
     write_experiment_csv,
     write_manifest,
     write_trajectories,
@@ -30,7 +28,7 @@ from trajcurate.io import (
 from trajcurate.surrogate import ExperimentResult, ExperimentRow
 from trajcurate.metric import read_distance_matrix, write_distance_matrix
 
-from helpers import stationary_state
+from helpers import pool_round, read_experiment_csv, read_manifest, stationary_state
 
 FUZZ = settings(max_examples=120, deadline=None)
 
@@ -149,7 +147,7 @@ def test_mutated_matrix_header(edit, cut):
 
 def _valid_manifest() -> bytes:
     pool = TrajectoryPool(tuple(stationary_state(f"x{i}", 0.03 * i) for i in range(6)))
-    manifest = sampling_round(pool, SamplingConfig(alpha=0.5, beta=0.5, budget=3, seed=1))
+    manifest = pool_round(pool, SamplingConfig(alpha=0.5, beta=0.5, budget=3, seed=1))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "manifest.json")
         write_manifest(manifest, path, input_digest="abc")

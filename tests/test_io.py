@@ -10,7 +10,6 @@ from trajcurate import (
     TrajectoryState,
     flat_clusters,
     pairwise_distances,
-    sampling_round,
     upgma_linkage,
 )
 from trajcurate.errors import (
@@ -18,15 +17,12 @@ from trajcurate.errors import (
     EmptyId,
     NonFiniteValue,
     ParseError,
-    SchemaVersionMismatch,
     WrongPointCount,
 )
 from trajcurate.io import (
     export_clusters,
     load_trajectories,
-    read_experiment_csv,
     read_labeled_ids,
-    read_manifest,
     sha256_file,
     write_experiment_csv,
     write_manifest,
@@ -34,7 +30,14 @@ from trajcurate.io import (
 )
 from trajcurate.surrogate import ExperimentResult, ExperimentRow
 
-from helpers import random_states, stationary_state
+from helpers import (
+    SchemaVersionMismatch,
+    pool_round,
+    random_states,
+    read_experiment_csv,
+    read_manifest,
+    stationary_state,
+)
 
 
 def fixture_pool():
@@ -354,7 +357,7 @@ def sample_manifest():
     )
     pool = TrajectoryPool(items, frozenset({"y0"}))
     cfg = SamplingConfig(alpha=0.5, beta=0.4, budget=4, tau=10.0, seed=11)
-    return sampling_round(pool, cfg)
+    return pool_round(pool, cfg)
 
 
 def test_manifest_round_trip(tmp_path):
@@ -401,7 +404,7 @@ def test_manifest_zero_shortfall_explicit(tmp_path):
 def test_manifest_fraction_budget_round_trip(tmp_path):
     items = tuple(stationary_state(f"x{i}", 0.03 * i) for i in range(8))
     pool = TrajectoryPool(items)
-    manifest = sampling_round(pool, SamplingConfig(alpha=1.0, beta=1.0, budget=0.5, seed=2))
+    manifest = pool_round(pool, SamplingConfig(alpha=1.0, beta=1.0, budget=0.5, seed=2))
     path = tmp_path / "m.json"
     write_manifest(manifest, path)
     back = read_manifest(path)

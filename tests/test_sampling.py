@@ -34,11 +34,11 @@ from helpers import (
     check_round_invariants,
     default_experiment_grid,
     id_space_round,
+    pool_round,
     refresh_partition,
     sample_familiar,
     sample_novel,
     stationary_state,
-    with_labeled,
 )
 
 
@@ -54,24 +54,31 @@ def group(prefix, n, x, labeled=0):
 
 
 def test_config_validation():
-    with pytest.raises(InvalidFlagValue):
-        SamplingConfig(alpha=1.5, beta=0.5, budget=1)
-    with pytest.raises(InvalidFlagValue):
-        SamplingConfig(alpha=0.5, beta=0.0, budget=1)
-    with pytest.raises(InvalidFlagValue):
-        SamplingConfig(alpha=0.5, beta=0.5, budget=0)
-    with pytest.raises(InvalidFlagValue):
-        SamplingConfig(alpha=0.5, beta=0.5, budget=1.5)
-    with pytest.raises(InvalidFlagValue):
-        SamplingConfig(alpha=0.5, beta=0.5, budget=5, tau=-1.0)
-    with pytest.raises(InvalidFlagValue):
-        SamplingConfig(alpha=0.5, beta=0.5, budget=5, tau=float("nan"))
+    bad = (
+        {"alpha": 1.5},
+        {"beta": 0.0},
+        {"budget": 0},
+        {"budget": 1.5},
+        {"tau": -1.0},
+        {"tau": float("nan")},
+        # wrong types, not only wrong ranges
+        {"alpha": "0.5"},
+        {"beta": None},
+        {"tau": "1"},
+        {"seed": 1.5},
+        {"seed": "1"},
+        {"seed": True},
+    )
+    for fault in bad:
+        with pytest.raises(InvalidFlagValue):
+            SamplingConfig(**{"alpha": 0.5, "beta": 0.5, "budget": 5, **fault})
 
 
 def test_config_rejects_a_negative_seed():
     with pytest.raises(InvalidFlagValue, match="seed must be >= 0, got -1"):
         SamplingConfig(alpha=0.5, beta=0.5, budget=5, seed=-1)
     assert SamplingConfig(alpha=0.5, beta=0.5, budget=5, seed=0).seed == 0
+    assert SamplingConfig(alpha=0.5, beta=0.5, budget=5, seed=np.int64(3)).seed == 3
 
 
 @pytest.mark.parametrize("budget", ["0.5", "5", None, [1], True])
@@ -168,14 +175,14 @@ def test_sample_familiar_multi_pass():
 def test_round_quota_split():
     items, labels = group("c", 30, x=0.0, labeled=5)
     pool = TrajectoryPool(tuple(items), frozenset(labels))
-    m = sampling_round(pool, SamplingConfig(alpha=0.2, beta=1.0, budget=10, seed=0))
+    m = pool_round(pool, SamplingConfig(alpha=0.2, beta=1.0, budget=10, seed=0))
     assert (m.novel_quota, m.familiar_quota) == (2, 8)
 
 
 def test_round_small_pool_takes_everything():
     items, labels = group("c", 9, x=0.0, labeled=2)
     pool = TrajectoryPool(tuple(items), frozenset(labels))
-    m = sampling_round(pool, SamplingConfig(alpha=0.5, beta=0.4, budget=10, seed=1))
+    m = pool_round(pool, SamplingConfig(alpha=0.5, beta=0.4, budget=10, seed=1))
     ids = [s.id for s in m.selected]
     assert sorted(ids) == sorted(pool.unlabeled_ids)
     assert len(set(ids)) == 7
@@ -186,7 +193,7 @@ def test_round_novel_exhaustion_falls_back():
     single = [stationary_state("s1", x=50.0)]
     fam_items, fam_labels = group("y", 5, x=100.0, labeled=2)
     pool = TrajectoryPool(tuple(novel_items + single + fam_items), frozenset(fam_labels))
-    m = sampling_round(pool, SamplingConfig(alpha=1.0, beta=1.0, budget=5, seed=3))
+    m = pool_round(pool, SamplingConfig(alpha=1.0, beta=1.0, budget=5, seed=3))
     phases = [s.phase for s in m.selected]
     assert phases.count(PHASE_NOVEL_CLUSTER) == 2
     assert phases.count(PHASE_NOVEL_SINGLETON) == 1
@@ -208,11 +215,11 @@ def test_round_draws_fallback_stream_only_on_shortfall(monkeypatch):
     monkeypatch.setattr(sampling, "phase_rng", spy)
     items, labels = group("c", 30, x=0.0, labeled=5)
     pool = TrajectoryPool(tuple(items), frozenset(labels))
-    m = sampling_round(pool, SamplingConfig(alpha=0.0, beta=1.0, budget=10, seed=0))
+    m = pool_round(pool, SamplingConfig(alpha=0.0, beta=1.0, budget=10, seed=0))
     assert m.fallback_count == 0 and FALLBACK_STREAM not in streams
     novel_items, _ = group("x", 2, x=100.0)
     pool = TrajectoryPool(tuple(novel_items + items), frozenset(labels))
-    m = sampling_round(pool, SamplingConfig(alpha=1.0, beta=1.0, budget=5, seed=3))
+    m = pool_round(pool, SamplingConfig(alpha=1.0, beta=1.0, budget=5, seed=3))
     assert m.fallback_count == 3 and streams[-1] == FALLBACK_STREAM
 
 
@@ -220,9 +227,9 @@ def test_round_alpha_extremes():
     ia, la = group("p", 12, x=0.0, labeled=2)
     ib, _ = group("q", 6, x=100.0)
     pool = TrajectoryPool(tuple(ia + ib), frozenset(la))
-    m0 = sampling_round(pool, SamplingConfig(alpha=0.0, beta=1.0, budget=6, seed=5))
+    m0 = pool_round(pool, SamplingConfig(alpha=0.0, beta=1.0, budget=6, seed=5))
     assert {s.phase for s in m0.selected} == {PHASE_FAMILIAR}
-    m1 = sampling_round(pool, SamplingConfig(alpha=1.0, beta=1.0, budget=6, seed=5))
+    m1 = pool_round(pool, SamplingConfig(alpha=1.0, beta=1.0, budget=6, seed=5))
     assert PHASE_FAMILIAR not in {s.phase for s in m1.selected}
 
 
@@ -230,7 +237,7 @@ def test_round_requires_unlabeled():
     items, _ = group("c", 3, x=0.0)
     pool = TrajectoryPool(tuple(items), frozenset(s.id for s in items))
     with pytest.raises(EmptyUnlabeledPool):
-        sampling_round(pool, SamplingConfig(alpha=0.5, beta=0.5, budget=1))
+        pool_round(pool, SamplingConfig(alpha=0.5, beta=0.5, budget=1))
 
 
 def test_round_determinism():
@@ -241,7 +248,7 @@ def test_round_determinism():
 def test_round_fraction_budget():
     items, labels = group("c", 20, x=0.0, labeled=4)
     pool = TrajectoryPool(tuple(items), frozenset(labels))
-    m = sampling_round(pool, SamplingConfig(alpha=0.0, beta=1.0, budget=0.5, seed=2))
+    m = pool_round(pool, SamplingConfig(alpha=0.0, beta=1.0, budget=0.5, seed=2))
     assert m.budget_resolved == 8  # half of the 16 unlabeled
     assert len(m.selected) == 8
 
@@ -261,7 +268,7 @@ def test_round_with_injected_dendrogram_matches():
     tree = upgma_linkage(pairwise_distances(pool.items, cfg.weights))
     part = pool_partition(pool, cfg, tree)
     assert part == pool_partition(pool, cfg)
-    assert sampling_round(pool, cfg, partition=part) == sampling_round(pool, cfg)
+    assert sampling_round(part, cfg) == pool_round(pool, cfg)
 
 
 def test_round_rejects_mismatched_dendrogram():
@@ -271,19 +278,9 @@ def test_round_rejects_mismatched_dendrogram():
     cfg = SamplingConfig(alpha=0.5, beta=0.5, budget=2)
     with pytest.raises(ParseError):
         pool_partition(pool, cfg, upgma_linkage(pairwise_distances(other)))
-    # a partition cut at another tau, over other leaves, or against another labeled set
-    mismatched = (
-        pool_partition(pool, replace(cfg, tau=cfg.tau + 1.0)),
-        pool_partition(TrajectoryPool(tuple(other)), cfg),
-        pool_partition(with_labeled(pool, ["c4"]), cfg),
-    )
-    for part in mismatched:
-        with pytest.raises(ParseError):
-            sampling_round(pool, cfg, partition=part)
-    # as many leaves as the pool, one of them another id
-    renamed = TrajectoryPool((*items[:-1], replace(items[-1], id="e4")), frozenset(labels))
-    with pytest.raises(ParseError, match="leaves are not the pool's ids"):
-        sampling_round(pool, cfg, partition=pool_partition(renamed, cfg))
+    # a partition cut at another tau than the config's
+    with pytest.raises(ParseError, match="cut at tau 11.0, config has tau 10.0"):
+        sampling_round(pool_partition(pool, replace(cfg, tau=cfg.tau + 1.0)), cfg)
 
 
 def test_invariant_fixtures_quick():
@@ -349,8 +346,8 @@ def test_row_round_equals_id_space_oracle(kind, tau):
     manifests = []
     for k, (alpha, beta, budget) in enumerate(ORACLE_CONFIGS):
         cfg = SamplingConfig(alpha=alpha, beta=beta, budget=budget, tau=tau, seed=17 * k + 3)
-        manifest = sampling_round(pool, cfg, partition=part)
-        assert manifest == id_space_round(pool, cfg, partition=id_part)
+        manifest = sampling_round(part, cfg)
+        assert manifest == id_space_round(id_part, cfg)
         manifests.append(manifest)
     assert any(m.fallback_count for m in manifests)
     if tau > 0:  # at tau 0 canonical clusters are singletons, with nothing left to revisit

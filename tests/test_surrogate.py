@@ -18,7 +18,7 @@ from trajcurate import (
 )
 from trajcurate.errors import InsufficientPool, InvalidFlagValue, ParseError
 from trajcurate.io import load_trajectories, read_labeled_ids
-from trajcurate.sampling import BASELINE_STREAM, phase_rng, sampling_round
+from trajcurate.sampling import BASELINE_STREAM, phase_rng
 from trajcurate import surrogate
 from trajcurate.surrogate import PREFIX_LEN, _ade_table, _rank_holdout, _score_ranked
 
@@ -32,6 +32,7 @@ from helpers import (
     knn_predict,
     make_state,
     min_ade_k,
+    pool_round,
     pool_row,
     prefix_distance,
 )
@@ -203,6 +204,9 @@ def test_ranked_scorer_equals_per_score_oracle():
     w = MetricWeights(k_a=0.1, k_v=0.05, k_h=2.0)
     order = _rank_holdout(queries, ranked, w)
     assert order.dtype == np.int32
+    # with no columns, and with a narrow table, most ADEs are computed directly
+    table = _ade_table(queries, ranked, order)
+    tables = (table[:, :0], table[:, :7])
 
     rng = np.random.default_rng(11)
     for trial in range(60):
@@ -212,9 +216,9 @@ def test_ranked_scorer_equals_per_score_oracle():
         mask[picked] = True
         labeled_rows = [id_rows[k] for k in picked]
         for k_modes in (1, 5, 10, size + 3):
-            got = _score_ranked(queries, ranked, order, mask, k_modes)
             want = _score_split(queries.points, queries.dyn, train_pool, labeled_rows, k_modes, w)
-            assert got == want
+            for cut in tables:
+                assert _score_ranked(queries, ranked, order, mask, k_modes, cut) == want
 
 
 @pytest.mark.parametrize("table_width", [1, 10, 100, 1000])
@@ -256,7 +260,7 @@ def oracle_experiment(pool, grid, seeds, k_modes):
     for cfg in grid:
         budget = cfg.budget if isinstance(cfg.budget, float) else cfg.budget / len(unlabeled0)
         for seed in seeds:
-            manifest = sampling_round(working, replace(cfg, seed=seed))
+            manifest = pool_round(working, replace(cfg, seed=seed))
             order = phase_rng(seed, BASELINE_STREAM).permutation(len(unlabeled0))
             baseline = [unlabeled0[int(i)] for i in order[: len(manifest.selected)]]
             for strategy, picked in (("active", manifest.ids()), ("random", baseline)):
@@ -312,6 +316,9 @@ def test_ranked_scorer_equals_oracle_on_rows_widened_apart():
     order = _rank_holdout(queries, by_id, w)
     n = order.shape[1]
     assert n == 320
+    # with no columns, and with a table narrower than most widened heads
+    table = _ade_table(queries, by_id, order)
+    tables = (table[:, :0], table[:, :100])
 
     rng = np.random.default_rng(5)
     masks = []
@@ -328,9 +335,9 @@ def test_ranked_scorer_equals_oracle_on_rows_widened_apart():
     assert (kth < 64).any() and ((64 <= kth) & (kth < 256)).any() and (kth >= 256).any()
     for mask in masks:
         for k_modes in (1, 5, 10):
-            got = _score_ranked(queries, by_id, order, mask, k_modes)
             want = _score_split(queries.points, queries.dyn, by_id, np.flatnonzero(mask), k_modes, w)
-            assert got == want
+            for cut in tables:
+                assert _score_ranked(queries, by_id, order, mask, k_modes, cut) == want
 
 
 def test_table_scorer_equals_oracle_inside_at_and_past_the_table_width():
@@ -433,12 +440,19 @@ def test_negative_seeds_are_invalid_flag_values():
         run_al_experiment(pool, grid, seeds=(0,), split_seed=-1)
     with pytest.raises(InvalidFlagValue, match="seed must be >= 0, got -2"):
         run_al_experiment(pool, grid, seeds=(0, -2))
+    # a seed that is not an integer
+    with pytest.raises(InvalidFlagValue, match="seed must be an integer, got 1.5"):
+        stratified_holdout(pool.ids, 0.2, 1.5)
+    with pytest.raises(InvalidFlagValue, match="seed must be an integer, got 0.5"):
+        run_al_experiment(pool, grid, seeds=(0.5,))
 
 
 def test_experiment_rejects_no_seeds():
     pool, grid = _small_experiment()
     with pytest.raises(InvalidFlagValue, match="number of seeds must be >= 1, got 0"):
         run_al_experiment(pool, grid, seeds=())
+    with pytest.raises(InvalidFlagValue, match="number of configs must be >= 1, got 0"):
+        run_al_experiment(pool, (), seeds=(0,))
 
 
 def test_experiment_rows_match_oracle_loop_on_pool_400():
@@ -470,6 +484,8 @@ def test_experiment_rejects_zero_modes():
     pool, grid = _small_experiment()
     with pytest.raises(InvalidFlagValue, match="k_modes"):
         run_al_experiment(pool, grid, seeds=(0,), k_modes=0)
+    with pytest.raises(InvalidFlagValue, match="k_modes must be an integer, got 2.5"):
+        run_al_experiment(pool, grid, seeds=(0,), k_modes=2.5)
 
 
 def test_experiment_rejects_holdout_fraction_above_one():

@@ -15,7 +15,6 @@ from .metric import (
     CondensedDistanceMatrix,
     MetricWeights,
     pairwise_distances,
-    read_distance_matrix,
     trajectory_state_distance,
     write_distance_matrix,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "generate_synthetic_pool",
     "pairwise_distances",
     "plan_experiment_grid",
-    "read_distance_matrix",
     "run_al_experiment",
     "sampling_round",
     "stratified_holdout",

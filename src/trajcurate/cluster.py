@@ -32,7 +32,7 @@ from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DuplicateId, InvalidFlagValue, UnknownId
+from .errors import DuplicateId, InvalidFlagValue, ParseError
 from .metric import CondensedDistanceMatrix, condensed_index
 
 DEFAULT_TAU = 10.0
@@ -78,8 +78,7 @@ def upgma_linkage(d: CondensedDistanceMatrix, overwrite: bool = False) -> Dendro
     clamp only removes sub-ulp rounding and keeps heights monotone.
     ``overwrite=True`` updates ``d.values`` itself instead of a copy, like
     scipy's ``overwrite_a``: ``d`` is consumed, and the buffer under its
-    values must be writable, as those of ``pairwise_distances`` and
-    ``read_distance_matrix`` are.
+    values must be writable, as those of ``pairwise_distances`` are.
     """
     n = d.n
     if n == 1:
@@ -233,9 +232,14 @@ class ClusterPartition:
         return "labeled-singleton" if self.rows.sizes[label] == 1 else "familiar"
 
 
+def is_real(value) -> bool:
+    """A real number that is not a bool, which ``numbers.Real`` admits."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def check_tau(tau: float, name: str = "tau") -> None:
     """Raise ``InvalidFlagValue`` unless the cut threshold ``tau`` is >= 0."""
-    if not (isinstance(tau, Real) and tau >= 0):  # also rejects NaN
+    if not (is_real(tau) and tau >= 0):  # also rejects NaN
         raise InvalidFlagValue(f"{name} must be >= 0, got {tau!r}")
 
 
@@ -255,7 +259,7 @@ def flat_clusters(
     n = t.n_leaves
     ids: Sequence[Hashable] = tuple(range(n)) if leaf_ids is None else tuple(leaf_ids)
     if len(ids) != n:
-        raise UnknownId(f"expected {n} leaf ids, got {len(ids)}")
+        raise ParseError(f"expected {n} leaf ids, got {len(ids)}")
 
     # heights never decrease, so the merges up to tau are a prefix; walked
     # from its top, each merge hands its cluster root down to its children

@@ -36,12 +36,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CurationError, NonFiniteValue, ParseError
+from .errors import NonFiniteValue, ParseError
 from .states import TRAJECTORY_LEN, TrajectoryPool, TrajectoryState, pack_states
 
 _MATRIX_MAGIC = b"TSDM"
 _MATRIX_VERSION = 1
-_MATRIX_HEADER_LEN = 16  # magic, u32 version, u64 n
 
 # rows per kernel call in pairwise_distances; each call's temporaries are
 # _TILE x n float64 arrays (1.3 MB each at n = 10k)
@@ -259,26 +258,3 @@ def write_distance_matrix(m: CondensedDistanceMatrix, path) -> None:
         fh.write(struct.pack("<I", _MATRIX_VERSION))
         fh.write(struct.pack("<Q", m.n))
         fh.write(m.values.astype("<f8", copy=False).data)
-
-
-def read_distance_matrix(path) -> CondensedDistanceMatrix:
-    with open(path, "rb") as fh:
-        header = fh.read(_MATRIX_HEADER_LEN)
-        if header[:4] != _MATRIX_MAGIC:
-            raise ParseError(f"{path}: bad matrix magic {header[:4]!r}")
-        if len(header) < _MATRIX_HEADER_LEN:
-            raise ParseError(
-                f"{path}: matrix header is {len(header)} bytes, expected {_MATRIX_HEADER_LEN}"
-            )
-        version, n = struct.unpack("<IQ", header[4:])
-        if version != _MATRIX_VERSION:
-            raise ParseError(f"{path}: unsupported matrix version {version}")
-        expected = n * (n - 1) // 2
-        size = os.fstat(fh.fileno()).st_size - _MATRIX_HEADER_LEN
-        if size != 8 * expected:
-            raise ParseError(f"{path}: matrix payload has {size} bytes, expected {8 * expected}")
-        values = np.fromfile(fh, dtype="<f8", count=expected)
-    try:
-        return CondensedDistanceMatrix(n=int(n), values=values)
-    except CurationError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc

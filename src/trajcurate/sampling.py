@@ -34,13 +34,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from numbers import Integral, Real
+from numbers import Integral
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cluster import DEFAULT_TAU, ClusterPartition, Dendrogram, check_tau, flat_clusters, upgma_linkage
+from .cluster import (
+    DEFAULT_TAU, ClusterPartition, Dendrogram, check_tau, flat_clusters, is_real, upgma_linkage
+)
 from .errors import EmptyUnlabeledPool, InvalidFlagValue, ParseError
 from .metric import DEFAULT_WEIGHTS, MetricWeights, pairwise_distances
 from .states import TrajectoryPool
@@ -102,9 +104,9 @@ class SamplingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.alpha, Real) and 0.0 <= self.alpha <= 1.0):
+        if not (is_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
             raise InvalidFlagValue(f"alpha must be in [0, 1], got {self.alpha!r}")
-        if not (isinstance(self.beta, Real) and 0.0 < self.beta <= 1.0):
+        if not (is_real(self.beta) and 0.0 < self.beta <= 1.0):
             raise InvalidFlagValue(f"beta must be in (0, 1], got {self.beta!r}")
         check_budget(self.budget)
         check_tau(self.tau)
@@ -169,8 +171,6 @@ def pool_partition(
     tree = dendrogram
     if tree is None:
         tree = upgma_linkage_for_pool(pool, cfg.weights)
-    elif tree.n_leaves != len(pool):
-        raise ParseError(f"dendrogram has {tree.n_leaves} leaves, pool has {len(pool)} items")
     return flat_clusters(tree, cfg.tau, labeled_ids=pool.labeled_ids, leaf_ids=pool.ids)
 
 

@@ -14,27 +14,26 @@ initial state and scores both on one fixed, motif-stratified held-out
 split, writing rows suitable for budget/alpha/beta curves.
 
 Labels change neither the linkage nor a query's distance ranking, so
-once per weight setting the sweep builds the dendrogram, ranks every
-held-out query against the whole training pool (``_rank_holdout``) and
-tabulates each query's ADE against its first ranked rows
-(``_ade_table``); the tree is cut once per tau. Per cell it runs one
-sampling round on that cut and draws the baseline, and each distinct
-labeled set is scored once: ``_score_ranked`` finds a query's k nearest
-labeled rows as positions in its ranking, reads their ADE from the table
-and computes only the positions past the table's width.
+once per weight setting the sweep builds the dendrogram, and
+``_rank_holdout`` ranks every held-out query against the whole training
+pool and tabulates its ADE against its first ranked rows; the tree is cut
+once per tau. Per cell it runs one sampling round on that cut and draws
+the baseline, and each distinct labeled set is scored once:
+``_score_ranked`` finds a query's k nearest labeled rows as positions in
+its ranking, reads their ADE from the table and computes only the
+positions past the table's width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from numbers import Real
 from typing import Sequence
 
 import numpy as np
 
-from .cluster import ClusterPartition, Dendrogram
-from .errors import InsufficientPool, InvalidFlagValue, NonFiniteValue, ParseError
+from .cluster import ClusterPartition, Dendrogram, is_real
+from .errors import InsufficientPool, InvalidFlagValue, NonFiniteValue
 from .metric import MetricWeights, _distance, check_distances
 from .sampling import (
     BASELINE_STREAM,
@@ -56,12 +55,12 @@ DEFAULT_K_MODES = 10
 DEFAULT_HOLDOUT = 0.2
 DEFAULT_SPLIT_SEED = 1
 
-# holdout queries per distance block in _rank_holdout and _ade_table
+# holdout queries per distance block in _rank_holdout
 _QUERY_BLOCK = 64
 # fewest ranked columns _score_ranked first scans per row for labeled
 # neighbors; a row holding fewer than k of them doubles its own head
 _HEAD_WIDTH = 64
-# ranked columns per query whose ADE _ade_table holds
+# ranked columns per query whose ADE _rank_holdout tabulates
 _TABLE_WIDTH = 256
 
 
@@ -84,10 +83,6 @@ class ExperimentResult:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", tuple(self.rows))
-        active = {(r.budget, r.alpha, r.beta, r.seed) for r in self.rows if r.strategy == "active"}
-        random_ = {(r.budget, r.alpha, r.beta, r.seed) for r in self.rows if r.strategy == "random"}
-        if active != random_:
-            raise ParseError("every active row needs a matching random row (same budget and seed)")
 
     @cached_property
     def _made5(self) -> dict[tuple[float, float, float, str], float]:
@@ -103,7 +98,7 @@ class ExperimentResult:
 
 def check_holdout(fraction: float, name: str = "holdout fraction") -> None:
     """Raise ``InvalidFlagValue`` unless the held-out ``fraction`` is in [0, 1)."""
-    if not (isinstance(fraction, Real) and 0.0 <= fraction < 1.0):
+    if not (is_real(fraction) and 0.0 <= fraction < 1.0):
         raise InvalidFlagValue(f"{name} must be in [0, 1), got {fraction!r}")
 
 
@@ -143,9 +138,12 @@ def stratified_holdout(
     return train, sorted(holdout_set)
 
 
-def _rank_holdout(held: TrajectoryPool, train: TrajectoryPool, w: MetricWeights) -> np.ndarray:
+def _rank_holdout(
+    held: TrajectoryPool, train: TrajectoryPool, w: MetricWeights
+) -> tuple[np.ndarray, np.ndarray]:
     """Per query, the ``int32`` stable argsort of its prefix distances to
-    every training row.
+    every training row, and the ADE of its first ``_TABLE_WIDTH`` ranked
+    rows (fewer when the row is shorter), in rank order.
 
     ``train`` is the training pool in id order, so distance ties rank by
     id. Queries go through the kernel in blocks to bound temporaries, and
@@ -153,6 +151,7 @@ def _rank_holdout(held: TrajectoryPool, train: TrajectoryPool, w: MetricWeights)
     """
     qp, qd, lp, ld = held.points, held.dyn, train.points, train.dyn
     order = np.empty((len(qp), len(lp)), dtype=np.int32)
+    table = np.empty((len(qp), min(_TABLE_WIDTH, len(lp))))
     for lo in range(0, len(qp), _QUERY_BLOCK):
         hi = lo + _QUERY_BLOCK
         dist = _distance(qp[lo:hi, None], qd[lo:hi, None], lp[None], ld[None], w, PREFIX_LEN)
@@ -163,7 +162,8 @@ def _rank_holdout(held: TrajectoryPool, train: TrajectoryPool, w: MetricWeights)
             pair = f"{held.ids[lo + q]!r} and {train.ids[t]!r}"
             raise NonFiniteValue(f"{exc} between {pair}") from None
         order[lo:hi] = np.argsort(dist, axis=1, kind="stable")
-    return order
+        table[lo:hi] = _ade(lp[order[lo:hi, :_TABLE_WIDTH]], qp[lo:hi, None])
+    return order, table
 
 
 def _ade(modes: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -179,17 +179,6 @@ def _ade(modes: np.ndarray, truth: np.ndarray) -> np.ndarray:
         return np.sqrt(diff[..., 0] + diff[..., 1]).mean(axis=-1)
 
 
-def _ade_table(held: TrajectoryPool, train: TrajectoryPool, order: np.ndarray) -> np.ndarray:
-    """Per query, the ADE of its first ``_TABLE_WIDTH`` ranked training rows
-    (fewer when the row is shorter), in rank order; built in query blocks."""
-    head = order[:, :_TABLE_WIDTH]
-    table = np.empty(head.shape)
-    for lo in range(0, len(head), _QUERY_BLOCK):
-        hi = lo + _QUERY_BLOCK
-        table[lo:hi] = _ade(train.points[head[lo:hi]], held.points[lo:hi, None])
-    return table
-
-
 def _score_ranked(
     held: TrajectoryPool,
     train: TrajectoryPool,
@@ -200,15 +189,15 @@ def _score_ranked(
 ) -> tuple[float, float]:
     """Mean minADE_5 and minADE_10 of the surrogate over the queries.
 
-    ``order`` is ``_rank_holdout`` over ``train`` and ``labeled`` a boolean
-    mask over its rows. A stable sort filtered to a subset keeps the order
-    the subset's own stable sort gives, so the first k labeled columns of
-    each row are its k nearest labeled neighbors, ties by id. Only a head of each row is scanned: a row whose
-    head holds fewer than k labeled columns is widened on its own, and the
-    first k labeled columns are the same at any width that holds them, so
-    the scores do not depend on the widths. ``table`` is ``_ade_table`` of
-    ``order``, or its first columns; the ADE of a column past the table's
-    width is computed here, to the same bits.
+    ``order`` and ``table`` are ``_rank_holdout``'s ranking of ``train`` and
+    its ADE table (or its first columns); ``labeled`` is a boolean mask over
+    the rows. A stable sort filtered to a subset keeps the order the
+    subset's own stable sort gives, so the first k labeled columns of each
+    row are its k nearest labeled neighbors, ties by id. Only a head of each
+    row is scanned: a row whose head holds fewer than k labeled columns is
+    widened on its own, and the first k labeled columns are the same at any
+    width that holds them, so the scores do not depend on the widths. An ADE
+    past the table's width is computed here, to the same bits.
     """
     n_labeled = int(labeled.sum())
     k = min(k_modes, n_labeled)
@@ -269,6 +258,8 @@ def run_al_experiment(
     """
     check_int(len(grid), 1, "number of configs")
     check_int(len(seeds), 1, "number of seeds")
+    for seed in seeds:
+        check_int(seed, 0, "seed")
     check_int(k_modes, 1, "k_modes")
     train_idx, holdout_idx = stratified_holdout(pool.ids, holdout_fraction, split_seed)
     if not holdout_idx:
@@ -312,8 +303,7 @@ def run_al_experiment(
     for cfg in grid:
         if cfg.weights not in ranked:
             tree = upgma_linkage_for_pool(working, cfg.weights)
-            order = _rank_holdout(held, by_id, cfg.weights)
-            ranked[cfg.weights] = (tree, order, _ade_table(held, by_id, order))
+            ranked[cfg.weights] = (tree, *_rank_holdout(held, by_id, cfg.weights))
         tree = ranked[cfg.weights][0]
         if (cfg.weights, cfg.tau) not in partitions:
             partitions[cfg.weights, cfg.tau] = pool_partition(working, cfg, tree)

@@ -38,7 +38,6 @@ from trajcurate import (
 )
 from trajcurate.cluster import RankRows
 from trajcurate.errors import CurationError, EmptyUnlabeledPool, ParseError, UnknownId
-from trajcurate.io import _RESULT_HEADER, MANIFEST_SCHEMA_VERSION, _utf8_lines
 from trajcurate.sampling import (
     DEFAULT_GRID_ALPHAS,
     DEFAULT_GRID_BETAS,
@@ -895,70 +894,33 @@ def default_experiment_grid(
     )
 
 
-class SchemaVersionMismatch(CurationError):
-    """Manifest document is missing required fields or has an unknown version."""
-
-
 def read_manifest(path) -> SelectionManifest:
     """The selection manifest of a file ``write_manifest`` wrote: the
     writer's round-trip oracle, which also checks the head's seed against
     the config's."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc.msg} (line {exc.lineno})") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    if doc.get("schema_version") != MANIFEST_SCHEMA_VERSION:
-        raise SchemaVersionMismatch(
-            f"{path}: schema version {doc.get('schema_version')}, "
-            f"expected {MANIFEST_SCHEMA_VERSION}"
-        )
-    try:
-        cfg, weights = doc["config"], doc["config"]["weights"]
-        values = {f.name: doc[f.name] for f in fields(SelectionManifest)}
-        values["config"] = SamplingConfig(
-            **{k: cfg[k] for k in ("alpha", "beta", "budget", "tau", "seed")},
-            weights=MetricWeights(**{k: weights[k] for k in ("k_a", "k_v", "k_h")}),
-        )
-        values["selected"] = tuple(
-            Selection(s["id"], s["phase"], s["cluster"]) for s in doc["selected"]
-        )
-        if doc["seed"] != values["config"].seed:
-            raise ParseError(f"{path}: head seed {doc['seed']!r} is not the config's")
-        return SelectionManifest(**values)
-    except KeyError as exc:
-        raise SchemaVersionMismatch(f"{path}: manifest missing field {exc}") from None
-    except (TypeError, ValueError, OverflowError, CurationError) as exc:
-        raise ParseError(f"{path}: malformed manifest ({exc})") from None
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    cfg, weights = doc["config"], doc["config"]["weights"]
+    values = {f.name: doc[f.name] for f in fields(SelectionManifest)}
+    values["config"] = SamplingConfig(
+        **{k: cfg[k] for k in ("alpha", "beta", "budget", "tau", "seed")},
+        weights=MetricWeights(**{k: weights[k] for k in ("k_a", "k_v", "k_h")}),
+    )
+    values["selected"] = tuple(
+        Selection(s["id"], s["phase"], s["cluster"]) for s in doc["selected"]
+    )
+    if doc["seed"] != cfg["seed"]:
+        raise ParseError(f"{path}: head seed {doc['seed']!r} is not the config's")
+    return SelectionManifest(**values)
 
 
 def read_experiment_csv(path) -> ExperimentResult:
     """The rows of a file ``write_experiment_csv`` wrote: the writer's round-trip oracle."""
-    rows = []
-    try:
-        with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-            reader = csv.reader(_utf8_lines(fh, path))
-            header = next(reader, None)
-            if header != _RESULT_HEADER:
-                raise ParseError(f"{path}: unexpected result header {header}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(_RESULT_HEADER):
-                    raise ParseError(f"{path}: row {lineno} has {len(row)} fields")
-                try:
-                    budget, alpha, beta, made5, made10 = map(float, row[:3] + row[5:])
-                    seed = int(row[3])
-                except ValueError as exc:
-                    raise ParseError(f"{path}: row {lineno}: {exc}") from None
-                rows.append(ExperimentRow(budget, alpha, beta, seed, row[4], made5, made10))
-    except csv.Error as exc:  # e.g. a NUL byte before Python 3.11
-        raise ParseError(f"{path}: line {reader.line_num}: malformed CSV ({exc})") from None
-    try:
-        return ExperimentResult(rows=tuple(rows))
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header
+        rows = tuple(
+            ExperimentRow(*map(float, row[:3]), int(row[3]), row[4], *map(float, row[5:]))
+            for row in reader
+        )
+    return ExperimentResult(rows=rows)

@@ -119,10 +119,15 @@ def test_flat_clusters_extremes():
     assert shattered.novel_clusters == frozenset()
 
 
-@pytest.mark.parametrize("tau", [-1.0, float("nan")])
+@pytest.mark.parametrize("tau", [-1.0, float("nan"), True])
 def test_flat_clusters_rejects_bad_tau(tau):
     with pytest.raises(InvalidFlagValue):
         flat_clusters(upgma_linkage(THREE_LEAF), tau)
+
+
+def test_flat_clusters_rejects_a_leaf_id_count_other_than_the_leaves():
+    with pytest.raises(ParseError, match="expected 3 leaf ids, got 2"):
+        flat_clusters(upgma_linkage(THREE_LEAF), 2.0, leaf_ids=["A", "B"])
 
 
 def test_flat_clusters_three_leaf_split():

@@ -1,5 +1,4 @@
-"""Fuzzed inputs: mutated trajectory records, matrix headers, manifests
-and result CSVs.
+"""Fuzzed inputs: mutated trajectory records.
 
 Whatever a mutation does to a valid file, loading it either succeeds or
 raises a ``CurationError``, and the CLI exits 0, 1 or 2 without a
@@ -12,23 +11,15 @@ import io
 import os
 import tempfile
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajcurate import CondensedDistanceMatrix, SamplingConfig, TrajectoryPool
+from trajcurate import TrajectoryPool
 from trajcurate.cli import dispatch
 from trajcurate.errors import CurationError
-from trajcurate.io import (
-    load_trajectories,
-    write_experiment_csv,
-    write_manifest,
-    write_trajectories,
-)
-from trajcurate.surrogate import ExperimentResult, ExperimentRow
-from trajcurate.metric import read_distance_matrix, write_distance_matrix
+from trajcurate.io import load_trajectories, write_trajectories
 
-from helpers import pool_round, read_experiment_csv, read_manifest, stationary_state
+from helpers import stationary_state
 
 FUZZ = settings(max_examples=120, deadline=None)
 
@@ -110,83 +101,3 @@ def test_mutated_record_lines(suffix, edits):
 def test_mutated_record_bytes(suffix, edit):
     _check_trajectory_file(suffix, _edit_bytes(_VALID[suffix], edit))
 
-
-def _valid_matrix() -> bytes:
-    m = CondensedDistanceMatrix(n=4, values=np.arange(1.0, 7.0))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "m.tsdm")
-        write_distance_matrix(m, path)
-        with open(path, "rb") as fh:
-            return fh.read()
-
-
-_MATRIX = _valid_matrix()
-
-
-@FUZZ
-@given(
-    edit=st.tuples(st.integers(0, 15), st.binary(min_size=1, max_size=8)),
-    cut=st.integers(0, len(_MATRIX)),
-)
-def test_mutated_matrix_header(edit, cut):
-    # rewrite bytes of the 16-byte header, then maybe drop a tail
-    pos, blob = edit
-    data = _MATRIX[:pos] + blob + _MATRIX[pos + len(blob) :]
-    data = data[: len(data) - cut]
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "m.tsdm")
-        with open(path, "wb") as fh:
-            fh.write(data)
-        try:
-            m = read_distance_matrix(path)
-        except CurationError as exc:
-            assert path in str(exc)
-        else:
-            assert isinstance(m, CondensedDistanceMatrix)
-
-
-def _valid_manifest() -> bytes:
-    pool = TrajectoryPool(tuple(stationary_state(f"x{i}", 0.03 * i) for i in range(6)))
-    manifest = pool_round(pool, SamplingConfig(alpha=0.5, beta=0.5, budget=3, seed=1))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "manifest.json")
-        write_manifest(manifest, path, input_digest="abc")
-        with open(path, "rb") as fh:
-            return fh.read()
-
-
-def _valid_results() -> bytes:
-    rows = (
-        ExperimentRow(0.1, 0.0, 0.2, 0, "active", 1.25, 0.875),
-        ExperimentRow(0.1, 0.0, 0.2, 0, "random", 1.5, 1.0),
-    )
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "rows.csv")
-        write_experiment_csv(ExperimentResult(rows=rows), path)
-        with open(path, "rb") as fh:
-            return fh.read()
-
-
-_DOCUMENTS = {
-    "manifest.json": (_valid_manifest(), read_manifest),
-    "rows.csv": (_valid_results(), read_experiment_csv),
-}
-
-
-@FUZZ
-@given(
-    name=st.sampled_from(sorted(_DOCUMENTS)),
-    edits=st.lists(_byte_edit, min_size=1, max_size=3),
-)
-def test_mutated_manifest_and_result_csv(name, edits):
-    data, read = _DOCUMENTS[name]
-    for edit in edits:
-        data = _edit_bytes(data, edit)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, name)
-        with open(path, "wb") as fh:
-            fh.write(data)
-        try:
-            read(path)
-        except CurationError as exc:
-            assert path in str(exc)

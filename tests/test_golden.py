@@ -29,9 +29,13 @@ GOLDEN = {
 
 
 def test_cluster_artifacts(tmp_path):
-    assert dispatch(["cluster", "--input", str(POOL), "--out", str(tmp_path)]) == 0
+    # nothing reads the matrix dump back, so its bytes are pinned here
+    dump = tmp_path / "matrix.tsdm"
+    argv = ["cluster", "--input", str(POOL), "--out", str(tmp_path), "--matrix-out", str(dump)]
+    assert dispatch(argv) == 0
     assert sha256_file(tmp_path / "assignments.csv") == GOLDEN["assignments.csv"]
     assert sha256_file(tmp_path / "dendrogram.txt") == GOLDEN["dendrogram.txt"]
+    assert sha256_file(dump) == GOLDEN["matrix.tsdm"]
 
 
 def test_labeled_cluster_assignments(tmp_path):

@@ -68,6 +68,10 @@ def test_config_validation():
         {"seed": 1.5},
         {"seed": "1"},
         {"seed": True},
+        # a bool is a numbers.Real, but no weight or threshold
+        {"alpha": True},
+        {"beta": True},
+        {"tau": True},
     )
     for fault in bad:
         with pytest.raises(InvalidFlagValue):

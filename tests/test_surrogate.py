@@ -20,7 +20,7 @@ from trajcurate.errors import InsufficientPool, InvalidFlagValue, ParseError
 from trajcurate.io import load_trajectories, read_labeled_ids
 from trajcurate.sampling import BASELINE_STREAM, phase_rng
 from trajcurate import surrogate
-from trajcurate.surrogate import PREFIX_LEN, _ade_table, _rank_holdout, _score_ranked
+from trajcurate.surrogate import PREFIX_LEN, _rank_holdout, _score_ranked
 
 from helpers import (
     EmptyTrainingPool,
@@ -202,10 +202,9 @@ def test_ranked_scorer_equals_per_score_oracle():
     id_rows = [pool_row(train_pool, i) for i in by_id]
     queries, ranked = TrajectoryPool(tuple(items)).take(held), train_pool.take(id_rows)
     w = MetricWeights(k_a=0.1, k_v=0.05, k_h=2.0)
-    order = _rank_holdout(queries, ranked, w)
+    order, table = _rank_holdout(queries, ranked, w)
     assert order.dtype == np.int32
     # with no columns, and with a narrow table, most ADEs are computed directly
-    table = _ade_table(queries, ranked, order)
     tables = (table[:, :0], table[:, :7])
 
     rng = np.random.default_rng(11)
@@ -232,8 +231,7 @@ def test_table_scorer_equals_per_score_oracle_at_any_table_width(monkeypatch, ta
     id_rows = [pool_row(train_pool, i) for i in by_id]
     queries, ranked = TrajectoryPool(tuple(items)).take(held), train_pool.take(id_rows)
     w = MetricWeights(k_a=0.1, k_v=0.05, k_h=2.0)
-    order = _rank_holdout(queries, ranked, w)
-    table = _ade_table(queries, ranked, order)
+    order, table = _rank_holdout(queries, ranked, w)
     assert order.shape[1] == 272 and table.shape == (len(held), min(table_width, 272))
 
     rng = np.random.default_rng(12)
@@ -313,11 +311,10 @@ def test_ranked_scorer_equals_oracle_on_rows_widened_apart():
     by_id = working.take(sorted(range(len(working)), key=working.ids.__getitem__))
     queries = pool.take(held)
     w = MetricWeights()
-    order = _rank_holdout(queries, by_id, w)
+    order, table = _rank_holdout(queries, by_id, w)
     n = order.shape[1]
     assert n == 320
     # with no columns, and with a table narrower than most widened heads
-    table = _ade_table(queries, by_id, order)
     tables = (table[:, :0], table[:, :100])
 
     rng = np.random.default_rng(5)
@@ -347,8 +344,7 @@ def test_table_scorer_equals_oracle_inside_at_and_past_the_table_width():
     by_id = working.take(sorted(range(len(working)), key=working.ids.__getitem__))
     queries = pool.take(held)
     w = MetricWeights()
-    order = _rank_holdout(queries, by_id, w)
-    table = _ade_table(queries, by_id, order)
+    order, table = _rank_holdout(queries, by_id, w)
     n, width = order.shape[1], table.shape[1]
     assert (n, width) == (320, 256)
 
@@ -432,17 +428,23 @@ def test_sweep_scores_the_manifests_picks(monkeypatch):
         assert mask.tobytes() in scored
 
 
-def test_negative_seeds_are_invalid_flag_values():
+def test_negative_seeds_are_invalid_flag_values(monkeypatch):
     pool, grid = _small_experiment()
     with pytest.raises(InvalidFlagValue, match="seed must be >= 0, got -1"):
         stratified_holdout(pool.ids, seed=-1)
     with pytest.raises(InvalidFlagValue, match="seed must be >= 0, got -1"):
         run_al_experiment(pool, grid, seeds=(0,), split_seed=-1)
-    with pytest.raises(InvalidFlagValue, match="seed must be >= 0, got -2"):
-        run_al_experiment(pool, grid, seeds=(0, -2))
-    # a seed that is not an integer
     with pytest.raises(InvalidFlagValue, match="seed must be an integer, got 1.5"):
         stratified_holdout(pool.ids, 0.2, 1.5)
+
+    # the sweep's seeds are checked before the split or any linkage runs
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before the seeds were checked")
+
+    monkeypatch.setattr(surrogate, "stratified_holdout", must_not_run)
+    monkeypatch.setattr(surrogate, "upgma_linkage_for_pool", must_not_run)
+    with pytest.raises(InvalidFlagValue, match="seed must be >= 0, got -2"):
+        run_al_experiment(pool, grid, seeds=(0, -2))
     with pytest.raises(InvalidFlagValue, match="seed must be an integer, got 0.5"):
         run_al_experiment(pool, grid, seeds=(0.5,))
 
@@ -497,6 +499,9 @@ def test_experiment_rejects_holdout_fraction_above_one():
 def test_stratified_holdout_rejects_fraction_above_one():
     with pytest.raises(InvalidFlagValue, match="holdout fraction"):
         stratified_holdout([f"m-{i:04d}" for i in range(10)], fraction=1.5)
+    # a bool is a numbers.Real, but no fraction
+    with pytest.raises(InvalidFlagValue, match="got False"):
+        stratified_holdout([f"m-{i:04d}" for i in range(10)], fraction=False)
 
 
 def test_experiment_row_accounting_and_pairing():
@@ -549,8 +554,6 @@ def test_experiment_result_validation_and_helpers():
     assert (budget, alpha, beta, n) == (0.1, 0.0, 0.2, 2)
     assert d5 == pytest.approx(0.0)  # random 1.5 mean vs active 1.5 mean
     assert d10 == pytest.approx(1.3 - 1.0)
-    with pytest.raises(ParseError):
-        ExperimentResult(rows=rows[:3])
 
 
 def test_experiment_with_seeded_labeled_pool():

@@ -70,12 +70,13 @@ def upgma_linkage(d: CondensedDistanceMatrix, overwrite: bool = False) -> Dendro
     i < j, sits at ``base[i] + j``; no square matrix is built. ``rowmin[i]``
     is a lower bound of the minimum over row i's upper part (j > i), one
     contiguous slice, and every pair is found in the row of its smaller
-    index. The merged cluster keeps the lower slot A and slot B dies; the
-    new distances are at least min(d(A,x), d(B,x)) and B's become inf, so
-    the bounds never need lowering (average linkage is reducible) and are
-    repaired lazily. Updated distances are clamped to the current merge
-    height: the true average of values >= h cannot drop below h, so the
-    clamp only removes sub-ulp rounding and keeps heights monotone.
+    index. The merged cluster keeps the lower slot A and slot B dies, so
+    each live slot's smallest leaf is its own index. The new distances are
+    at least min(d(A,x), d(B,x)) and B's become inf, so the bounds never
+    need lowering (average linkage is reducible) and are repaired lazily.
+    Updated distances are clamped to the current merge height: the true
+    average of values >= h cannot drop below h, so the clamp only removes
+    sub-ulp rounding and keeps heights monotone.
     ``overwrite=True`` updates ``d.values`` itself instead of a copy, like
     scipy's ``overwrite_a``: ``d`` is consumed, and the buffer under its
     values must be writable, as those of ``pairwise_distances`` are.
@@ -100,7 +101,6 @@ def upgma_linkage(d: CondensedDistanceMatrix, overwrite: bool = False) -> Dendro
     alive = np.ones(n, dtype=bool)
     size = [1] * n
     node = list(range(n))
-    minleaf = np.arange(n, dtype=np.int64)
     maxleaf = np.arange(n, dtype=np.int64)
     merges: list[Merge] = []
 
@@ -113,33 +113,15 @@ def upgma_linkage(d: CondensedDistanceMatrix, overwrite: bool = False) -> Dendro
                 h = float(fresh)
                 break
             rowmin[i0] = fresh
-        # gather every pair at the minimum (rows below h may be stale)
-        rows = (rowmin <= h).nonzero()[0]
-        if rows.size == 1:  # only row i0, whose minimum is settled
-            cs = (upper(i0) == h).nonzero()[0] + (i0 + 1)
-            rs = np.full(cs.size, i0)
-        else:
-            rs, cs = [], []
-            for r in rows:
-                row = upper(r)
-                fresh = row.min()
-                rowmin[r] = fresh
-                if fresh == h:
-                    cs.append(np.flatnonzero(row == h) + (r + 1))
-                    rs.append(np.full(cs[-1].size, r))
-            rs, cs = np.concatenate(rs), np.concatenate(cs)
-        k = 0
-        if rs.size > 1:  # the tie rule of the module docstring, as one lexsort
-            lo, hi = np.minimum(minleaf[rs], minleaf[cs]), np.maximum(minleaf[rs], minleaf[cs])
-            k = np.lexsort((hi, np.maximum(maxleaf[rs], maxleaf[cs]), lo))[0]
-        A, B = int(rs[k]), int(cs[k])
+        # the tie rule in one row: A keeps the lower slot, so a live slot's
+        # smallest leaf is its own index; argmin took the first minimum, so
+        # rows below i0 have bounds above h and i0 is the least min leaf
+        cs = (upper(i0) == h).nonzero()[0] + (i0 + 1)
+        A, B = i0, int(cs[np.maximum(maxleaf[cs], maxleaf[i0]).argmin()])
 
         sa, sb = size[A], size[B]
         new_size = sa + sb
-        if minleaf[A] <= minleaf[B]:
-            merges.append(Merge(node[A], node[B], h, new_size))
-        else:
-            merges.append(Merge(node[B], node[A], h, new_size))
+        merges.append(Merge(node[A], node[B], h, new_size))
 
         # column B over the live x < B (A included): gather, then retire
         alive[B] = False
@@ -172,7 +154,6 @@ def upgma_linkage(d: CondensedDistanceMatrix, overwrite: bool = False) -> Dendro
 
         size[A] = new_size
         node[A] = n + step
-        minleaf[A] = min(minleaf[A], minleaf[B])
         maxleaf[A] = max(maxleaf[A], maxleaf[B])
 
     return Dendrogram(n_leaves=n, merges=tuple(merges))

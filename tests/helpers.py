@@ -4,7 +4,8 @@ per-score surrogate scoring, the sampling round over id strings and sets
 (novelty refresh, novel and familiar phases), the per-record dynamics
 estimate, the per-step stop-then-turn motif and the union-find cut; the
 dendrogram structure check; the manifest and result-CSV readers that check
-the writers' round trips; plus the pool and dendrogram lookups only tests use."""
+the writers' round trips; plus the pool and dendrogram lookups only tests use
+and the parked-duplicates pool builder."""
 
 from __future__ import annotations
 
@@ -102,6 +103,17 @@ def random_states(rng, n, scale=50.0):
             )
         )
     return states
+
+
+def with_parked(pool: TrajectoryPool, parked: int) -> TrajectoryPool:
+    """``pool`` plus ``parked`` records shaped like the benchmark's
+    sample-ties pool: a stationary agent in an agent-centred frame, all 12
+    points at the origin and zero dynamics, so every pair of them ties at 0."""
+    return TrajectoryPool.from_columns(
+        pool.ids + tuple(f"parked-{k:04d}" for k in range(parked)),
+        np.concatenate([pool.points, np.zeros((parked, 12, 2))]),
+        np.concatenate([pool.dyn, np.zeros((parked, 3))]),
+    )
 
 
 def random_condensed(rng, n, lo=1.0, hi=10.0):

@@ -11,8 +11,8 @@ and pins the tolerance and runtime budget it must meet. Criteria:
   4. sampling-round invariant suite on 1,000 randomized fixtures (< 60 s)
   5. typicality-to-novelty phase transition on the canonical fixture,
      10 seeds (< 5 min)
-  6. end-to-end cluster command on 10,000 synthetic items
-     (< 60 s, < 2 GB)
+  6. end-to-end cluster command on 10,000 synthetic items, tie-free and
+     with 2,000 exact duplicates (< 60 s, < 2 GB each)
   7. published full-scale reference metrics are documented as out of
      desk-scale reach; the property suite above is the substitute
   8. byte-identical CLI reruns
@@ -32,8 +32,8 @@ from trajcurate import (
     TrajectoryPool,
     flat_clusters,
     generate_synthetic_pool,
-    pairwise_distances,
     run_al_experiment,
+    synthetic_pool,
     trajectory_state_distance,
     upgma_linkage,
 )
@@ -47,6 +47,7 @@ from helpers import (
     random_condensed,
     to_square,
     upgma_oracle,
+    with_parked,
 )
 
 
@@ -191,14 +192,23 @@ def test_criterion_phase_transition_direction():
         assert novel_large <= typical_large, (novel_large, typical_large)
 
 
-def test_criterion_scale_cluster_10k(tmp_path):
+_SCALE_POOLS = {
+    "tie-free": lambda: TrajectoryPool(
+        tuple(generate_synthetic_pool(canonical_pool_spec(total_count=10_000, seed=3)))
+    ),
+    # 2,000 exact duplicates, as parked agents fill real pools
+    "duplicates": lambda: with_parked(synthetic_pool(canonical_pool_spec(8_000, seed=3)), 2_000),
+}
+
+
+@pytest.mark.parametrize("pool", list(_SCALE_POOLS))
+def test_criterion_scale_cluster_10k(tmp_path, pool):
     from trajcurate.io import write_trajectories
 
-    items = generate_synthetic_pool(canonical_pool_spec(total_count=10_000, seed=3))
     pool_path = tmp_path / "pool10k.jsonl"
-    write_trajectories(TrajectoryPool(tuple(items)), pool_path)
+    write_trajectories(_SCALE_POOLS[pool](), pool_path)
     out_dir = tmp_path / "out"
-    with Budget("scale-cluster-10k", 60.0):
+    with Budget(f"scale-cluster-10k-{pool}", 60.0):
         proc = subprocess.run(
             [
                 sys.executable,

@@ -7,7 +7,7 @@ import pytest
 from trajcurate import TrajectoryPool, canonical_pool_spec, generate_synthetic_pool
 from trajcurate.cli import dispatch, parse_budget, parse_weights
 from trajcurate.errors import InvalidFlagValue
-from trajcurate.io import load_trajectories, sha256_file, write_trajectories
+from trajcurate.io import sha256_file, write_trajectories
 from trajcurate.surrogate import stratified_holdout
 
 from helpers import read_experiment_csv, read_manifest, stationary_state

@@ -9,7 +9,6 @@ from trajcurate import (
     CondensedDistanceMatrix,
     Dendrogram,
     Merge,
-    TrajectoryPool,
     flat_clusters,
     format_dendrogram,
     generate_synthetic_pool,
@@ -35,6 +34,7 @@ from helpers import (
     stationary_state,
     to_square,
     upgma_oracle,
+    with_parked,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -306,13 +306,18 @@ def test_condensed_linkage_equals_square_oracle_random():
         assert check_dendrogram(upgma_linkage(m)) == square_upgma_oracle(m), (trial, n, kind)
 
 
-@pytest.mark.parametrize("pool", ["canonical-2k", "tie-plateau"])
+_ORACLE_POOLS = {
+    "canonical-2k": lambda: generate_synthetic_pool(canonical_pool_spec(2000)),
+    "tie-plateau": _tie_plateau_states,
+    # 200 exact duplicates: the linkage settles their ties from one row,
+    # the oracle gathers every tied pair and sorts by the full key
+    "tie-heavy": lambda: with_parked(synthetic_pool(canonical_pool_spec(300)), 200),
+}
+
+
+@pytest.mark.parametrize("pool", list(_ORACLE_POOLS))
 def test_condensed_linkage_equals_square_oracle_pools(pool):
-    if pool == "canonical-2k":
-        states = generate_synthetic_pool(canonical_pool_spec(2000))
-    else:
-        states = _tie_plateau_states()
-    m = pairwise_distances(states)
+    m = pairwise_distances(_ORACLE_POOLS[pool]())
     assert check_dendrogram(upgma_linkage(m)) == square_upgma_oracle(m)
 
 
@@ -333,22 +338,10 @@ def test_linkage_matches_scipy_average_at_2k(tau):
     assert len(pairs) > 1
 
 
-def _tie_heavy_pool():
-    # shaped like the benchmark's sample-ties pool: parked records at the
-    # origin with zero dynamics, every pair of them an exact tie
-    base = synthetic_pool(canonical_pool_spec(total_count=540, seed=0))
-    parked = 60
-    return TrajectoryPool.from_columns(
-        base.ids + tuple(f"parked-{k:04d}" for k in range(parked)),
-        np.concatenate([base.points, np.zeros((parked, 12, 2))]),
-        np.concatenate([base.dyn, np.zeros((parked, 3))]),
-    )
-
-
 _CUT_POOLS = {
     "canonical-2k": lambda: synthetic_pool(canonical_pool_spec(2000)),
     "pool-400": lambda: load_trajectories(DATA / "pool-400.jsonl"),
-    "tie-heavy": _tie_heavy_pool,
+    "tie-heavy": lambda: with_parked(synthetic_pool(canonical_pool_spec(540, seed=0)), 60),
 }
 
 

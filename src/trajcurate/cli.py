@@ -220,6 +220,9 @@ def cmd_simulate(args) -> int:
     check_holdout(args.holdout, "--holdout")
     check_int(args.split_seed, 0, "--split-seed")
     if args.grid == "default":
+        for name in ("alphas", "betas", "budgets"):
+            if getattr(args, name):
+                raise InvalidFlagValue(f"--{name} needs --grid custom")
         alphas, betas, budgets = DEFAULT_GRID_ALPHAS, DEFAULT_GRID_BETAS, DEFAULT_GRID_BUDGETS
     else:
         alphas = _parse_float_list(args.alphas, "--alphas")

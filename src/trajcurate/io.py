@@ -17,8 +17,8 @@ digest of the ingested pool file.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
+from array import array
 from dataclasses import asdict, replace
 from itertools import chain
 from pathlib import Path
@@ -81,7 +81,7 @@ def load_trajectories(path) -> TrajectoryPool:
     ids, values, lines, labeled, malformed = read(path)
     if not ids:
         raise ParseError(f"{path}: no trajectory records")
-    values = np.array(values, dtype=np.float64).reshape(len(ids), _N_VALUES)
+    values = np.frombuffer(values).reshape(len(ids), _N_VALUES)
     points = values[:, : 2 * TRAJECTORY_LEN].reshape(-1, TRAJECTORY_LEN, 2)
     try:
         return TrajectoryPool.from_columns(ids, points, values[:, 2 * TRAJECTORY_LEN :], labeled)
@@ -119,8 +119,10 @@ def _not_a_number(points, v, a, h) -> str:
 
 
 def _read_jsonl(path):
-    """(ids, flat values, line numbers, labeled ids, {row: conversion error})."""
-    ids, values, lines, labeled, malformed = [], [], [], [], {}
+    """(ids, flat float64 values, line numbers, labeled ids, {row: conversion error})."""
+    # an array("d"), not a list: a list's float objects would leave their
+    # interpreter arenas held after the pool is built
+    ids, values, lines, labeled, malformed = [], array("d"), [], [], {}
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(_utf8_lines(fh, path), start=1):
             if not line.strip():
@@ -157,7 +159,7 @@ def _read_jsonl(path):
             except (TypeError, ValueError, OverflowError) as exc:
                 malformed[len(ids)] = exc
                 row = _NAN_ROW
-            values += row
+            values.extend(row)
             ids.append(obj["id"])
             lines.append(lineno)
             if is_labeled:
@@ -167,7 +169,7 @@ def _read_jsonl(path):
 
 def _read_csv(path):
     """As ``_read_jsonl``; a CSV cell that is not a number fails at once."""
-    ids, values, lines, labeled = [], [], [], []
+    ids, values, lines, labeled = [], array("d"), [], []
     try:
         with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
             reader = csv.reader(_utf8_lines(fh, path))
@@ -187,7 +189,7 @@ def _read_csv(path):
                         f"({TRAJECTORY_LEN} coordinate pairs), got {len(row)}"
                     )
                 try:
-                    values += map(float, row[1 : 1 + _N_VALUES])
+                    values.extend(map(float, row[1 : 1 + _N_VALUES]))
                 except ValueError as exc:
                     raise ParseError(f"{path}: row {lineno}: {exc}") from exc
                 try:
@@ -274,6 +276,8 @@ def write_manifest(m: SelectionManifest, out_path, input_digest: str = "") -> No
 
 
 def sha256_file(path) -> str:
+    import hashlib  # here, not at the top: it loads OpenSSL, which only sample needs
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

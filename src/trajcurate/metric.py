@@ -42,9 +42,11 @@ from .states import TRAJECTORY_LEN, TrajectoryPool, TrajectoryState, pack_states
 _MATRIX_MAGIC = b"TSDM"
 _MATRIX_VERSION = 1
 
-# rows per kernel call in pairwise_distances; each call's temporaries are
-# _TILE x n float64 arrays (1.3 MB each at n = 10k)
-_TILE = 16
+# pairs per kernel call in pairwise_distances. A tile of rows x n pairs has
+# rows x n float64 temporaries, so a tile takes up to 16 rows but about
+# this many pairs at most (8 rows, 0.64 MB a temporary, at 10k items);
+# much smaller calls lose time to GIL hand-offs between the threads
+_TILE_PAIRS = 80_000
 
 
 @dataclass(frozen=True)
@@ -188,18 +190,19 @@ def _row_block(
     out: np.ndarray,
     i0: int,
     i1: int,
+    tile: int,
 ) -> None:
     """Fill condensed entries for rows [i0, i1).
 
-    Rows go through the kernel ``_TILE`` at a time, against every column
+    Rows go through the kernel ``tile`` at a time, against every column
     after the tile's first row; each row then copies its upper part into
     its own disjoint slice of ``out``. A pair's terms are reduced in the
     kernel's fixed order whatever tile it lands in, so results do not
     depend on how rows are assigned to tiles or workers.
     """
     n = pts.shape[0]
-    for lo in range(i0, i1, _TILE):
-        hi = min(lo + _TILE, i1)
+    for lo in range(i0, i1, tile):
+        hi = min(lo + tile, i1)
         block = _distance(
             pts[lo:hi, None], dyn[lo:hi, None], pts[None, lo + 1 :], dyn[None, lo + 1 :], w
         )
@@ -232,12 +235,13 @@ def pairwise_distances(
     if workers is None:
         workers = min(4, os.cpu_count() or 1)
     workers = max(1, workers)
+    tile = max(1, min(16, _TILE_PAIRS // n))
     # small chunks keep the decreasing row costs balanced across threads
-    chunk = _TILE * max(1, n // (workers * 8 * _TILE))
+    chunk = tile * max(1, n // (workers * 8 * tile))
     bounds = list(range(0, n, chunk)) + [n]
     with ThreadPoolExecutor(max_workers=workers) as ex:
         futures = [
-            ex.submit(_row_block, pts, dyn, w, out, lo, hi)
+            ex.submit(_row_block, pts, dyn, w, out, lo, hi, tile)
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
         for f in futures:

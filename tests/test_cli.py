@@ -336,6 +336,7 @@ def test_simulate_custom_grid_requires_lists(synth_file, tmp_path, capsys):
         ["--split-seed", "-1"],
         ["--seeds", "0"],
         ["--grid", "custom", "--alphas", ",", "--betas", "0.2", "--budgets", "0.1"],
+        ["--betas", "0.4", "--grid", "default"],
     ],
     ids=[
         "tau-negative",
@@ -345,6 +346,7 @@ def test_simulate_custom_grid_requires_lists(synth_file, tmp_path, capsys):
         "split-seed-negative",
         "seeds-0",
         "custom-grid-empty",
+        "list-without-custom-grid",
     ],
 )
 def test_simulate_bad_flag_values_exit_2(synth_file, tmp_path, capsys, flags):

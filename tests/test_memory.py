@@ -1,6 +1,8 @@
-"""Memory held by the commands that own a distance matrix.
+"""Memory held by the loader and by the commands that own a distance matrix.
 
-``cluster``, ``cluster --matrix-out`` and ``stats`` each build one
+The loader parses a record file's numbers into one float64 buffer, not a
+list of Python floats, so its traced peak stays a few times the pool's
+columns. ``cluster``, ``cluster --matrix-out`` and ``stats`` each build one
 condensed matrix and hand it to the linkage, which takes over its buffer;
 a matrix dump is written from that buffer. So each command's traced peak
 stays near one matrix, not the two or three a copy would hold.
@@ -16,7 +18,7 @@ import pytest
 from trajcurate import CondensedDistanceMatrix, TrajectoryPool, upgma_linkage
 from trajcurate.cli import dispatch
 from trajcurate.errors import NonFiniteValue
-from trajcurate.io import write_trajectories
+from trajcurate.io import load_trajectories, write_trajectories
 from trajcurate.synth import canonical_pool_spec, generate_synthetic_pool
 
 POOL_SIZE = 2000
@@ -48,6 +50,23 @@ def test_command_peak_is_one_matrix(canonical_2k, tmp_path, command):
     assert code == 0
     # a copy of the matrix anywhere on the path would add a whole 1.0
     assert peak <= 1.75 * MATRIX_BYTES, peak / MATRIX_BYTES
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+def test_loader_peak_is_a_few_columns(canonical_2k, tmp_path, suffix):
+    path = canonical_2k
+    if suffix == ".csv":
+        path = tmp_path / "pool.csv"
+        write_trajectories(load_trajectories(canonical_2k), path)
+    tracemalloc.start()
+    try:
+        pool = load_trajectories(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = pool.points.nbytes + pool.dyn.nbytes
+    # a list of Python floats as the buffer reads 5.5 here
+    assert peak <= 4 * columns, peak / columns
 
 
 def _tie_heavy(rng, n):

@@ -7,6 +7,7 @@ from trajcurate import (
     CondensedDistanceMatrix,
     MetricWeights,
     TrajectoryState,
+    metric,
     pairwise_distances,
     trajectory_state_distance,
     write_distance_matrix,
@@ -146,12 +147,15 @@ def test_kernel_equals_sum_oracle_bitwise(prefix_len):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 63, 64, 65, 333])
-def test_pairwise_bytes_equal_row_oracle(n, workers):
+def test_pairwise_bytes_equal_row_oracle(n, workers, monkeypatch):
     rng = np.random.default_rng(n)
     states = random_states(rng, n)
     pts, dyn = pack_states(states)
-    got = pairwise_distances(states, workers=workers)
-    assert got.values.tobytes() == pairwise_oracle(pts, dyn).tobytes()
+    want = pairwise_oracle(pts, dyn).tobytes()
+    # the default 16-row tiles, then tiles of 1,000 // n and 100 // n rows (at least 1)
+    for tile_pairs in (metric._TILE_PAIRS, 1_000, 100):
+        monkeypatch.setattr(metric, "_TILE_PAIRS", tile_pairs)
+        assert pairwise_distances(states, workers=workers).values.tobytes() == want, tile_pairs
 
 
 @pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 1100])

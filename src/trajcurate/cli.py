@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import astuple
 from pathlib import Path
 from typing import Sequence
@@ -94,9 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--pool-size",
         type=int,
-        default=2000,
         dest="pool_size",
-        help="size of the built-in fixture when --input is omitted",
+        help="size of the built-in fixture (default 2000); only without --input",
     )
     p_sim.add_argument("--grid", default="default", choices=["default", "custom"])
     p_sim.add_argument("--alphas", default="", help="comma list for --grid custom")
@@ -155,21 +153,11 @@ def _load_pool(args) -> TrajectoryPool:
     return pool
 
 
-@contextmanager
-def _naming(path):
-    """Name ``path`` in an overflow of its loaded pool's values."""
-    try:
-        yield
-    except NonFiniteValue as exc:
-        raise NonFiniteValue(f"{path}: {exc}") from None
-
-
 def cmd_cluster(args) -> int:
     check_tau(args.tau, "--tau")
     weights = parse_weights(args.weights)
     pool = _load_pool(args)
-    with _naming(args.input):
-        matrix = pairwise_distances(pool, weights)
+    matrix = pairwise_distances(pool, weights)
     if args.matrix_out:
         write_distance_matrix(matrix, args.matrix_out)
     tree = upgma_linkage(matrix, overwrite=True)
@@ -181,10 +169,8 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    check_tau(args.tau, "--tau")
     weights = parse_weights(args.weights)
     budget = parse_budget(args.budget)
-    check_int(args.seed, 0, "--seed")
     cfg = SamplingConfig(
         alpha=args.alpha,
         beta=args.beta,
@@ -194,8 +180,7 @@ def cmd_sample(args) -> int:
         seed=args.seed,
     )
     pool = _load_pool(args)
-    with _naming(args.input):
-        manifest = sampling_round(pool_partition(pool, cfg), cfg)
+    manifest = sampling_round(pool_partition(pool, cfg), cfg)
     write_manifest(manifest, args.out, input_digest=sha256_file(args.input))
     print(
         f"wrote {args.out}: {len(manifest.selected)} selected "
@@ -213,7 +198,6 @@ def _parse_float_list(flag: str, name: str) -> tuple[float, ...]:
 
 
 def cmd_simulate(args) -> int:
-    check_tau(args.tau, "--tau")
     weights = parse_weights(args.weights)
     check_int(args.seeds, 1, "--seeds")
     check_int(args.k_modes, 1, "--k-modes")
@@ -232,20 +216,21 @@ def cmd_simulate(args) -> int:
             raise InvalidFlagValue("--grid custom needs --alphas, --betas and --budgets")
     grid = plan_experiment_grid(alphas, betas, budgets, tau=args.tau, weights=weights)
     if args.input:
+        if args.pool_size is not None:
+            raise InvalidFlagValue("--pool-size sizes the built-in fixture; --input replaces it")
         pool = _load_pool(args)
     else:
-        if args.pool_size < 10:
-            raise InvalidFlagValue(f"--pool-size must be >= 10, got {args.pool_size}")
-        pool = synthetic_pool(canonical_pool_spec(total_count=args.pool_size))
-    with _naming(args.input or "built-in pool"):
-        result = run_al_experiment(
-            pool,
-            grid,
-            seeds=range(args.seeds),
-            k_modes=args.k_modes,
-            holdout_fraction=args.holdout,
-            split_seed=args.split_seed,
-        )
+        size = 2000 if args.pool_size is None else args.pool_size
+        check_int(size, 10, "--pool-size")
+        pool = synthetic_pool(canonical_pool_spec(total_count=size))
+    result = run_al_experiment(
+        pool,
+        grid,
+        seeds=range(args.seeds),
+        k_modes=args.k_modes,
+        holdout_fraction=args.holdout,
+        split_seed=args.split_seed,
+    )
     write_experiment_csv(result, args.out)
     print(f"wrote {args.out}: {len(result.rows)} rows")
     return 0
@@ -255,8 +240,7 @@ def cmd_stats(args) -> int:
     check_tau(args.tau, "--tau")
     weights = parse_weights(args.weights)
     pool = _load_pool(args)
-    with _naming(args.input):
-        tree = upgma_linkage(pairwise_distances(pool, weights), overwrite=True)
+    tree = upgma_linkage(pairwise_distances(pool, weights), overwrite=True)
     part = flat_clusters(tree, args.tau, labeled_ids=pool.labeled_ids, leaf_ids=pool.ids)
 
     histogram = Counter(part.rows.sizes.tolist())
@@ -289,6 +273,12 @@ _COMMANDS = {
     "stats": cmd_stats,
 }
 
+# SamplingConfig's checks name a parameter first; the error names its flag
+_FLAGS = {
+    "sample": {"alpha": "--alpha", "beta": "--beta", "tau": "--tau", "seed": "--seed"},
+    "simulate": {"alpha": "--alphas", "beta": "--betas", "tau": "--tau"},
+}
+
 
 def dispatch(argv: Sequence[str]) -> int:
     parser = build_parser()
@@ -300,7 +290,9 @@ def dispatch(argv: Sequence[str]) -> int:
     try:
         return _COMMANDS[args.command](args)
     except InvalidFlagValue as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        param, sep, rest = str(exc).partition(" ")
+        flag = _FLAGS.get(args.command, {}).get(param, param)
+        print(f"error: {flag}{sep}{rest}", file=sys.stderr)
         return 2
     except (CurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,8 @@ class WrongPointCount(CurationError):
 
 
 class NonFiniteValue(CurationError):
-    """A coordinate or state scalar is NaN or infinite."""
+    """A coordinate, state scalar or metric weight is NaN, infinite or beyond
+    ``states.MAX_ABS``, a weight is negative, or a distance is not finite and >= 0."""
 
 
 class EmptyId(CurationError):

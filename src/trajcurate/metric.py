@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonFiniteValue, ParseError
-from .states import TRAJECTORY_LEN, TrajectoryPool, TrajectoryState, pack_states
+from .states import MAX_ABS, TRAJECTORY_LEN, TrajectoryPool, TrajectoryState, pack_states
 
 _MATRIX_MAGIC = b"TSDM"
 _MATRIX_VERSION = 1
@@ -55,7 +55,7 @@ class MetricWeights:
 
     Defaults reflect typical ranges: heading change rates span roughly
     -0.5..0.5 rad/s (k_h = 1), velocities 0..20 m/s (k_v = 1/40), and
-    accelerations -5..5 m/s^2 (k_a = 1/20).
+    accelerations -5..5 m/s^2 (k_a = 1/20). Each is in [0, ``MAX_ABS``].
     """
 
     k_a: float = 1.0 / 20.0
@@ -65,8 +65,8 @@ class MetricWeights:
     def __post_init__(self) -> None:
         for name in ("k_a", "k_v", "k_h"):
             w = float(getattr(self, name))
-            if not np.isfinite(w) or w < 0.0:
-                raise NonFiniteValue(f"weight {name} must be finite and >= 0, got {w}")
+            if not 0.0 <= w <= MAX_ABS:
+                raise NonFiniteValue(f"weight {name} must be in [0, {MAX_ABS:g}], got {w}")
             object.__setattr__(self, name, w)
 
 
@@ -92,7 +92,10 @@ class CondensedDistanceMatrix:
             raise ParseError(
                 f"condensed matrix for n={self.n} needs {expected} values, got {vals.shape}"
             )
-        check_distances(vals)
+        # min and max propagate NaN, so they catch NaN, inf and negatives; -0.0 passes
+        if vals.size and not (vals.min() >= 0.0 and vals.max() < np.inf):
+            bad = vals.flat[np.argmin((vals >= 0.0) & (vals < np.inf))]
+            raise NonFiniteValue(f"distances must be finite and >= 0, got {bad}")
         vals = vals.view()  # freeze a view, so a caller's own array stays writable
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -103,20 +106,6 @@ class CondensedDistanceMatrix:
         if i > j:
             i, j = j, i
         return float(self.values[condensed_index(self.n, i, j)])
-
-
-def check_distances(vals: np.ndarray) -> None:
-    """Raise ``NonFiniteValue`` unless every value of ``vals`` is finite and >= 0.
-
-    Both reductions propagate NaN, so the two of them catch NaN, +-inf and
-    negative values with no boolean temporary; -0.0 passes. The error's
-    ``index`` is the flat index of the first bad value.
-    """
-    if vals.size and not (vals.min() >= 0.0 and vals.max() < np.inf):
-        index = int(np.argmin((vals >= 0.0) & (vals < np.inf)))
-        exc = NonFiniteValue(f"distances must be finite and >= 0, got {vals.flat[index]}")
-        exc.index = index
-        raise exc
 
 
 def condensed_index(n: int, i: int, j: int) -> int:
@@ -139,8 +128,7 @@ def _distance(pa, da, pb, db, w: MetricWeights, prefix_len: int = TRAJECTORY_LEN
     earlier ``sqrt((diff**2).sum(-1)).sum(-1)`` form, written out so that
     distances stay byte-identical to artifacts made with that form whatever
     numpy version runs. Terms are added as they are made, so at most three
-    term arrays are live at once. Overflow gives inf or NaN without a
-    warning, in any thread; the callers' value checks report it.
+    term arrays are live at once.
     """
 
     def term(k: int) -> np.ndarray:
@@ -151,27 +139,26 @@ def _distance(pa, da, pb, db, w: MetricWeights, prefix_len: int = TRAJECTORY_LEN
         dx += dy
         return np.sqrt(dx, out=dx)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = term(0)
-        if prefix_len < 8:
-            for k in range(1, prefix_len):
-                d += term(k)
-        else:
-            d += term(1)
-            pair = term(2)
-            pair += term(3)
-            d += pair
-            quad = term(4)
-            quad += term(5)
-            pair = term(6)
-            pair += term(7)
-            quad += pair
-            d += quad
-            for k in range(8, prefix_len):
-                d += term(k)
-        d += w.k_a * np.abs(da[..., 1] - db[..., 1])
-        d += w.k_v * np.abs(da[..., 0] - db[..., 0])
-        d += w.k_h * np.abs(da[..., 2] - db[..., 2])
+    d = term(0)
+    if prefix_len < 8:
+        for k in range(1, prefix_len):
+            d += term(k)
+    else:
+        d += term(1)
+        pair = term(2)
+        pair += term(3)
+        d += pair
+        quad = term(4)
+        quad += term(5)
+        pair = term(6)
+        pair += term(7)
+        quad += pair
+        d += quad
+        for k in range(8, prefix_len):
+            d += term(k)
+    d += w.k_a * np.abs(da[..., 1] - db[..., 1])
+    d += w.k_v * np.abs(da[..., 0] - db[..., 0])
+    d += w.k_h * np.abs(da[..., 2] - db[..., 2])
     return d
 
 
@@ -246,13 +233,7 @@ def pairwise_distances(
         ]
         for f in futures:
             f.result()
-    try:
-        return CondensedDistanceMatrix(n=n, values=out)
-    except NonFiniteValue as exc:
-        rows = np.arange(n)
-        i = int(np.searchsorted(condensed_index(n, rows, rows + 1), exc.index, "right")) - 1
-        j = exc.index - condensed_index(n, i, i + 1) + i + 1
-        raise NonFiniteValue(f"{exc} between {pool.ids[i]!r} and {pool.ids[j]!r}") from None
+    return CondensedDistanceMatrix(n=n, values=out)
 
 
 def write_distance_matrix(m: CondensedDistanceMatrix, path) -> None:

@@ -12,6 +12,13 @@ distance kernel to the surrogate reads them directly; the loaders parse
 records straight into them. ``items`` builds ``TrajectoryState``s only
 when it is read. Both types are immutable, so they can be shared freely
 across threads.
+
+Both types hold every coordinate and every v, a and h to ``MAX_ABS`` =
+1e150 in magnitude, and ``MetricWeights`` each weight to [0, 1e150]. Then a
+squared offset is at most 4e300 and a weighted state difference 2e300, so a
+distance or an ADE is at most about 6e300, and the linkage's size x distance
+stays below the largest float, 1.8e308, for any pool under about 3e7 items:
+no stage can overflow. NaN and infinities fail the bound too.
 """
 
 from __future__ import annotations
@@ -33,6 +40,9 @@ from .errors import (
 )
 
 TRAJECTORY_LEN = 12
+
+MAX_ABS = 1e150  # the bound on every value's magnitude: see the module docstring
+_BEYOND = f"NaN or beyond ±{MAX_ABS:g}"
 
 # displacements shorter than this carry no usable heading information
 _HEADING_EPS = 1e-6
@@ -63,8 +73,8 @@ class TrajectoryState:
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "h", float(self.h))
         flat = [c for p in pts for c in p] + [self.v, self.a, self.h]
-        if not all(math.isfinite(c) for c in flat):
-            raise NonFiniteValue(f"trajectory {self.id!r} contains a non-finite value")
+        if not all(abs(c) <= MAX_ABS for c in flat):  # NaN compares false
+            raise NonFiniteValue(f"trajectory {self.id!r} contains a value that is {_BEYOND}")
 
 
 def estimate_dynamics(
@@ -84,9 +94,13 @@ def estimate_dynamics(
     pts = np.asarray(past_points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise TooFewPoints("need at least three (x, y) positions")
-    if not np.all(np.isfinite(pts)):
-        raise NonFiniteValue("position track contains a non-finite value")
-    return tuple(_dynamics(pts[None], dt)[0].tolist())
+    # the check below reports what overflows: a position, or the estimate at a small dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        dyn = _dynamics(pts[None], dt)[0]
+    est = tuple(dyn.tolist())
+    if not ((np.abs(pts) <= MAX_ABS).all() and (np.abs(dyn) <= MAX_ABS).all()):
+        raise NonFiniteValue(f"positions or their (v, a, h) = {est} hold a value that is {_BEYOND}")
+    return est
 
 
 def _dynamics(past: np.ndarray, dt: float) -> np.ndarray:
@@ -160,13 +174,15 @@ class TrajectoryPool:
         dyn = np.ascontiguousarray(dyn, dtype=np.float64).view()
         if points.shape != (len(ids), TRAJECTORY_LEN, 2) or dyn.shape != (len(ids), 3):
             raise WrongPointCount(f"{len(ids)} ids, columns {points.shape} and {dyn.shape}")
-        finite = np.isfinite(points).all(axis=(1, 2)) & np.isfinite(dyn).all(axis=1)
+        # NaN compares false; boolean temporaries only, an eighth of np.abs's
+        bounded = ((-MAX_ABS <= points) & (points <= MAX_ABS)).all(axis=(1, 2))
+        bounded &= ((-MAX_ABS <= dyn) & (dyn <= MAX_ABS)).all(axis=1)
         seen: set[str] = set()
-        for r, (id_, ok) in enumerate(zip(ids, finite.tolist())):
+        for r, (id_, ok) in enumerate(zip(ids, bounded.tolist())):
             if not isinstance(id_, str) or not id_:
                 exc = EmptyId("trajectory id must be a non-empty string")
             elif not ok:
-                exc = NonFiniteValue(f"trajectory {id_!r} contains a non-finite value")
+                exc = NonFiniteValue(f"trajectory {id_!r} contains a value that is {_BEYOND}")
             elif id_ in seen:
                 exc = DuplicateId(f"duplicate trajectory id {id_!r}")
             else:

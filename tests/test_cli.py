@@ -8,6 +8,7 @@ from trajcurate import TrajectoryPool, canonical_pool_spec, generate_synthetic_p
 from trajcurate.cli import dispatch, parse_budget, parse_weights
 from trajcurate.errors import InvalidFlagValue
 from trajcurate.io import sha256_file, write_trajectories
+from trajcurate.states import MAX_ABS
 from trajcurate.surrogate import stratified_holdout
 
 from helpers import read_experiment_csv, read_manifest, stationary_state
@@ -43,7 +44,7 @@ def test_parse_weights():
         parse_weights("a,b,c")
 
 
-@pytest.mark.parametrize("weights", ["-1,0,0", "nan,0,0"])
+@pytest.mark.parametrize("weights", ["-1,0,0", "nan,0,0", "1e200,0,0"])
 def test_cluster_weights_out_of_range_exit_2(pool_file, tmp_path, capsys, weights):
     argv = ["cluster", "--input", str(pool_file), f"--weights={weights}", "--out", str(tmp_path)]
     code = dispatch(argv)
@@ -136,7 +137,14 @@ def test_sample_alpha_out_of_range(pool_file, tmp_path, capsys):
         ]
     )
     assert code == 2
-    assert "alpha" in capsys.readouterr().err
+    assert "--alpha" in capsys.readouterr().err
+
+
+def test_sample_beta_out_of_range_before_the_input_is_read(tmp_path, capsys):
+    argv = ["sample", "--input", str(tmp_path / "missing.jsonl"), "--alpha", "0.5"]
+    argv += ["--beta", "0", "--budget", "4", "--out", str(tmp_path / "m.json")]
+    assert dispatch(argv) == 2
+    assert capsys.readouterr().err == "error: --beta must be in (0, 1], got 0.0\n"
 
 
 def test_sample_reproducible(pool_file, tmp_path):
@@ -337,6 +345,9 @@ def test_simulate_custom_grid_requires_lists(synth_file, tmp_path, capsys):
         ["--seeds", "0"],
         ["--grid", "custom", "--alphas", ",", "--betas", "0.2", "--budgets", "0.1"],
         ["--betas", "0.4", "--grid", "default"],
+        ["--alphas", "0.2,1.5", "--grid", "custom", "--betas", "0.2", "--budgets", "0.1"],
+        ["--betas", "0", "--grid", "custom", "--alphas", "0.2", "--budgets", "0.1"],
+        ["--pool-size", "5"],
     ],
     ids=[
         "tau-negative",
@@ -347,6 +358,9 @@ def test_simulate_custom_grid_requires_lists(synth_file, tmp_path, capsys):
         "seeds-0",
         "custom-grid-empty",
         "list-without-custom-grid",
+        "alphas-above-1",
+        "betas-0",
+        "pool-size-with-input",
     ],
 )
 def test_simulate_bad_flag_values_exit_2(synth_file, tmp_path, capsys, flags):
@@ -386,17 +400,38 @@ def test_simulate_empty_holdout_exits_1(tmp_path, capsys):
 
 
 _LINE_IDS = tuple(f"m{i % 4}-{i}" for i in range(40))
+_CSV_HEADER = ",".join(
+    ["id"] + [f"{axis}{k}" for k in range(1, 13) for axis in ("x", "y")] + ["v", "a", "h"]
+)
 
 
-def _line_pool(tmp_path, edit):
+def _line_columns(edit):
     """40 records on a line in four motif groups, after ``edit(points, dyn)``."""
     points = np.zeros((40, 12, 2))
     points[..., 0] = np.arange(12.0) + 0.5 * np.arange(40)[:, None]
     dyn = np.zeros((40, 3))
     edit(points, dyn)
-    path = tmp_path / "pool.jsonl"
-    write_trajectories(TrajectoryPool.from_columns(_LINE_IDS, points, dyn), path)
-    return path
+    return points, dyn
+
+
+def _line_pool_files(tmp_path, edit):
+    """The line pool after ``edit`` as raw JSONL and CSV text, so a value
+    beyond the bound reaches the loaders: record r is on line r + 1 of the
+    JSONL file and r + 2 of the CSV file, below its header."""
+    points, dyn = _line_columns(edit)
+    jsonl, csv_ = tmp_path / "pool.jsonl", tmp_path / "pool.csv"
+    rows = list(zip(_LINE_IDS, points.tolist(), dyn.tolist()))
+    jsonl.write_text(
+        "".join(
+            json.dumps({"id": id_, "points": pts, "v": v, "a": a, "h": h}) + "\n"
+            for id_, pts, (v, a, h) in rows
+        )
+    )
+    csv_lines = [_CSV_HEADER]
+    for id_, pts, vah in rows:
+        csv_lines.append(",".join([id_, *(repr(c) for pt in pts for c in pt), *map(repr, vah)]))
+    csv_.write_text("\n".join(csv_lines) + "\n")
+    return {jsonl: 1, csv_: 2}  # path -> the line of record 0
 
 
 def _dispatch_warning_free(argv):
@@ -411,66 +446,94 @@ def _dispatch_warning_free(argv):
 @pytest.mark.parametrize("split_seed, in_holdout", [(1, False), (2, True)], ids=["train", "holdout"])
 @pytest.mark.parametrize("column", ["x", "x-tail", "a"])
 def test_simulate_overflowing_record_exits_1(tmp_path, capsys, column, split_seed, in_holdout):
-    # x = 1e308 overflows every distance to record 7: in training the matrix
-    # check fails; in the holdout its prefix distances do or, with only its
-    # tail overflowing, its minADE score. a = 1e308 against a = -1e308 on
-    # the other side of the split overflows only the distances between them
+    # a record beyond MAX_ABS fails at load, wherever the split would put
+    # it: x = 1e308 on all of record 7's points or only its tail, or
+    # a = 1e308 against a = -MAX_ABS, which passes, across the split
     holdout = stratified_holdout(_LINE_IDS, 0.5, split_seed)[1]
     assert (7 in holdout) == in_holdout
     partner = next(r for r in range(40) if (r in holdout) != in_holdout)
 
     def edit(points, dyn):
         if column == "a":
-            dyn[7, 1], dyn[partner, 1] = 1e308, -1e308
+            dyn[7, 1], dyn[partner, 1] = 1e308, -MAX_ABS
         else:
             points[7, 2 if column == "x-tail" else 0 :, 0] = 1e308
 
-    out, pool = tmp_path / "r.csv", _line_pool(tmp_path, edit)
-    code = _dispatch_warning_free(
-        ["simulate", "--input", str(pool), "--holdout", "0.5"]
-        + ["--split-seed", str(split_seed), "--seeds", "1", "--out", str(out)]
-    )
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "must be finite" in err and "Traceback" not in err
-    assert err.count(str(pool)) == 1 and "'m3-7'" in err
-    assert not out.exists()
+    for pool, first_line in _line_pool_files(tmp_path, edit).items():
+        out = tmp_path / "r.csv"
+        code = _dispatch_warning_free(
+            ["simulate", "--input", str(pool), "--holdout", "0.5"]
+            + ["--split-seed", str(split_seed), "--seeds", "1", "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "NaN or beyond ±1e+150" in err and "Traceback" not in err
+        assert err.count(str(pool)) == 1 and "'m3-7'" in err
+        assert f": line {7 + first_line}:" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["cluster", "stats", "sample"])
 @pytest.mark.parametrize("column", ["x", "a"])
 def test_overflowing_distances_exit_1(tmp_path, capsys, command, column):
-    # x = +-1e308 overflows the point terms to inf; a = +-1e308 under
-    # k_a = 0 makes the acceleration term 0 * inf = NaN
+    # x = +-1e308 would overflow the point terms to inf, and a = +-1e308
+    # under k_a = 0 the acceleration term to 0 * inf = NaN; both records
+    # fail at load instead, the first in the file reported
     def edit(points, dyn):
         if column == "x":
             points[3, :, 0], points[4, :, 0] = 1e308, -1e308
         else:
             dyn[3, 1], dyn[4, 1] = 1e308, -1e308
 
-    pool = _line_pool(tmp_path, edit)
-    argv = [command, "--input", str(pool), "--weights", "0,0.025,1"]
-    if command != "stats":
-        argv += ["--out", str(tmp_path / "out")]
-    if command == "sample":
-        argv += ["--alpha", "0.5", "--beta", "0.5", "--budget", "4"]
-    code = _dispatch_warning_free(argv)
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "finite and >= 0" in err and "Traceback" not in err
-    # record 3 is on the first overflowing pair in both columns
-    assert err.count(str(pool)) == 1 and "'m3-3'" in err
+    for pool, first_line in _line_pool_files(tmp_path, edit).items():
+        out = tmp_path / "out"
+        argv = [command, "--input", str(pool), "--weights", "0,0.025,1"]
+        if command != "stats":
+            argv += ["--out", str(out)]
+        if command == "sample":
+            argv += ["--alpha", "0.5", "--beta", "0.5", "--budget", "4"]
+        code = _dispatch_warning_free(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "NaN or beyond ±1e+150" in err and "Traceback" not in err
+        assert err.count(str(pool)) == 1 and "'m3-3'" in err
+        assert f": line {3 + first_line}:" in err
+        assert not out.exists()
 
 
-_HEADER_ONLY_CSV = ",".join(
-    ["id"] + [f"{axis}{k}" for k in range(1, 13) for axis in ("x", "y")] + ["v", "a", "h"]
-)
+@pytest.mark.parametrize("command", ["cluster", "stats", "sample", "simulate"])
+def test_pool_at_the_bound_runs_warning_free(tmp_path, capsys, command):
+    # every value at +-MAX_ABS and every weight at MAX_ABS: distances reach
+    # 6e300 and average merge heights above 1e300, and no stage overflows
+    # or warns
+    def edit(points, dyn):
+        rng = np.random.default_rng(0)
+        points[:] = MAX_ABS * rng.choice([-1.0, 1.0], points.shape)
+        dyn[:] = MAX_ABS * rng.choice([-1.0, 1.0], dyn.shape)
+
+    pool = tmp_path / "pool.jsonl"
+    write_trajectories(TrajectoryPool.from_columns(_LINE_IDS, *_line_columns(edit)), pool)
+    out = tmp_path / "out"
+    argv = [command, "--input", str(pool), "--weights", "1e150,1e150,1e150"]
+    argv += {
+        "cluster": ["--out", str(out)],
+        "stats": [],
+        "sample": ["--alpha", "0.5", "--beta", "0.5", "--budget", "4", "--out", str(out)],
+        "simulate": ["--holdout", "0.5", "--seeds", "1", "--out", str(out)],
+    }[command]
+    assert _dispatch_warning_free(argv) == 0
+    if command == "cluster":
+        heights = [float(line.split()[2]) for line in (out / "dendrogram.txt").open()]
+        assert np.isfinite(heights).all() and 1e300 < max(heights) <= 6e300
+    if command == "simulate":
+        rows = read_experiment_csv(out).rows
+        assert rows and np.isfinite([(r.made5, r.made10) for r in rows]).all()
 
 
 @pytest.mark.parametrize("command", ["cluster", "sample", "simulate", "stats"])
 @pytest.mark.parametrize(
     "name, text",
-    [("empty.jsonl", ""), ("blank.jsonl", "\n  \n\t\n"), ("header.csv", _HEADER_ONLY_CSV + "\n")],
+    [("empty.jsonl", ""), ("blank.jsonl", "\n  \n\t\n"), ("header.csv", _CSV_HEADER + "\n")],
     ids=["jsonl-empty", "jsonl-blank-lines", "csv-header-only"],
 )
 def test_empty_input_names_the_file(tmp_path, capsys, command, name, text):

@@ -14,7 +14,7 @@ from trajcurate import (
 )
 from trajcurate.errors import NonFiniteValue, ParseError
 from trajcurate.metric import _distance, condensed_index
-from trajcurate.states import pack_states
+from trajcurate.states import MAX_ABS, pack_states
 
 from helpers import (
     BASE_LINE,
@@ -33,6 +33,24 @@ def test_default_weights():
     assert (w.k_a, w.k_v, w.k_h) == (1 / 20, 1 / 40, 1.0)
     with pytest.raises(NonFiniteValue):
         MetricWeights(k_a=-1.0)
+    with pytest.raises(NonFiniteValue, match=r"\[0, 1e\+150\]"):
+        MetricWeights(k_h=1e200)
+    assert MetricWeights(MAX_ABS, MAX_ABS, MAX_ABS).k_h == MAX_ABS
+
+
+def test_distance_states_beyond_the_bound_raise():
+    # x = +-1e308 would make the distance inf, and a = +-1e308 under k_a = 0
+    # NaN: the states themselves are refused
+    beyond = ({"offset": (1e308, 0.0)}, {"offset": (-1e308, 0.0)}, {"a": 1e308}, {"a": -1e308})
+    for kwargs in beyond:
+        with pytest.raises(NonFiniteValue, match="beyond"):
+            make_state("a", **kwargs)
+    # at the bound, the distance is finite: 12 point terms and three weighted
+    # differences of 2e300, with every weight at the bound
+    a = make_state("a", offset=(MAX_ABS, MAX_ABS), v=MAX_ABS, a=MAX_ABS, h=MAX_ABS)
+    b = make_state("b", offset=(-MAX_ABS, -MAX_ABS), v=-MAX_ABS, a=-MAX_ABS, h=-MAX_ABS)
+    d = trajectory_state_distance(a, b, MetricWeights(MAX_ABS, MAX_ABS, MAX_ABS))
+    assert d == pytest.approx(6e300)
 
 
 def test_distance_identity():

@@ -20,7 +20,7 @@ from trajcurate.errors import (
     ZeroDt,
 )
 
-from trajcurate.states import _HEADING_EPS, _dynamics
+from trajcurate.states import _HEADING_EPS, MAX_ABS, _dynamics
 from trajcurate.synth import DT, N_PAST, _tracks, canonical_pool_spec
 
 from helpers import by_id, dynamics_oracle, with_labeled
@@ -51,6 +51,19 @@ def test_validate_nan_value():
         TrajectoryState(**{**VALID, "v": float("nan")})
     with pytest.raises(NonFiniteValue):
         TrajectoryState(**{**VALID, "points": [(0.0, math.inf)] * 12})
+    with pytest.raises(NonFiniteValue, match="beyond"):
+        TrajectoryState(**{**VALID, "h": -1e151})
+    assert TrajectoryState(**{**VALID, "h": -MAX_ABS}).h == -MAX_ABS
+
+
+def test_pool_rejects_values_beyond_the_bound():
+    points, dyn = np.zeros((2, 12, 2)), np.zeros((2, 3))
+    dyn[1] = -MAX_ABS
+    TrajectoryPool.from_columns(("p", "q"), points, dyn)
+    points[1, 11, 1] = 2 * MAX_ABS
+    with pytest.raises(NonFiniteValue, match="'q'.*beyond") as info:
+        TrajectoryPool.from_columns(("p", "q"), points, dyn)
+    assert info.value.row == 1
 
 
 def test_validate_empty_id():
@@ -87,6 +100,14 @@ def test_estimate_errors():
         estimate_dynamics([(0, 0), (1, 0), (2, 0)], dt=-1.0)
     with pytest.raises(NonFiniteValue):
         estimate_dynamics([(0, 0), (1, float("nan")), (2, 0)], dt=0.5)
+    # a finite track whose estimate overflows at a tiny dt, or whose
+    # positions are beyond the bound, raises with no warning and names the
+    # estimate
+    with pytest.raises(NonFiniteValue, match=r"\(v, a, h\) = \(inf, nan, 0\.0\)"):
+        estimate_dynamics([(0, 0), (1e10, 0), (2e10, 0)], dt=1e-300)
+    with pytest.raises(NonFiniteValue, match="positions or their"):
+        estimate_dynamics([(0, 0), (1e308, 0), (-1e308, 0)], dt=0.5)
+    assert estimate_dynamics([(0, 0), (0, MAX_ABS), (0, 0)], dt=1.0)[0] == MAX_ABS
 
 
 @given(

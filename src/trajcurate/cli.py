@@ -157,12 +157,14 @@ def cmd_cluster(args) -> int:
     check_tau(args.tau, "--tau")
     weights = parse_weights(args.weights)
     pool = _load_pool(args)
+    ids, labeled = pool.ids, pool.labeled_ids
     matrix = pairwise_distances(pool, weights)
+    del pool  # the cut needs only the ids, so the columns are not held through the linkage
     if args.matrix_out:
         write_distance_matrix(matrix, args.matrix_out)
     tree = upgma_linkage(matrix, overwrite=True)
     del matrix
-    part = flat_clusters(tree, args.tau, labeled_ids=pool.labeled_ids, leaf_ids=pool.ids)
+    part = flat_clusters(tree, args.tau, labeled_ids=labeled, leaf_ids=ids)
     assignments_path, dendro_path = export_clusters(part, tree, args.out)
     print(f"wrote {assignments_path} and {dendro_path}")
     return 0
@@ -240,14 +242,17 @@ def cmd_stats(args) -> int:
     check_tau(args.tau, "--tau")
     weights = parse_weights(args.weights)
     pool = _load_pool(args)
-    tree = upgma_linkage(pairwise_distances(pool, weights), overwrite=True)
-    part = flat_clusters(tree, args.tau, labeled_ids=pool.labeled_ids, leaf_ids=pool.ids)
+    ids, labeled = pool.ids, pool.labeled_ids
+    matrix = pairwise_distances(pool, weights)
+    del pool  # as in cmd_cluster
+    tree = upgma_linkage(matrix, overwrite=True)
+    del matrix
+    part = flat_clusters(tree, args.tau, labeled_ids=labeled, leaf_ids=ids)
 
     histogram = Counter(part.rows.sizes.tolist())
     labeled_classes = Counter(map(part.novelty_class, part.labeled_ids))
     lines = [
-        f"items: {len(pool)} labeled: {len(pool.labeled_ids)} "
-        f"unlabeled: {len(pool.unlabeled_ids)}",
+        f"items: {len(ids)} labeled: {len(labeled)} unlabeled: {len(ids) - len(labeled)}",
         f"tau: {part.tau:.17g}",
         f"clusters: {len(part.rows.sizes)}",
         "cluster size histogram:",

@@ -180,23 +180,36 @@ def _read_csv(path):
             if header != _CSV_FIELDS and header != _CSV_FIELDS[:-1]:
                 raise ParseError(f"{path}: unexpected CSV header {header[:4]}...")
             has_labeled = len(header) == len(_CSV_FIELDS)
-            for lineno, row in enumerate(reader, start=2):
+            end = reader.line_num
+            for row in reader:
+                # a quoted cell may hold a newline, so a record starts on
+                # the line after the last one's end
+                lineno, end = end + 1, reader.line_num
                 if not row:
                     continue
                 if len(row) != len(header):
                     raise WrongPointCount(
-                        f"{path}: row {lineno}: expected {len(header)} fields "
+                        f"{path}: line {lineno}: expected {len(header)} fields "
                         f"({TRAJECTORY_LEN} coordinate pairs), got {len(row)}"
                     )
                 try:
                     values.extend(map(float, row[1 : 1 + _N_VALUES]))
-                except ValueError as exc:
-                    raise ParseError(f"{path}: row {lineno}: {exc}") from exc
+                except ValueError:
+                    for col, cell in zip(header[1:], row[1 : 1 + _N_VALUES]):
+                        try:
+                            float(cell)
+                        except ValueError:
+                            raise ParseError(
+                                f"{path}: line {lineno}: trajectory {row[0]!r}: "
+                                f"column {col} must be a number, got {cell!r}"
+                            ) from None
                 try:
                     if has_labeled and _parse_bool(row[-1]):
                         labeled.append(row[0])
                 except ParseError as exc:
-                    raise ParseError(f"{path}: row {lineno}: {exc}") from None
+                    raise ParseError(
+                        f"{path}: line {lineno}: trajectory {row[0]!r}: column labeled: {exc}"
+                    ) from None
                 ids.append(row[0])
                 lines.append(lineno)
     except csv.Error as exc:  # e.g. a NUL byte before Python 3.11

@@ -28,6 +28,7 @@ clustering semantics.
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -42,10 +43,12 @@ from .states import MAX_ABS, TRAJECTORY_LEN, TrajectoryPool, TrajectoryState, pa
 _MATRIX_MAGIC = b"TSDM"
 _MATRIX_VERSION = 1
 
-# pairs per kernel call in pairwise_distances. A tile of rows x n pairs has
-# rows x n float64 temporaries, so a tile takes up to 16 rows but about
-# this many pairs at most (8 rows, 0.64 MB a temporary, at 10k items);
-# much smaller calls lose time to GIL hand-offs between the threads
+# pairs per kernel call in pairwise_distances. A tile of rows x n pairs
+# computes in five rows x n float64 scratch arrays, so a tile takes up to
+# 16 rows but about this many pairs at most (8 rows, 3.2 MB of scratch per
+# worker, at 10k items); much smaller calls lose time to GIL hand-offs
+# between the threads (10k items, 2 workers on a 2-vCPU VM: 1.68 s at 80k
+# pairs a tile, 2.16 s at 40k, 3.30 s at 20k)
 _TILE_PAIRS = 80_000
 
 
@@ -96,6 +99,17 @@ class CondensedDistanceMatrix:
         if vals.size and not (vals.min() >= 0.0 and vals.max() < np.inf):
             bad = vals.flat[np.argmin((vals >= 0.0) & (vals < np.inf))]
             raise NonFiniteValue(f"distances must be finite and >= 0, got {bad}")
+        self._freeze(vals)
+
+    @classmethod
+    def _unchecked(cls, n: int, values: np.ndarray) -> CondensedDistanceMatrix:
+        """A matrix of n(n-1)/2 float64 ``values`` known to be finite and >= 0."""
+        m = cls.__new__(cls)
+        object.__setattr__(m, "n", n)
+        m._freeze(values)
+        return m
+
+    def _freeze(self, vals: np.ndarray) -> None:
         vals = vals.view()  # freeze a view, so a caller's own array stays writable
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -113,11 +127,12 @@ def condensed_index(n: int, i: int, j: int) -> int:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
-def _distance(pa, da, pb, db, w: MetricWeights, prefix_len: int = TRAJECTORY_LEN) -> np.ndarray:
+def _distance(
+    pa, da, pb, db, w: MetricWeights, prefix_len: int = TRAJECTORY_LEN, scratch=None
+) -> np.ndarray:
     """Distances between broadcastable ``(..., 12, 2)`` points ``pa``/``pb``
     with ``(..., 3)`` ``[v, a, h]`` rows ``da``/``db``, over the first
-    ``prefix_len`` timesteps. The broadcast shape must have at least one
-    axis: terms are summed in place, which a 0-d scalar cannot take.
+    ``prefix_len`` timesteps.
 
     Every distance in the package is computed here, so pointwise and
     batched results agree bit for bit. Timestep k contributes the term
@@ -127,38 +142,47 @@ def _distance(pa, da, pb, db, w: MetricWeights, prefix_len: int = TRAJECTORY_LEN
     in that order. This is the order numpy's pairwise summation gave the
     earlier ``sqrt((diff**2).sum(-1)).sum(-1)`` form, written out so that
     distances stay byte-identical to artifacts made with that form whatever
-    numpy version runs. Terms are added as they are made, so at most three
-    term arrays are live at once.
-    """
+    numpy version runs.
 
-    def term(k: int) -> np.ndarray:
-        dx = pa[..., k, 0] - pb[..., k, 0]
-        dy = pa[..., k, 1] - pb[..., k, 1]
+    Everything is computed in place in five float64 arrays of the broadcast
+    shape: ``scratch`` if given, else new ones. The distances are returned
+    in the first.
+    """
+    if scratch is None:
+        shape = np.broadcast_shapes(pa.shape[:-2], pb.shape[:-2])
+        scratch = [np.empty(shape) for _ in range(5)]
+    d, t, dy, pair, quad = scratch
+
+    def term(k: int, dx: np.ndarray) -> np.ndarray:
+        np.subtract(pa[..., k, 0], pb[..., k, 0], out=dx)
+        np.subtract(pa[..., k, 1], pb[..., k, 1], out=dy)
         dx *= dx
-        dy *= dy
+        np.multiply(dy, dy, out=dy)  # dy is not local here, so not dy *= dy
         dx += dy
         return np.sqrt(dx, out=dx)
 
-    d = term(0)
+    term(0, d)
     if prefix_len < 8:
         for k in range(1, prefix_len):
-            d += term(k)
+            d += term(k, t)
     else:
-        d += term(1)
-        pair = term(2)
-        pair += term(3)
+        d += term(1, t)
+        term(2, pair)
+        pair += term(3, t)
         d += pair
-        quad = term(4)
-        quad += term(5)
-        pair = term(6)
-        pair += term(7)
+        term(4, quad)
+        quad += term(5, t)
+        term(6, pair)
+        pair += term(7, t)
         quad += pair
         d += quad
         for k in range(8, prefix_len):
-            d += term(k)
-    d += w.k_a * np.abs(da[..., 1] - db[..., 1])
-    d += w.k_v * np.abs(da[..., 0] - db[..., 0])
-    d += w.k_h * np.abs(da[..., 2] - db[..., 2])
+            d += term(k, t)
+    for col, weight in ((1, w.k_a), (0, w.k_v), (2, w.k_h)):
+        np.subtract(da[..., col], db[..., col], out=t)
+        np.abs(t, out=t)
+        t *= weight
+        d += t
     return d
 
 
@@ -187,15 +211,26 @@ def _row_block(
     kernel's fixed order whatever tile it lands in, so results do not
     depend on how rows are assigned to tiles or workers.
     """
+    # The kernel's scratch is one anonymous map per task, sized for its
+    # first tile, the widest. glibc keeps what a worker thread frees in that
+    # thread's arena, so per-task np.empty scratch would come from the arena
+    # after the first task and stay held through the linkage (about 4 MiB a
+    # worker at 10k items); a map goes back to the OS when it is closed.
     n = pts.shape[0]
+    mem = mmap.mmap(-1, max(1, 5 * 8 * min(tile, i1 - i0) * (n - 1 - i0)))
     for lo in range(i0, i1, tile):
         hi = min(lo + tile, i1)
+        rows, cols = slice(lo, hi), slice(lo + 1, None)
+        shape = (5, hi - lo, n - 1 - lo)
+        scratch = np.frombuffer(mem, count=shape[0] * shape[1] * shape[2]).reshape(shape)
         block = _distance(
-            pts[lo:hi, None], dyn[lo:hi, None], pts[None, lo + 1 :], dyn[None, lo + 1 :], w
+            pts[rows, None], dyn[rows, None], pts[None, cols], dyn[None, cols], w, scratch=scratch
         )
         for i in range(lo, hi):
             start = condensed_index(n, i, i + 1)
             out[start : start + n - 1 - i] = block[i - lo, i - lo :]
+    del scratch, block  # the map cannot be closed while a view of it lives
+    mem.close()
 
 
 def pairwise_distances(
@@ -206,9 +241,11 @@ def pairwise_distances(
     """Condensed pairwise distance matrix over a pool.
 
     A plain sequence of states is made a ``TrajectoryPool`` first.
-    ``workers`` threads partition the row space; numpy kernels release the
-    GIL so this scales on multicore boxes, and the output is byte-identical
-    for any worker count.
+    ``workers`` threads partition the row space, by default one per CPU
+    the process may run on, at most four; numpy kernels release the GIL so
+    this scales on multicore boxes, and the output is byte-identical for
+    any worker count. The kernel's scratch goes back to the OS as each
+    task ends, so the result is the only memory the call keeps.
     """
     if not isinstance(pool, TrajectoryPool):
         pool = TrajectoryPool(pool)
@@ -220,7 +257,12 @@ def pairwise_distances(
     # item-fastest copies, so each tile reads every column term contiguously
     pts, dyn = np.asfortranarray(pts), np.asfortranarray(dyn)
     if workers is None:
-        workers = min(4, os.cpu_count() or 1)
+        # taskset or a container can narrow the CPUs below os.cpu_count()
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        workers = min(4, cpus)
     workers = max(1, workers)
     tile = max(1, min(16, _TILE_PAIRS // n))
     # small chunks keep the decreasing row costs balanced across threads
@@ -233,7 +275,8 @@ def pairwise_distances(
         ]
         for f in futures:
             f.result()
-    return CondensedDistanceMatrix(n=n, values=out)
+    # a bounded pool (states.MAX_ABS) cannot give a NaN, infinite or negative distance
+    return CondensedDistanceMatrix._unchecked(n, out)
 
 
 def write_distance_matrix(m: CondensedDistanceMatrix, path) -> None:

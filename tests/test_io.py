@@ -209,7 +209,7 @@ def test_csv_wrong_point_count_names_row(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(WrongPointCount) as err:
         load_trajectories(path)
-    assert "row 3" in str(err.value)
+    assert "line 3" in str(err.value)
 
 
 def test_csv_bad_number(tmp_path):
@@ -223,7 +223,9 @@ def test_csv_bad_number(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError) as err:
         load_trajectories(path)
-    assert "row 2" in str(err.value)
+    # the line, the record's id and the column, as the JSONL loader's errors
+    want = f"line 2: trajectory {cells[0]!r}: column x2 must be a number, got 'not-a-number'"
+    assert str(err.value) == f"{path}: {want}"
 
 
 def test_csv_bad_labeled_names_file_and_row(tmp_path):
@@ -234,7 +236,25 @@ def test_csv_bad_labeled_names_file_and_row(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError) as err:
         load_trajectories(path)
-    assert str(path) in str(err.value) and "row 2" in str(err.value)
+    assert str(path) in str(err.value) and "line 2" in str(err.value)
+    assert "column labeled: cannot parse boolean 'maybe'" in str(err.value)
+
+
+def test_csv_errors_name_the_line_a_record_starts_on(tmp_path):
+    # a quoted id holding a newline spans lines 2 and 3, then a blank line
+    path = tmp_path / "pool.csv"
+    write_trajectories(fixture_pool(), path)
+    header, first, second = path.read_text().splitlines()[:3]
+    first = '"a\nb"' + first[first.index(",") :]
+    bad = second.split(",")
+    bad[-2] = "zz"  # h
+    path.write_text("\n".join([header, first, "", ",".join(bad)]) + "\n")
+    with pytest.raises(ParseError, match=f"line 5: trajectory {bad[0]!r}: column h must"):
+        load_trajectories(path)
+    bad[-2] = "nan"  # a number, which the pool then refuses with the same line
+    path.write_text("\n".join([header, first, "", ",".join(bad)]) + "\n")
+    with pytest.raises(NonFiniteValue, match="line 5: "):
+        load_trajectories(path)
 
 
 @pytest.mark.parametrize("name", ["pool.jsonl", "pool.csv"])

@@ -6,10 +6,17 @@ columns. ``cluster``, ``cluster --matrix-out`` and ``stats`` each build one
 condensed matrix and hand it to the linkage, which takes over its buffer;
 a matrix dump is written from that buffer. So each command's traced peak
 stays near one matrix, not the two or three a copy would hold.
+
+``tracemalloc`` sees numpy's allocations but not the distance kernel's
+scratch, which ``pairwise_distances`` takes from anonymous maps, nor what
+malloc keeps in its arenas after a free. So the scratch is checked by the
+resident set of a fresh process instead.
 """
 
 import contextlib
 import io
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -67,6 +74,33 @@ def test_loader_peak_is_a_few_columns(canonical_2k, tmp_path, suffix):
     columns = pool.points.nbytes + pool.dyn.nbytes
     # a list of Python floats as the buffer reads 5.5 here
     assert peak <= 4 * columns, peak / columns
+
+
+_SCRATCH_CHILD = """
+from trajcurate.metric import pairwise_distances
+from trajcurate.synth import canonical_pool_spec, synthetic_pool
+
+def status(key):
+    with open("/proc/self/status") as fh:
+        return 1024 * next(int(line.split()[1]) for line in fh if line.startswith(key + ":"))
+
+pool = synthetic_pool(canonical_pool_spec(total_count=3000, seed=0))
+before = status("VmRSS")
+m = pairwise_distances(pool, workers=2)
+print(status("VmHWM") - before - m.values.nbytes)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_distance_scratch_is_not_held():
+    # the peak of pairwise_distances above the memory it starts from, less
+    # its matrix: kernel scratch that each worker thread's malloc arena
+    # kept read about 6 MiB here, anonymous maps about 1 MiB
+    child = subprocess.run(
+        [sys.executable, "-c", _SCRATCH_CHILD], capture_output=True, text=True, check=True
+    )
+    excess = int(child.stdout)
+    assert excess <= 3 * 2**20, excess / 2**20
 
 
 def _tie_heavy(rng, n):

@@ -14,7 +14,8 @@ from trajcurate import (
 )
 from trajcurate.errors import NonFiniteValue, ParseError
 from trajcurate.metric import _distance, condensed_index
-from trajcurate.states import MAX_ABS, pack_states
+from trajcurate.states import MAX_ABS, TRAJECTORY_LEN, pack_states
+from trajcurate.surrogate import PREFIX_LEN
 
 from helpers import (
     BASE_LINE,
@@ -195,6 +196,65 @@ def test_pairwise_worker_determinism():
     one = pairwise_distances(states, workers=1)
     many = pairwise_distances(states, workers=4)
     assert one.values.tobytes() == many.values.tobytes()
+
+
+def _kernel_shapes():
+    rng = np.random.default_rng(8)
+    pts, dyn = pack_states(random_states(rng, 200))
+    return {
+        # trajectory_state_distance's (1,) against (1,)
+        "pointwise": ((pts[:1], dyn[:1], pts[1:2], dyn[1:2]), TRAJECTORY_LEN),
+        # a pairwise tile: 8 rows against every column after the first
+        "tile": ((pts[:8, None], dyn[:8, None], pts[None, 1:], dyn[None, 1:]), TRAJECTORY_LEN),
+        # a holdout block of _rank_holdout's queries against the training rows
+        "holdout": ((pts[:64, None], dyn[:64, None], pts[None, 64:], dyn[None, 64:]), PREFIX_LEN),
+    }
+
+
+@pytest.mark.parametrize("case", ["pointwise", "tile", "holdout"])
+def test_kernel_scratch_gives_the_same_bytes(case):
+    args, prefix_len = _kernel_shapes()[case]
+    w = MetricWeights(k_a=0.3, k_v=0.2, k_h=1.7)
+    want = _distance(*args, w, prefix_len)
+    shape = np.broadcast_shapes(args[0].shape[:-2], args[2].shape[:-2])
+    scratch = [np.full(shape, np.nan) for _ in range(5)]  # every cell is overwritten
+    got = _distance(*args, w, prefix_len, scratch=scratch)
+    assert got is scratch[0]
+    assert got.tobytes() == want.tobytes()
+
+
+def test_default_workers_follow_the_cpu_affinity(monkeypatch):
+    seen = []
+
+    class Recorder(metric.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(metric, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(metric.os, "cpu_count", lambda: 8)
+    states = random_states(np.random.default_rng(4), 40)
+    for cpus, workers in (({0}, 1), ({1, 5}, 2), (set(range(8)), 4)):
+        monkeypatch.setattr(metric.os, "sched_getaffinity", lambda _, c=cpus: c, raising=False)
+        pairwise_distances(states)
+        assert seen.pop() == workers
+    # without affinity, the CPU count, still at most 4
+    monkeypatch.delattr(metric.os, "sched_getaffinity", raising=False)
+    pairwise_distances(states)
+    assert seen.pop() == 4
+
+
+def test_pairwise_matrix_is_not_rescanned(monkeypatch):
+    # a bounded pool cannot give a NaN, infinite or negative distance, so
+    # pairwise_distances builds its matrix without the caller-values check
+    def refuse(self):
+        raise AssertionError("pairwise_distances ran the value check")
+
+    monkeypatch.setattr(CondensedDistanceMatrix, "__post_init__", refuse)
+    states = random_states(np.random.default_rng(9), 30)
+    m = pairwise_distances(states)
+    assert m.n == 30 and not m.values.flags.writeable
+    assert m.values.tobytes() == pairwise_oracle(*pack_states(states)).tobytes()
 
 
 def test_condensed_validation():

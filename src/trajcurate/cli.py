@@ -16,7 +16,14 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .cluster import DEFAULT_TAU, check_tau, flat_clusters, upgma_linkage
+from .cluster import (
+    DEFAULT_TAU,
+    ClusterPartition,
+    Dendrogram,
+    check_tau,
+    flat_clusters,
+    upgma_linkage,
+)
 from .errors import CurationError, InvalidFlagValue, NonFiniteValue, UnknownId
 from .io import (
     export_clusters,
@@ -153,18 +160,26 @@ def _load_pool(args) -> TrajectoryPool:
     return pool
 
 
-def cmd_cluster(args) -> int:
+def _tree_and_cut(args, matrix_out: str | None = None) -> tuple[Dendrogram, ClusterPartition]:
+    """Check --tau and --weights, load the pool and cut its UPGMA tree at
+    --tau, dumping the matrix to ``matrix_out`` if given. The cut needs only
+    the ids: the pool's columns go once the matrix is built, the matrix once
+    the linkage has consumed it."""
     check_tau(args.tau, "--tau")
     weights = parse_weights(args.weights)
     pool = _load_pool(args)
     ids, labeled = pool.ids, pool.labeled_ids
     matrix = pairwise_distances(pool, weights)
-    del pool  # the cut needs only the ids, so the columns are not held through the linkage
-    if args.matrix_out:
-        write_distance_matrix(matrix, args.matrix_out)
+    del pool
+    if matrix_out:
+        write_distance_matrix(matrix, matrix_out)
     tree = upgma_linkage(matrix, overwrite=True)
     del matrix
-    part = flat_clusters(tree, args.tau, labeled_ids=labeled, leaf_ids=ids)
+    return tree, flat_clusters(tree, args.tau, labeled_ids=labeled, leaf_ids=ids)
+
+
+def cmd_cluster(args) -> int:
+    tree, part = _tree_and_cut(args, args.matrix_out)
     assignments_path, dendro_path = export_clusters(part, tree, args.out)
     print(f"wrote {assignments_path} and {dendro_path}")
     return 0
@@ -239,20 +254,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    check_tau(args.tau, "--tau")
-    weights = parse_weights(args.weights)
-    pool = _load_pool(args)
-    ids, labeled = pool.ids, pool.labeled_ids
-    matrix = pairwise_distances(pool, weights)
-    del pool  # as in cmd_cluster
-    tree = upgma_linkage(matrix, overwrite=True)
-    del matrix
-    part = flat_clusters(tree, args.tau, labeled_ids=labeled, leaf_ids=ids)
-
+    tree, part = _tree_and_cut(args)
+    n, n_labeled = tree.n_leaves, len(part.labeled_ids)
     histogram = Counter(part.rows.sizes.tolist())
     labeled_classes = Counter(map(part.novelty_class, part.labeled_ids))
     lines = [
-        f"items: {len(ids)} labeled: {len(labeled)} unlabeled: {len(ids) - len(labeled)}",
+        f"items: {n} labeled: {n_labeled} unlabeled: {n - n_labeled}",
         f"tau: {part.tau:.17g}",
         f"clusters: {len(part.rows.sizes)}",
         "cluster size histogram:",

@@ -71,9 +71,9 @@ def upgma_linkage(d: CondensedDistanceMatrix, overwrite: bool = False) -> Dendro
     is a lower bound of the minimum over row i's upper part (j > i), one
     contiguous slice, and every pair is found in the row of its smaller
     index. The merged cluster keeps the lower slot A and slot B dies, so
-    each live slot's smallest leaf is its own index. The new distances are
-    at least min(d(A,x), d(B,x)) and B's become inf, so the bounds never
-    need lowering (average linkage is reducible) and are repaired lazily.
+    each live slot's smallest leaf is its own index. B's distances become
+    inf and bounds are repaired lazily, but rounding can put a new d(A, x)
+    an ulp below both its terms, so row x < A takes it into its bound.
     Updated distances are clamped to the current merge height: the true
     average of values >= h cannot drop below h, so the clamp only removes
     sub-ulp rounding and keeps heights monotone.
@@ -138,9 +138,10 @@ def upgma_linkage(d: CondensedDistanceMatrix, overwrite: bool = False) -> Dendro
         new_col += sb * d_b[:k]
         new_col /= new_size
         vals[col_a] = np.maximum(new_col, h, out=new_col)
+        rowmin[xs[:k]] = np.minimum(new_col, rowmin[xs[:k]], out=new_col)
         # row A's upper slice against x > A, in place: d(B, x) from column B
         # below B, then row B; d(A, B) went inf with column B, and dead
-        # slots stay inf
+        # columns stay inf. Row B is never read again
         row_a = upper(A)
         row_a *= sa
         row_a[xs[k + 1 :] - A - 1] += sb * d_b[k + 1 :]
@@ -148,7 +149,6 @@ def upgma_linkage(d: CondensedDistanceMatrix, overwrite: bool = False) -> Dendro
         row_a[B - A :] += sb * row_b
         row_a /= new_size
         np.maximum(row_a, h, out=row_a)
-        row_b[:] = np.inf
         rowmin[A] = row_a.min()
         rowmin[B] = np.inf
 

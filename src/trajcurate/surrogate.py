@@ -45,7 +45,7 @@ from .sampling import (
     sampling_round,
     upgma_linkage_for_pool,
 )
-from .states import TrajectoryPool
+from .states import TRAJECTORY_LEN, TrajectoryPool
 from .synth import largest_remainder, motif_key
 
 PREFIX_LEN = 2
@@ -62,6 +62,8 @@ _QUERY_BLOCK = 64
 _HEAD_WIDTH = 64
 # ranked columns per query whose ADE _rank_holdout tabulates
 _TABLE_WIDTH = 256
+# a mode's ADE is its kernel distance with zero [v, a, h] rows and weights, over TRAJECTORY_LEN
+_NO_DYN, _POINTS_ONLY = np.zeros(3), MetricWeights(0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -155,20 +157,9 @@ def _rank_holdout(
         hi = lo + _QUERY_BLOCK
         dist = _distance(qp[lo:hi, None], qd[lo:hi, None], lp[None], ld[None], w, PREFIX_LEN)
         order[lo:hi] = np.argsort(dist, axis=1, kind="stable")
-        table[lo:hi] = _ade(lp[order[lo:hi, :_TABLE_WIDTH]], qp[lo:hi, None])
+        modes, truth = lp[order[lo:hi, :_TABLE_WIDTH]], qp[lo:hi, None]
+        table[lo:hi] = _distance(modes, _NO_DYN, truth, _NO_DYN, _POINTS_ONLY) / TRAJECTORY_LEN
     return order, table
-
-
-def _ade(modes: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """Mean pointwise displacement of each ``(12, 2)`` mode from its truth.
-
-    The squared offsets are summed per point and the ``(..., 12)`` distances
-    averaged over their own C-contiguous last axis, so a mode scores the
-    same bits whatever the shape of the batch it is scored in.
-    """
-    diff = modes - truth
-    diff *= diff
-    return np.sqrt(diff[..., 0] + diff[..., 1]).mean(axis=-1)
 
 
 def _score_ranked(
@@ -217,7 +208,8 @@ def _score_ranked(
     far = ~near
     ade = np.empty(cols.shape)
     ade[near] = table[query[near], cols[near]]
-    ade[far] = _ade(train.points[order[query[far], cols[far]]], held.points[query[far]])
+    modes, truth = train.points[order[query[far], cols[far]]], held.points[query[far]]
+    ade[far] = _distance(modes, _NO_DYN, truth, _NO_DYN, _POINTS_ONLY) / TRAJECTORY_LEN
     best5, best10 = ade[:, : min(5, k)].min(axis=1), ade[:, : min(10, k)].min(axis=1)
     return float(best5.mean()), float(best10.mean())
 

@@ -1,5 +1,5 @@
 """Shared test fixtures and the independent oracles: UPGMA (naive and on the
-square matrix), square and cophenetic matrices, distance, k-NN surrogate,
+square matrix), square and cophenetic matrices, distance, ADE, k-NN surrogate,
 per-score surrogate scoring, the sampling round over id strings and sets
 (novelty refresh, novel and familiar phases), the per-record dynamics
 estimate, the per-step stop-then-turn motif and the union-find cut; the
@@ -213,6 +213,13 @@ def knn_predict(
     return [np.asarray(s.points, dtype=np.float64) for s in ranked[:k_modes]]
 
 
+def ade_oracle(modes: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Mean pointwise displacement of each broadcast ``(12, 2)`` mode from its
+    truth, through numpy's own ``.mean``; the kernel's ADE must equal it bit
+    for bit."""
+    return np.sqrt(((modes - truth) ** 2).sum(axis=-1)).mean(axis=-1)
+
+
 def min_ade_k(
     predictions: Sequence[np.ndarray], truth: Sequence[Sequence[float]], k: int
 ) -> float:
@@ -229,7 +236,7 @@ def min_ade_k(
             raise ParseError(
                 f"prediction shape {pred_arr.shape} != truth shape {truth_arr.shape}"
             )
-        ade = float(np.sqrt(((pred_arr - truth_arr) ** 2).sum(axis=1)).mean())
+        ade = float(ade_oracle(pred_arr, truth_arr))
         best = min(best, ade)
     return best
 
@@ -254,7 +261,7 @@ def _score_split(
     k = min(k_modes, len(labeled_rows))
     order = np.argsort(dist, axis=1, kind="stable")[:, :k]
     modes = lp[order]  # (nq, k, 12, 2)
-    ade = np.sqrt(((modes - qp[:, None, :, :]) ** 2).sum(axis=3)).mean(axis=2)
+    ade = ade_oracle(modes, qp[:, None])
     made5 = float(ade[:, : min(5, k)].min(axis=1).mean())
     made10 = float(ade[:, : min(10, k)].min(axis=1).mean())
     return made5, made10
@@ -606,6 +613,8 @@ def square_upgma_oracle(d: CondensedDistanceMatrix) -> Dendrogram:
         new_row[B] = np.inf
         D[A] = new_row
         D[:, A] = new_row
+        # an average can round an ulp below both of its terms
+        np.minimum(rowmin, new_row, out=rowmin)
         D[B] = np.inf
         D[:, B] = np.inf
         rowmin[A] = new_row.min()

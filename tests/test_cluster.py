@@ -1,14 +1,16 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trajcurate import (
     CondensedDistanceMatrix,
     Dendrogram,
     Merge,
+    TrajectoryPool,
     flat_clusters,
     format_dendrogram,
     generate_synthetic_pool,
@@ -338,6 +340,17 @@ def test_linkage_matches_scipy_average_at_2k(tau):
     assert len(pairs) > 1
 
 
+def assert_cut_equals_oracle(tree, tau, labeled, ids):
+    got = flat_clusters(tree, tau, labeled_ids=labeled, leaf_ids=ids)
+    want = cut_oracle(tree, tau, labeled_ids=labeled, leaf_ids=ids)
+    assert got == want
+    assert list(got.assignments.items()) == list(want.assignments.items())
+    assert got.rows.ids == want.rows.ids
+    assert got.rows.labels.tolist() == want.rows.labels.tolist()
+    assert list(map(list, got.rows.members)) == list(map(list, want.rows.members))
+    assert got.rows.sizes.tolist() == want.rows.sizes.tolist()
+
+
 _CUT_POOLS = {
     "canonical-2k": lambda: synthetic_pool(canonical_pool_spec(2000)),
     "pool-400": lambda: load_trajectories(DATA / "pool-400.jsonl"),
@@ -356,14 +369,45 @@ def test_cut_equals_union_find_oracle(name):
     labeled = frozenset(rng.choice(pool.ids, len(pool) // 5, replace=False).tolist())
     for tau in taus:
         for lab in ((), labeled):
-            got = flat_clusters(tree, tau, labeled_ids=lab, leaf_ids=pool.ids)
-            want = cut_oracle(tree, tau, labeled_ids=lab, leaf_ids=pool.ids)
-            assert got == want
-            assert list(got.assignments.items()) == list(want.assignments.items())
-            assert got.rows.ids == want.rows.ids
-            assert got.rows.labels.tolist() == want.rows.labels.tolist()
-            assert list(map(list, got.rows.members)) == list(map(list, want.rows.members))
-            assert got.rows.sizes.tolist() == want.rows.sizes.tolist()
+            assert_cut_equals_oracle(tree, tau, lab, pool.ids)
+
+
+# a lattice record: stationary at grid point (x, y) with speed v, and
+# whether it is labeled; 3 x 3 x 2 records make duplicates and ties common
+_LATTICE = list(itertools.product(range(3), range(3), range(2), (False, True)))
+_lattice_records = st.integers(2, 120).flatmap(
+    lambda n: st.lists(st.sampled_from(_LATTICE), min_size=n, max_size=n)
+)
+
+
+@given(records=_lattice_records, pick=st.integers(0, 2**16))
+@settings(max_examples=150)
+# found by this test: a Lance-Williams average rounded an ulp below both of
+# its terms, under a row's stored bound, so the linkage merged at 12.0125
+# before a pair at 12.012499999999998 and the square oracle found no pair
+@example(
+    records=[(0, 0, 0, False), (0, 0, 1, False), (0, 1, 0, False), (1, 1, 0, False)]
+    + [(1, 1, 1, False), (1, 2, 0, False), (1, 2, 0, False), (1, 2, 1, False)],
+    pick=0,
+)
+@example(
+    records=[(1, 1, 0, False), (1, 1, 1, False), (1, 0, 0, False), (1, 0, 0, False), (1, 0, 1, False)],
+    pick=0,
+)
+def test_linkage_and_cut_equal_oracles_on_lattice_pools(records, pick):
+    grid = np.array(records, dtype=np.float64)
+    n = len(grid)
+    ids = tuple(f"r{k:03d}" for k in range(n))
+    dyn = np.zeros((n, 3))
+    dyn[:, 0] = grid[:, 2]
+    pool = TrajectoryPool.from_columns(ids, np.repeat(grid[:, None, :2], 12, axis=1), dyn)
+    m = pairwise_distances(pool, workers=1)
+    tree = check_dendrogram(upgma_linkage(m))
+    assert tree == square_upgma_oracle(m)
+    labeled = {id_ for id_, record in zip(ids, records) if record[3]}
+    heights = [mg.height for mg in tree.merges]
+    for tau in (0.0, heights[pick % len(heights)], np.inf):
+        assert_cut_equals_oracle(tree, tau, labeled, ids)
 
 
 def test_cophenetic_single_leaf():

@@ -18,7 +18,9 @@ from trajcurate import (
 )
 from trajcurate.errors import InsufficientPool, InvalidFlagValue, ParseError
 from trajcurate.io import load_trajectories, read_labeled_ids
+from trajcurate.metric import _distance
 from trajcurate.sampling import BASELINE_STREAM, phase_rng
+from trajcurate.states import TRAJECTORY_LEN
 from trajcurate import surrogate
 from trajcurate.surrogate import PREFIX_LEN, _rank_holdout, _score_ranked
 
@@ -27,6 +29,7 @@ from helpers import (
     NoPredictions,
     ObservedPrefix,
     _score_split,
+    ade_oracle,
     experiment_cells,
     improvement_over_random,
     knn_predict,
@@ -128,6 +131,51 @@ def test_min_ade_errors():
         min_ade_k([], truth, 5)
     with pytest.raises(ParseError):
         min_ade_k([np.zeros((3, 2))], truth, 1)
+
+
+def kernel_ade(modes, truth):
+    """The surrogate's ADE: the kernel at zero dynamics and weights, over 12 points."""
+    z = surrogate._NO_DYN
+    return _distance(modes, z, truth, z, surrogate._POINTS_ONLY) / TRAJECTORY_LEN
+
+
+def _ade_case(case, rng):
+    """Modes and truths at the shapes and magnitudes the surrogate scores."""
+    if case == "table-block":  # one _rank_holdout block: 64 queries x 256 ranked rows
+        return rng.normal(0.0, 30.0, (64, 256, 12, 2)), rng.normal(0.0, 30.0, (64, 1, 12, 2))
+    if case == "far-gather":  # _score_ranked's far columns, gathered flat
+        return rng.normal(0.0, 30.0, (700, 12, 2)), rng.normal(0.0, 30.0, (700, 12, 2))
+    if case == "magnitudes":  # offsets of either sign, magnitudes from 1e-3 to 1e3
+        shape = (40, 25, 12, 2)
+        truth = rng.uniform(-1e3, 1e3, (40, 1, 12, 2))
+        return truth + rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape), truth
+    if case == "zero-offsets":
+        truth = rng.normal(0.0, 30.0, (50, 1, 12, 2))
+        return np.repeat(truth, 8, axis=1), truth
+    return np.empty((0, 12, 2)), np.empty((0, 12, 2))
+
+
+@pytest.mark.parametrize(
+    "case", ["table-block", "far-gather", "magnitudes", "zero-offsets", "empty"]
+)
+def test_kernel_ade_equals_numpy_mean_oracle_bytes(case):
+    modes, truth = _ade_case(case, np.random.default_rng(25))
+    got, want = kernel_ade(modes, truth), ade_oracle(modes, truth)
+    assert got.shape == want.shape == np.broadcast_shapes(modes.shape, truth.shape)[:-2]
+    assert got.tobytes() == want.tobytes()
+
+
+def test_rank_holdout_ade_table_equals_numpy_mean_oracle_bytes():
+    # the 2k sweep's split: 400 queries in 64-row blocks, 256 table columns
+    pool = synthetic_pool(canonical_pool_spec(total_count=2000))
+    train, held = stratified_holdout(pool.ids, 0.2, 1)
+    working = pool.take(train)
+    ranked = working.take(sorted(range(len(working)), key=working.ids.__getitem__))
+    queries = pool.take(held)
+    order, table = _rank_holdout(queries, ranked, MetricWeights())
+    assert table.shape == (400, surrogate._TABLE_WIDTH)
+    want = ade_oracle(ranked.points[order[:, : table.shape[1]]], queries.points[:, None])
+    assert table.tobytes() == want.tobytes()
 
 
 def test_stratified_holdout_counts():

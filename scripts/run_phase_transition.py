@@ -7,8 +7,10 @@ synthetic pool (8 dense maneuver archetypes at 90% mass, 40 rare ones at
 an improvement-over-random table (positive = the strategy beat random),
 and optionally writes the raw rows to CSV.
 
-At small budgets the all-typical strategy (alpha = 0) wins; as the budget
-grows the all-novel strategy (alpha = 1) overtakes it.
+With the defaults the best alpha is 0 at budgets 0.05 and 0.10, 1 at 0.20
+and 0.8 at 0.40. The fixture starts with nothing labeled, so no cluster is
+familiar and every alpha = 0 pick is a fallback pick: alpha = 0's edge over
+random (+0.01 to +0.07 m) is one uniform draw against another.
 """
 
 import argparse

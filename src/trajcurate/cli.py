@@ -150,7 +150,16 @@ def parse_budget(flag: str, name: str = "--budget") -> int | float:
 
 
 def _load_pool(args) -> TrajectoryPool:
-    pool = load_trajectories(args.input)
+    """The --input pool, or without it simulate's --pool-size fixture; --labeled sets its labels."""
+    size = getattr(args, "pool_size", None)
+    if args.input:
+        if size is not None:
+            raise InvalidFlagValue("--pool-size sizes the built-in fixture; --input replaces it")
+        pool = load_trajectories(args.input)
+    else:
+        size = 2000 if size is None else size
+        check_int(size, 10, "--pool-size")
+        pool = synthetic_pool(canonical_pool_spec(total_count=size))
     if args.labeled:
         ids = read_labeled_ids(args.labeled)
         try:
@@ -232,16 +241,8 @@ def cmd_simulate(args) -> int:
         if not (alphas and betas and budgets):
             raise InvalidFlagValue("--grid custom needs --alphas, --betas and --budgets")
     grid = plan_experiment_grid(alphas, betas, budgets, tau=args.tau, weights=weights)
-    if args.input:
-        if args.pool_size is not None:
-            raise InvalidFlagValue("--pool-size sizes the built-in fixture; --input replaces it")
-        pool = _load_pool(args)
-    else:
-        size = 2000 if args.pool_size is None else args.pool_size
-        check_int(size, 10, "--pool-size")
-        pool = synthetic_pool(canonical_pool_spec(total_count=size))
     result = run_al_experiment(
-        pool,
+        _load_pool(args),
         grid,
         seeds=range(args.seeds),
         k_modes=args.k_modes,

@@ -20,7 +20,6 @@ import csv
 import json
 from array import array
 from dataclasses import asdict, replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +41,6 @@ _CSV_FIELDS = (
 # numbers per record: the coordinates, then v, a and h
 _N_VALUES = 2 * TRAJECTORY_LEN + 3
 _NAN_ROW = [float("nan")] * _N_VALUES
-# a JSON number loads as one of these; bool, an int subclass, is not one
-_NUMBER_TYPES = frozenset((int, float))
 
 
 def _fmt(x: float) -> str:
@@ -72,13 +69,36 @@ def load_trajectories(path) -> TrajectoryPool:
     """Read a trajectory record file into a validated pool.
 
     Records parse straight into the pool's columns. A fault in a file's
-    layout (bad JSON or CSV, a missing key, a wrong point count) raises
-    where the reader meets it; the pool then checks each record's id,
-    values and uniqueness in file order, so of those faults the first
-    record's is reported, with its line.
+    layout (bad JSON or CSV, a missing key, a wrong point or field count)
+    raises where the reader meets it; the pool then checks each record's
+    id, values and uniqueness in file order, so of those faults the first
+    record's is reported, with its line. A value that is not a number is
+    such a record fault in either format.
     """
     read = _read_jsonl if detect_format(path) == "jsonl" else _read_csv
-    ids, values, lines, labeled, malformed = read(path)
+    # an array("d"), not a list: a list's float objects would leave their
+    # interpreter arenas held after the pool is built
+    ids, values, lines, labeled, unconverted = [], array("d"), [], [], {}
+    for lineno, id_, raw, is_labeled, number in read(path):
+        row = []
+        try:
+            row.extend(map(number, raw))
+        except (TypeError, ValueError, OverflowError) as exc:
+            # extend keeps the values before the bad one, so len(row) is its column
+            col = len(row)
+            # only a JSON integer overflows; its repr may run to any length
+            fault = (
+                "is beyond the float range"
+                if isinstance(exc, OverflowError)
+                else f"must be a number, got {raw[col]!r}"
+            )
+            unconverted[len(ids)] = f"trajectory {id_!r}: column {_CSV_FIELDS[1 + col]} {fault}"
+            row = _NAN_ROW
+        values.extend(row)
+        ids.append(id_)
+        lines.append(lineno)
+        if is_labeled:
+            labeled.append(id_)
     if not ids:
         raise ParseError(f"{path}: no trajectory records")
     values = np.frombuffer(values).reshape(len(ids), _N_VALUES)
@@ -87,11 +107,10 @@ def load_trajectories(path) -> TrajectoryPool:
         return TrajectoryPool.from_columns(ids, points, values[:, 2 * TRAJECTORY_LEN :], labeled)
     except CurationError as exc:
         line = lines[exc.row]
-        # a record whose numbers did not convert holds NaN, so the pool
-        # stops on it; as in TrajectoryState, a bad id outranks the conversion
-        if exc.row in malformed and not isinstance(exc, EmptyId):
-            cause = malformed[exc.row]
-            raise ParseError(f"{path}: line {line}: malformed record ({cause})") from cause
+        # a row that did not convert holds NaN, so the pool stops on it;
+        # as in TrajectoryState, a bad id outranks the conversion
+        if exc.row in unconverted and not isinstance(exc, EmptyId):
+            raise ParseError(f"{path}: line {line}: {unconverted[exc.row]}") from None
         raise type(exc)(f"{path}: line {line}: {exc}") from exc
 
 
@@ -105,24 +124,20 @@ def _utf8_lines(fh, path):
         yield line
 
 
-def _not_a_number(points, v, a, h) -> str:
-    """Names the first value of a record that is not a JSON number."""
-    for key, value in (("v", v), ("a", a), ("h", h)):
-        if type(value) not in _NUMBER_TYPES:
-            return f"{key} must be a number, got {value!r}"
-    k = next(
-        k
-        for k, point in enumerate(points)
-        if type(point) is not list or not set(map(type, point)) <= _NUMBER_TYPES
-    )
-    return f"point {k} must be a pair of numbers, got {points[k]!r}"
+def _json_number(value) -> float:
+    """float() of a JSON number only: float() alone would take a boolean or a
+    numeric string. Not numpy, which reads a JSON null as NaN."""
+    if type(value) is float:
+        return value
+    if type(value) is int:  # not bool, an int subclass
+        return float(value)
+    raise TypeError
 
 
 def _read_jsonl(path):
-    """(ids, flat float64 values, line numbers, labeled ids, {row: conversion error})."""
-    # an array("d"), not a list: a list's float objects would leave their
-    # interpreter arenas held after the pool is built
-    ids, values, lines, labeled, malformed = [], array("d"), [], [], {}
+    """Per record: (line, id, the raw values in ``_CSV_FIELDS`` order, labeled,
+    their number converter). Checks the object, its keys, the point count and
+    the labeled flag."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(_utf8_lines(fh, path), start=1):
             if not line.strip():
@@ -145,31 +160,17 @@ def _read_jsonl(path):
             is_labeled = obj.get("labeled", False)
             if not isinstance(is_labeled, bool):
                 raise ParseError(f"{path}: line {lineno}: labeled must be true or false")
-            # only JSON numbers convert: float() alone would take a boolean or
-            # a numeric string, and unpacking would take a point written as a
-            # two-character string or a two-key object. float() itself, not
-            # numpy, which reads a JSON null as NaN
-            v, a, h = obj["v"], obj["a"], obj["h"]
-            try:
-                types = set(map(type, chain.from_iterable(points)))
-                if not types.union(map(type, (v, a, h))) <= _NUMBER_TYPES:
-                    raise TypeError(_not_a_number(points, v, a, h))
-                row = [float(c) for x, y in points for c in (x, y)]
-                row += (float(v), float(a), float(h))
-            except (TypeError, ValueError, OverflowError) as exc:
-                malformed[len(ids)] = exc
-                row = _NAN_ROW
-            values.extend(row)
-            ids.append(obj["id"])
-            lines.append(lineno)
-            if is_labeled:
-                labeled.append(obj["id"])
-    return ids, values, lines, labeled, malformed
+            # a point that is not an [x, y] pair stands in both its columns as
+            # [point], which never converts, not even when the point is a
+            # number; unpacking would take a two-character string or a two-key
+            # object as a pair
+            raw = [c for p in points for c in (p if type(p) is list and len(p) == 2 else [[p]] * 2)]
+            raw += (obj["v"], obj["a"], obj["h"])
+            yield lineno, obj["id"], raw, is_labeled, _json_number
 
 
 def _read_csv(path):
-    """As ``_read_jsonl``; a CSV cell that is not a number fails at once."""
-    ids, values, lines, labeled = [], array("d"), [], []
+    """As ``_read_jsonl``. Checks the header, the field count and the labeled cell."""
     try:
         with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
             reader = csv.reader(_utf8_lines(fh, path))
@@ -193,28 +194,14 @@ def _read_csv(path):
                         f"({TRAJECTORY_LEN} coordinate pairs), got {len(row)}"
                     )
                 try:
-                    values.extend(map(float, row[1 : 1 + _N_VALUES]))
-                except ValueError:
-                    for col, cell in zip(header[1:], row[1 : 1 + _N_VALUES]):
-                        try:
-                            float(cell)
-                        except ValueError:
-                            raise ParseError(
-                                f"{path}: line {lineno}: trajectory {row[0]!r}: "
-                                f"column {col} must be a number, got {cell!r}"
-                            ) from None
-                try:
-                    if has_labeled and _parse_bool(row[-1]):
-                        labeled.append(row[0])
+                    is_labeled = has_labeled and _parse_bool(row[-1])
                 except ParseError as exc:
                     raise ParseError(
                         f"{path}: line {lineno}: trajectory {row[0]!r}: column labeled: {exc}"
                     ) from None
-                ids.append(row[0])
-                lines.append(lineno)
+                yield lineno, row[0], row[1 : 1 + _N_VALUES], is_labeled, float
     except csv.Error as exc:  # e.g. a NUL byte before Python 3.11
         raise ParseError(f"{path}: line {reader.line_num}: malformed CSV ({exc})") from None
-    return ids, values, lines, labeled, {}
 
 
 def write_trajectories(pool: TrajectoryPool, path) -> None:

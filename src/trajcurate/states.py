@@ -208,10 +208,6 @@ class TrajectoryPool:
         """The rows as ``TrajectoryState``s, each built when it is read."""
         return _States(self)
 
-    @property
-    def unlabeled_ids(self) -> frozenset[str]:
-        return frozenset(self.ids) - self.labeled_ids
-
     def __len__(self) -> int:
         return len(self.ids)
 

@@ -488,6 +488,11 @@ def by_id(pool: TrajectoryPool, id_: str) -> TrajectoryState:
     return pool.items[pool_row(pool, id_)]
 
 
+def unlabeled_ids(pool: TrajectoryPool) -> frozenset[str]:
+    """The pool's ids outside its labeled set, the ones a round may pick."""
+    return frozenset(pool.ids) - pool.labeled_ids
+
+
 def with_labeled(pool: TrajectoryPool, extra: Iterable[str]) -> TrajectoryPool:
     """A copy of ``pool`` with ``extra`` ids moved into the labeled set."""
     return TrajectoryPool.from_columns(
@@ -662,7 +667,7 @@ def check_round_invariants(fix_seed, check_determinism=False):
     pool = structured_pool(rng)
     alpha = float(rng.choice(ALPHA_GRID))
     beta = float(rng.choice(BETA_GRID))
-    n_unlabeled = len(pool.unlabeled_ids)
+    n_unlabeled = len(unlabeled_ids(pool))
     budget = int(rng.integers(1, len(pool.items) + 4))
     cfg = SamplingConfig(
         alpha=alpha, beta=beta, budget=budget, tau=10.0, seed=int(rng.integers(2**32))
@@ -674,7 +679,7 @@ def check_round_invariants(fix_seed, check_determinism=False):
     # purity: distinct ids, all unlabeled at round start
     ids = [s.id for s in manifest.selected]
     assert len(set(ids)) == len(ids)
-    assert set(ids) <= pool.unlabeled_ids
+    assert set(ids) <= unlabeled_ids(pool)
     # quota arithmetic
     assert manifest.novel_quota == round_half_up(alpha * budget)
     assert manifest.novel_quota + manifest.familiar_quota == budget

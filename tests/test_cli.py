@@ -4,7 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from trajcurate import TrajectoryPool, canonical_pool_spec, generate_synthetic_pool
+from trajcurate import (
+    TrajectoryPool,
+    canonical_pool_spec,
+    generate_synthetic_pool,
+    synthetic_pool,
+)
 from trajcurate.cli import dispatch, parse_budget, parse_weights
 from trajcurate.errors import InvalidFlagValue
 from trajcurate.io import sha256_file, write_trajectories
@@ -198,16 +203,28 @@ def test_labeled_override(pool_file, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "content, message",
-    [(b"x0\n\x80y1\n", "line 2: not UTF-8 text"), (b"x0\nghost\n", "not present in pool")],
-    ids=["non-utf8", "stray-id"],
+    "pool, content, message",
+    [
+        ("input", b"x0\n\x80y1\n", "{ids}: line 2: not UTF-8 text"),
+        ("input", b"x0\nghost\n", "{ids}: labeled ids not present in pool"),
+        ("built-in", b"ghost\n", "{ids}: labeled ids not present in pool"),
+        ("built-in", None, "[Errno 2] No such file or directory: '{ids}'"),
+    ],
+    ids=["non-utf8", "stray-id", "built-in-stray-id", "built-in-missing-file"],
 )
-def test_labeled_file_fault_names_the_file(pool_file, tmp_path, capsys, content, message):
+def test_labeled_file_fault_names_the_file(pool_file, tmp_path, capsys, pool, content, message):
+    # without --input, simulate's built-in fixture takes --labeled too
     ids = tmp_path / "ids.txt"
-    ids.write_bytes(content)
-    assert dispatch(["stats", "--input", str(pool_file), "--labeled", str(ids)]) == 1
-    err = capsys.readouterr().err
-    assert f"error: {ids}: " in err and message in err
+    if content is not None:
+        ids.write_bytes(content)
+    out = tmp_path / "r.csv"
+    argv = {
+        "input": ["stats", "--input", str(pool_file)],
+        "built-in": ["simulate", "--pool-size", "100", "--out", str(out)],
+    }[pool]
+    assert dispatch(argv + ["--labeled", str(ids)]) == 1
+    assert f"error: {message.format(ids=ids)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_budgets_read_counts_and_fractions(synth_file, tmp_path, capsys):
@@ -300,23 +317,17 @@ def test_simulate_default_grid_row_count(synth_file, tmp_path):
 
 def test_simulate_without_input_uses_builtin_fixture(tmp_path):
     out = tmp_path / "results.csv"
-    code = dispatch(
-        [
-            "simulate",
-            "--grid",
-            "default",
-            "--seeds",
-            "3",
-            "--pool-size",
-            "150",
-            "--tau",
-            "30",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 0
-    assert len(out.read_text().splitlines()) == 1 + 900
+    argv = ["simulate", "--grid", "default", "--seeds", "3", "--pool-size", "150", "--tau", "30",
+            "--out", str(out)]
+    assert dispatch(argv) == 0
+    cold = out.read_text()
+    assert len(cold.splitlines()) == 1 + 900
+    # --labeled labels the fixture too: a warm start, with other scores
+    ids = tmp_path / "ids.txt"
+    ids.write_text("\n".join(synthetic_pool(canonical_pool_spec(total_count=150)).ids[::10]))
+    assert dispatch(argv + ["--labeled", str(ids)]) == 0
+    warm = out.read_text()
+    assert len(warm.splitlines()) == 1 + 900 and warm != cold
 
 
 def test_simulate_custom_grid_requires_lists(synth_file, tmp_path, capsys):

@@ -106,11 +106,13 @@ def test_jsonl_errors(tmp_path):
         ("v", "1.5", ParseError),
         ("points", ["12"] + [[0.0, 0.0]] * 11, ParseError),
         ("points", [{"1": 0.0, "2": 0.0}] + [[0.0, 0.0]] * 11, ParseError),
+        # a number is not an [x, y] pair, though both of its halves would convert
+        ("points", [5.0] + [[0.0, 0.0]] * 11, ParseError),
     ],
     ids=[
         "labeled-string", "point-3d", "point-bool", "v-abc", "v-true", "v-nan", "id-empty",
         "id-int", "point-null", "point-none", "v-null", "point-nested", "h-huge-int",
-        "v-string", "point-string", "point-object",
+        "v-string", "point-string", "point-object", "point-number",
     ],
 )
 def test_jsonl_mistyped_field_names_file_and_line(tmp_path, field, value, error):
@@ -124,21 +126,37 @@ def test_jsonl_mistyped_field_names_file_and_line(tmp_path, field, value, error)
     with pytest.raises(error) as err:
         load_trajectories(path)
     assert str(path) in str(err.value) and "line 2" in str(err.value)
+    if field == "h":  # the one overflow: the message leaves out its 401 digits
+        expected = "trajectory 'r0001': column h is beyond the float range"
+        assert str(err.value) == f"{path}: line 2: {expected}"
 
 
 _FAULTS = {
-    "empty-id": (lambda rec: rec.update(id=""), EmptyId),
-    "v-abc": (lambda rec: rec.update(v="abc"), ParseError),
-    "v-nan": (lambda rec: rec.update(v=float("nan")), NonFiniteValue),
-    "duplicate-id": (lambda rec: rec.update(id="r0000"), DuplicateId),
-    "coordinate-null": (lambda rec: rec["points"][3].__setitem__(1, None), ParseError),
+    # a JSONL record's edit, the same fault as a CSV row's cells, and its error
+    "empty-id": (lambda rec: rec.update(id=""), {"id": ""}, EmptyId),
+    "v-abc": (lambda rec: rec.update(v="abc"), {"v": "abc"}, ParseError),
+    "v-nan": (lambda rec: rec.update(v=float("nan")), {"v": "nan"}, NonFiniteValue),
+    "duplicate-id": (lambda rec: rec.update(id="r0000"), {"id": "r0000"}, DuplicateId),
+    "coordinate-null": (lambda rec: rec["points"][3].__setitem__(1, None), {"y4": ""}, ParseError),
 }
+
+
+def _edit_csv_rows(path, *edits):
+    """Rewrite the CSV at ``path`` with ``edits[r]``'s {column: cell} on its row r."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    for row, cells in zip(rows, edits):
+        for col, cell in cells.items():
+            row[header.index(col)] = cell
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
 
 
 @pytest.mark.parametrize("second", sorted(_FAULTS))
 @pytest.mark.parametrize("first", sorted(_FAULTS))
 def test_jsonl_first_faulty_record_wins(tmp_path, first, second):
-    # faults on lines 2 and 3: line 2's is reported, with its own type
+    # faults in records 2 and 3: record 2's is reported, with its own type and
+    # line, in either format
     path = tmp_path / "pool.jsonl"
     write_trajectories(fixture_pool(), path)
     records = [json.loads(line) for line in path.read_text().splitlines()]
@@ -146,21 +164,31 @@ def test_jsonl_first_faulty_record_wins(tmp_path, first, second):
     _FAULTS[first][0](records[1])
     _FAULTS[second][0](records[2])
     path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
-    with pytest.raises(_FAULTS[first][1]) as err:
-        load_trajectories(path)
-    assert str(path) in str(err.value) and "line 2" in str(err.value)
+    csv_path = tmp_path / "pool.csv"
+    write_trajectories(fixture_pool(), csv_path)
+    _edit_csv_rows(csv_path, {}, _FAULTS[first][1], _FAULTS[second][1])
+    for path, line in ((path, 2), (csv_path, 3)):
+        with pytest.raises(_FAULTS[first][2]) as err:
+            load_trajectories(path)
+        assert str(err.value).startswith(f"{path}: line {line}: ")
 
 
-@pytest.mark.parametrize("value", [None, "abc", [1.0]])
-def test_jsonl_bad_id_outranks_values_that_do_not_convert(tmp_path, value):
+@pytest.mark.parametrize(
+    "value, cell", [(None, ""), ("abc", "abc"), ([1.0], "[1.0]")], ids=["None", "abc", "value2"]
+)
+def test_jsonl_bad_id_outranks_values_that_do_not_convert(tmp_path, value, cell):
     path = tmp_path / "pool.jsonl"
     write_trajectories(fixture_pool(), path)
     records = [json.loads(line) for line in path.read_text().splitlines()]
     records[1].update(id="", v=value)
     path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
-    with pytest.raises(EmptyId) as err:
-        load_trajectories(path)
-    assert str(path) in str(err.value) and "line 2" in str(err.value)
+    csv_path = tmp_path / "pool.csv"
+    write_trajectories(fixture_pool(), csv_path)
+    _edit_csv_rows(csv_path, {"id": "", "v": cell})
+    for path in (path, csv_path):
+        with pytest.raises(EmptyId) as err:
+            load_trajectories(path)
+        assert str(err.value).startswith(f"{path}: line 2: ")
 
 
 def test_loaded_pool_holds_read_only_columns(tmp_path):

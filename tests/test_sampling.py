@@ -11,6 +11,7 @@ from trajcurate import (
     generate_synthetic_pool,
     plan_experiment_grid,
     sampling_round,
+    synthetic_pool,
     upgma_linkage,
 )
 from trajcurate.errors import EmptyUnlabeledPool, InvalidFlagValue, ParseError
@@ -29,6 +30,7 @@ from trajcurate.sampling import (
     resolve_budget,
     round_half_up,
 )
+from trajcurate.synth import CANONICAL_TAU
 
 from helpers import (
     check_round_invariants,
@@ -39,6 +41,7 @@ from helpers import (
     sample_familiar,
     sample_novel,
     stationary_state,
+    unlabeled_ids,
 )
 
 
@@ -108,7 +111,7 @@ def test_sample_novel_full_depth_cluster():
     items, _ = group("c", 5, x=0.0)
     pool = TrajectoryPool(tuple(items))
     p = cut_pool(pool)
-    ids, shortfall = sample_novel(p, pool.unlabeled_ids, 5, 1.0, phase_rng(0, 0))
+    ids, shortfall = sample_novel(p, unlabeled_ids(pool), 5, 1.0, phase_rng(0, 0))
     assert sorted(ids) == sorted(s.id for s in items)
     assert shortfall == 0
 
@@ -117,7 +120,7 @@ def test_sample_novel_beta_caps_single_cluster():
     items, _ = group("c", 5, x=0.0)
     pool = TrajectoryPool(tuple(items))
     p = cut_pool(pool)
-    ids, shortfall = sample_novel(p, pool.unlabeled_ids, 2, 0.2, phase_rng(0, 0))
+    ids, shortfall = sample_novel(p, unlabeled_ids(pool), 2, 0.2, phase_rng(0, 0))
     assert len(ids) == 1  # cap = max(1, floor(0.2 * 5)) = 1, cluster never revisited
     assert shortfall == 1
 
@@ -129,7 +132,7 @@ def test_sample_novel_singletons_uniform():
     assert p.singletons == {"a", "b", "c"}
     seen = set()
     for seed in range(40):
-        ids, shortfall = sample_novel(p, pool.unlabeled_ids, 2, 1.0, phase_rng(seed, 0))
+        ids, shortfall = sample_novel(p, unlabeled_ids(pool), 2, 1.0, phase_rng(seed, 0))
         assert shortfall == 0
         assert len(ids) == 2 and len(set(ids)) == 2
         seen.add(frozenset(ids))
@@ -140,7 +143,7 @@ def test_sample_familiar_empty_supply():
     items, _ = group("c", 4, x=0.0)
     pool = TrajectoryPool(tuple(items))
     p = cut_pool(pool)
-    ids, shortfall = sample_familiar(p, pool.unlabeled_ids, 3, 0.5, phase_rng(0, 1))
+    ids, shortfall = sample_familiar(p, unlabeled_ids(pool), 3, 0.5, phase_rng(0, 1))
     assert ids == [] and shortfall == 3
 
 
@@ -149,9 +152,9 @@ def test_sample_familiar_cap_met_exactly():
     items, labels = group("c", 11, x=0.0, labeled=1)
     pool = TrajectoryPool(tuple(items), frozenset(labels))
     p = cut_pool(pool)
-    ids, shortfall = sample_familiar(p, pool.unlabeled_ids, 2, 0.2, phase_rng(0, 1))
+    ids, shortfall = sample_familiar(p, unlabeled_ids(pool), 2, 0.2, phase_rng(0, 1))
     assert len(ids) == 2 and shortfall == 0
-    assert set(ids) <= pool.unlabeled_ids
+    assert set(ids) <= unlabeled_ids(pool)
 
 
 def test_sample_familiar_multi_pass():
@@ -161,7 +164,7 @@ def test_sample_familiar_multi_pass():
     p = cut_pool(pool)
     log = []
     ids, shortfall = sample_familiar(
-        p, pool.unlabeled_ids, 6, 0.5, phase_rng(3, 1), _pass_log=log
+        p, unlabeled_ids(pool), 6, 0.5, phase_rng(3, 1), _pass_log=log
     )
     assert len(ids) == 6 and shortfall == 0
     # cap = floor(0.5 * 5) = 2 per cluster per pass; first pass takes 2 + 2
@@ -188,7 +191,7 @@ def test_round_small_pool_takes_everything():
     pool = TrajectoryPool(tuple(items), frozenset(labels))
     m = pool_round(pool, SamplingConfig(alpha=0.5, beta=0.4, budget=10, seed=1))
     ids = [s.id for s in m.selected]
-    assert sorted(ids) == sorted(pool.unlabeled_ids)
+    assert sorted(ids) == sorted(unlabeled_ids(pool))
     assert len(set(ids)) == 7
 
 
@@ -237,6 +240,22 @@ def test_round_alpha_extremes():
     assert PHASE_FAMILIAR not in {s.phase for s in m1.selected}
 
 
+def test_cold_canonical_pool_rounds_pick_fallback_or_familiar_in_novel_clusters():
+    # on the cold 2k fixture no cluster is familiar, so an alpha 0 round is
+    # the fallback's uniform draw; an alpha 0.2 round's familiar phase can
+    # only revisit the clusters its novel picks just labeled
+    pool = synthetic_pool(canonical_pool_spec())
+    cfg = SamplingConfig(alpha=0.0, beta=0.2, budget=0.05, tau=CANONICAL_TAU)
+    part = pool_partition(pool, cfg)
+    for seed in range(3):
+        m0 = sampling_round(part, replace(cfg, seed=seed))
+        assert [s.phase for s in m0.selected] == [PHASE_FALLBACK] * 100
+        m = sampling_round(part, replace(cfg, alpha=0.2, seed=seed))
+        assert [s.phase for s in m.selected] == [PHASE_NOVEL_CLUSTER] * 20 + [PHASE_FAMILIAR] * 80
+        touched = {s.cluster for s in m.selected[:20]}
+        assert {s.cluster for s in m.selected[20:]} <= touched
+
+
 def test_round_requires_unlabeled():
     items, _ = group("c", 3, x=0.0)
     pool = TrajectoryPool(tuple(items), frozenset(s.id for s in items))
@@ -261,7 +280,7 @@ def test_sample_novel_zero_quota():
     items, _ = group("c", 5, x=0.0)
     pool = TrajectoryPool(tuple(items))
     p = cut_pool(pool)
-    ids, shortfall = sample_novel(p, pool.unlabeled_ids, 0, 0.5, phase_rng(0, 0))
+    ids, shortfall = sample_novel(p, unlabeled_ids(pool), 0, 0.5, phase_rng(0, 0))
     assert ids == [] and shortfall == 0
 
 

@@ -23,7 +23,7 @@ from trajcurate.errors import (
 from trajcurate.states import _HEADING_EPS, MAX_ABS, _dynamics
 from trajcurate.synth import DT, N_PAST, _tracks, canonical_pool_spec
 
-from helpers import by_id, dynamics_oracle, with_labeled
+from helpers import by_id, dynamics_oracle, unlabeled_ids, with_labeled
 
 VALID = {
     "id": "veh-1",
@@ -138,7 +138,7 @@ def test_pool_invariants():
     a = TrajectoryState(**VALID)
     b = TrajectoryState(**{**VALID, "id": "veh-2"})
     pool = TrajectoryPool((a, b), frozenset({"veh-1"}))
-    assert pool.unlabeled_ids == {"veh-2"}
+    assert unlabeled_ids(pool) == {"veh-2"}
     assert len(pool) == 2
     assert by_id(pool, "veh-2") == b
     with pytest.raises(DuplicateId):

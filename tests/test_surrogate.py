@@ -38,6 +38,7 @@ from helpers import (
     pool_round,
     pool_row,
     prefix_distance,
+    unlabeled_ids,
 )
 
 
@@ -301,7 +302,7 @@ def oracle_experiment(pool, grid, seeds, k_modes):
     qp, qd = pool.points[held], pool.dyn[held]
     items = tuple(pool.items[i] for i in train)
     working = TrajectoryPool(items, pool.labeled_ids & {s.id for s in items})
-    unlabeled0 = sorted(working.unlabeled_ids)
+    unlabeled0 = sorted(unlabeled_ids(working))
     rows = []
     for cfg in grid:
         budget = cfg.budget if isinstance(cfg.budget, float) else cfg.budget / len(unlabeled0)

@@ -32,6 +32,7 @@ import mmap
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -194,6 +195,35 @@ def trajectory_state_distance(
     return float(_distance(pts[:1], dyn[:1], pts[1:], dyn[1:], w)[0])
 
 
+def cpu_workers() -> int:
+    """Threads or processes a parallel stage uses: one per CPU this process
+    may run on, at most four."""
+    # taskset or a container can narrow the CPUs below os.cpu_count()
+    if hasattr(os, "sched_getaffinity"):
+        return min(4, len(os.sched_getaffinity(0)))
+    return min(4, os.cpu_count() or 1)
+
+
+@contextmanager
+def row_buffer(row: int):
+    """Within the block, numpy's ufunc buffer is no longer than ``row``
+    elements (a multiple of 16, as numpy requires), and never longer than
+    before.
+
+    numpy 2.x runs a broadcast ufunc such as (16, 1) - (1, 1599) about 4x
+    slower per element while its buffer (8192 elements by default) is
+    longer than the row: 1.06 against 0.24 ns at 1,599 columns, numpy
+    2.4.6. The buffer size changes no result. The setting belongs to the
+    calling thread, and the block restores it.
+    """
+    old = np.getbufsize()
+    np.setbufsize(max(16, min(old, row - row % 16)))
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
 def _row_block(
     pts: np.ndarray,
     dyn: np.ndarray,
@@ -223,9 +253,15 @@ def _row_block(
         rows, cols = slice(lo, hi), slice(lo + 1, None)
         shape = (5, hi - lo, n - 1 - lo)
         scratch = np.frombuffer(mem, count=shape[0] * shape[1] * shape[2]).reshape(shape)
-        block = _distance(
-            pts[rows, None], dyn[rows, None], pts[None, cols], dyn[None, cols], w, scratch=scratch
-        )
+        with row_buffer(shape[2]):
+            block = _distance(
+                pts[rows, None],
+                dyn[rows, None],
+                pts[None, cols],
+                dyn[None, cols],
+                w,
+                scratch=scratch,
+            )
         for i in range(lo, hi):
             start = condensed_index(n, i, i + 1)
             out[start : start + n - 1 - i] = block[i - lo, i - lo :]
@@ -256,14 +292,7 @@ def pairwise_distances(
     out = np.empty(n * (n - 1) // 2, dtype=np.float64)
     # item-fastest copies, so each tile reads every column term contiguously
     pts, dyn = np.asfortranarray(pts), np.asfortranarray(dyn)
-    if workers is None:
-        # taskset or a container can narrow the CPUs below os.cpu_count()
-        if hasattr(os, "sched_getaffinity"):
-            cpus = len(os.sched_getaffinity(0))
-        else:
-            cpus = os.cpu_count() or 1
-        workers = min(4, cpus)
-    workers = max(1, workers)
+    workers = max(1, cpu_workers() if workers is None else workers)
     tile = max(1, min(16, _TILE_PAIRS // n))
     # small chunks keep the decreasing row costs balanced across threads
     chunk = tile * max(1, n // (workers * 8 * tile))

@@ -17,24 +17,31 @@ Labels change neither the linkage nor a query's distance ranking, so
 once per weight setting the sweep builds the dendrogram, and
 ``_rank_holdout`` ranks every held-out query against the whole training
 pool and tabulates its ADE against its first ranked rows; the tree is cut
-once per tau. Per cell it runs one sampling round on that cut and draws
-the baseline, and each distinct labeled set is scored once:
-``_score_ranked`` finds a query's k nearest labeled rows as positions in
-its ranking, reads their ADE from the table and computes only the
-positions past the table's width.
+once per tau. The ranking runs in a thread beside the linkage. Per cell
+the sweep runs one sampling round on that cut and draws the baseline, and
+each distinct labeled set is scored once per process: ``_score_ranked`` finds a
+query's k nearest labeled rows as positions in its ranking, reads their
+ADE from the table and computes only the positions past the table's width.
+``_run_forked`` splits the cells across forked processes, one per CPU up
+to four, and the rows do not depend on how many there are.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
 from .cluster import ClusterPartition, Dendrogram, is_real
 from .errors import InsufficientPool, InvalidFlagValue
-from .metric import MetricWeights, _distance
+from .metric import MetricWeights, _distance, cpu_workers, row_buffer
 from .sampling import (
     BASELINE_STREAM,
     HOLDOUT_STREAM,
@@ -62,6 +69,8 @@ _QUERY_BLOCK = 64
 _HEAD_WIDTH = 64
 # ranked columns per query whose ADE _rank_holdout tabulates
 _TABLE_WIDTH = 256
+# Linux prctl(2) option: the signal a process gets when its parent ends
+_PR_SET_PDEATHSIG = 1
 # a mode's ADE is its kernel distance with zero [v, a, h] rows and weights, over TRAJECTORY_LEN
 _NO_DYN, _POINTS_ONLY = np.zeros(3), MetricWeights(0.0, 0.0, 0.0)
 
@@ -155,10 +164,12 @@ def _rank_holdout(
     table = np.empty((len(qp), min(_TABLE_WIDTH, len(lp))))
     for lo in range(0, len(qp), _QUERY_BLOCK):
         hi = lo + _QUERY_BLOCK
-        dist = _distance(qp[lo:hi, None], qd[lo:hi, None], lp[None], ld[None], w, PREFIX_LEN)
+        with row_buffer(len(lp)):
+            dist = _distance(qp[lo:hi, None], qd[lo:hi, None], lp[None], ld[None], w, PREFIX_LEN)
         order[lo:hi] = np.argsort(dist, axis=1, kind="stable")
         modes, truth = lp[order[lo:hi, :_TABLE_WIDTH]], qp[lo:hi, None]
-        table[lo:hi] = _distance(modes, _NO_DYN, truth, _NO_DYN, _POINTS_ONLY) / TRAJECTORY_LEN
+        with row_buffer(table.shape[1]):
+            table[lo:hi] = _distance(modes, _NO_DYN, truth, _NO_DYN, _POINTS_ONLY) / TRAJECTORY_LEN
     return order, table
 
 
@@ -205,11 +216,12 @@ def _score_ranked(
         width *= 2
     query = np.broadcast_to(np.arange(len(order))[:, None], cols.shape)
     near = cols < table.shape[1]
-    far = ~near
     ade = np.empty(cols.shape)
     ade[near] = table[query[near], cols[near]]
-    modes, truth = train.points[order[query[far], cols[far]]], held.points[query[far]]
-    ade[far] = _distance(modes, _NO_DYN, truth, _NO_DYN, _POINTS_ONLY) / TRAJECTORY_LEN
+    if not near.all():  # some labeled neighbours lie past the table
+        far = ~near
+        modes, truth = train.points[order[query[far], cols[far]]], held.points[query[far]]
+        ade[far] = _distance(modes, _NO_DYN, truth, _NO_DYN, _POINTS_ONLY) / TRAJECTORY_LEN
     best5, best10 = ade[:, : min(5, k)].min(axis=1), ade[:, : min(10, k)].min(axis=1)
     return float(best5.mean()), float(best10.mean())
 
@@ -230,8 +242,10 @@ def run_al_experiment(
     are scored on the identical held-out split. Labels change neither the
     linkage nor the holdout's distance ranking, so the linkage, the ranking
     and its ADE table are built once per distinct weight setting, the tree
-    is cut once per tau, and a labeled set scored before (the same as an
-    earlier cell's or its own baseline's) is not scored again.
+    is cut once per tau, and a labeled set scored before in the same process
+    (the same as an earlier cell's or its own baseline's) is not scored
+    again. The cells then run in up to ``cpu_workers()`` processes
+    (``_run_forked``), with the same rows for any count.
     """
     check_int(len(grid), 1, "number of configs")
     check_int(len(seeds), 1, "number of seeds")
@@ -263,6 +277,16 @@ def run_al_experiment(
 
     ranked: dict[MetricWeights, tuple[Dendrogram, np.ndarray, np.ndarray]] = {}
     partitions: dict[tuple[MetricWeights, float], ClusterPartition] = {}
+    for cfg in grid:
+        if cfg.weights not in ranked:
+            # the ranking runs in a thread of its own beside the linkage
+            with ThreadPoolExecutor(max_workers=1) as ex:
+                ranking = ex.submit(_rank_holdout, held, by_id, cfg.weights)
+                tree = upgma_linkage_for_pool(working, cfg.weights)
+                ranked[cfg.weights] = (tree, *ranking.result())
+        if (cfg.weights, cfg.tau) not in partitions:
+            partitions[cfg.weights, cfg.tau] = pool_partition(working, cfg, ranked[cfg.weights][0])
+
     # the baseline draw depends only on (seed, size)
     baselines: dict[tuple[int, int], np.ndarray] = {}
     scores: dict[tuple[MetricWeights, bytes], tuple[float, float]] = {}
@@ -276,31 +300,97 @@ def run_al_experiment(
             scores[key] = _score_ranked(held, by_id, order, labeled, k_modes, table)
         return scores[key]
 
-    rows: list[ExperimentRow] = []
-    for cfg in grid:
-        if cfg.weights not in ranked:
-            tree = upgma_linkage_for_pool(working, cfg.weights)
-            ranked[cfg.weights] = (tree, *_rank_holdout(held, by_id, cfg.weights))
-        tree = ranked[cfg.weights][0]
-        if (cfg.weights, cfg.tau) not in partitions:
-            partitions[cfg.weights, cfg.tau] = pool_partition(working, cfg, tree)
-        partition = partitions[cfg.weights, cfg.tau]
-        budget_frac = (
-            cfg.budget if isinstance(cfg.budget, float) else cfg.budget / n_unlabeled
-        )
-        for seed in seeds:
-            manifest = sampling_round(partition, replace(cfg, seed=seed))
+    def run_cells(share: Sequence[tuple[SamplingConfig, int]]) -> np.ndarray:
+        """Active made5 and made10, then random made5 and made10, per cell."""
+        made = np.empty((len(share), 4))
+        for i, (cfg, seed) in enumerate(share):
+            manifest = sampling_round(partitions[cfg.weights, cfg.tau], replace(cfg, seed=seed))
             take = len(manifest.selected)
             picked = np.fromiter(map(row_of.__getitem__, manifest.ids()), np.intp, take)
-            made5a, made10a = score(cfg.weights, picked)
             if (seed, take) not in baselines:
                 rng = phase_rng(seed, BASELINE_STREAM)
                 baselines[seed, take] = unlabeled_rows0[rng.permutation(n_unlabeled)[:take]]
-            made5r, made10r = score(cfg.weights, baselines[seed, take])
-            rows.append(
-                ExperimentRow(budget_frac, cfg.alpha, cfg.beta, seed, "active", made5a, made10a)
-            )
-            rows.append(
-                ExperimentRow(budget_frac, cfg.alpha, cfg.beta, seed, "random", made5r, made10r)
-            )
+            made[i] = *score(cfg.weights, picked), *score(cfg.weights, baselines[seed, take])
+        return made
+
+    cells = [(cfg, seed) for cfg in grid for seed in seeds]
+    made = _run_forked(run_cells, cells).tolist()
+    rows: list[ExperimentRow] = []
+    for (cfg, seed), (made5a, made10a, made5r, made10r) in zip(cells, made):
+        budget = cfg.budget if isinstance(cfg.budget, float) else cfg.budget / n_unlabeled
+        rows.append(ExperimentRow(budget, cfg.alpha, cfg.beta, seed, "active", made5a, made10a))
+        rows.append(ExperimentRow(budget, cfg.alpha, cfg.beta, seed, "random", made5r, made10r))
     return ExperimentResult(rows=tuple(rows))
+
+
+def _run_forked(run_share: Callable[[Sequence], np.ndarray], cells: Sequence) -> np.ndarray:
+    """``run_share(cells)``, its float64 rows computed in up to
+    ``cpu_workers()`` processes.
+
+    The cells are cut into contiguous shares, one per process. On Linux the
+    caller forks a worker for each share after the first and runs the first
+    itself; a worker sends its rows back through a pipe. A worker that ends
+    in an error or sends short rows has its share run again by the caller,
+    so an error surfaces here exactly as the one-process loop raises it, and
+    the rows are the same for any number of processes.
+    """
+    n_proc = min(cpu_workers(), len(cells)) if sys.platform == "linux" else 1
+    bounds = [len(cells) * j // n_proc for j in range(n_proc + 1)]
+    shares = [cells[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    parent = os.getpid()
+    pids: list[int] = []  # workers not yet reaped
+    fds: list[int] = []  # pipe read ends not yet closed
+    try:
+        for share in shares[1:]:
+            fd, write_end = os.pipe()
+            fds.append(fd)
+            with warnings.catch_warnings():
+                # Python 3.12+ warns on fork while other threads run; the only
+                # ones left here are numpy's BLAS pool, which workers never call
+                warnings.filterwarnings(
+                    "ignore", "This process .* is multi-threaded", DeprecationWarning
+                )
+                pid = os.fork()
+            if pid == 0:
+                _serve_share(run_share, share, write_end, fds, parent)
+            os.close(write_end)
+            pids.append(pid)
+        parts = [run_share(shares[0])]
+        row_bytes = parts[0].itemsize * parts[0].shape[1]
+        for share in shares[1:]:
+            with open(fds.pop(0), "rb") as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pids.pop(0), 0)
+            if status == 0 and len(data) == row_bytes * len(share):
+                parts.append(np.frombuffer(data).reshape(len(share), -1))
+            else:
+                parts.append(run_share(share))
+        return np.concatenate(parts)
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _serve_share(run_share, share, write_end: int, read_ends: list[int], parent: int) -> NoReturn:
+    """A forked worker's whole life: run its share, write the rows, and end
+    without running the parent's flushes or exit handlers. The worker is
+    killed if its parent ends first, however the parent ends."""
+    code = 1
+    try:
+        import ctypes
+
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != parent:  # the parent ended before the signal was set
+            return
+        for fd in read_ends:
+            os.close(fd)
+        with open(write_end, "wb") as pipe:
+            pipe.write(run_share(share).tobytes())
+        code = 0
+    finally:
+        os._exit(code)

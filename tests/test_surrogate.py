@@ -1,3 +1,6 @@
+import os
+import signal
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -437,6 +440,8 @@ def test_experiment_rows_match_oracle_loop_with_repeated_label_sets(monkeypatch)
         scored.append(labeled.tobytes())
         return score(held, train, order, labeled, k_modes, table)
 
+    # one process, so the spy sees every cell; the rows do not depend on it
+    monkeypatch.setattr(surrogate, "cpu_workers", lambda: 1)
     monkeypatch.setattr(surrogate, "_score_ranked", spy)
     res = run_al_experiment(pool, grid, seeds=(0, 1))
     assert res.rows == oracle_experiment(pool, grid, seeds=(0, 1), k_modes=10)
@@ -463,6 +468,8 @@ def test_sweep_scores_the_manifests_picks(monkeypatch):
         scored.add(labeled.tobytes())
         return score(held, train, order, labeled, k_modes, table)
 
+    # one process, so the spies see every cell; the rows do not depend on it
+    monkeypatch.setattr(surrogate, "cpu_workers", lambda: 1)
     monkeypatch.setattr(surrogate, "sampling_round", sample_spy)
     monkeypatch.setattr(surrogate, "_score_ranked", score_spy)
     run_al_experiment(pool, grid, seeds=(0, 1))
@@ -475,6 +482,98 @@ def test_sweep_scores_the_manifests_picks(monkeypatch):
         mask = np.fromiter(map(pool.labeled_ids.__contains__, ids), bool, len(ids))
         mask[[row[id_] for id_ in manifest.ids()]] = True
         assert mask.tobytes() in scored
+
+
+@pytest.fixture
+def deadline():
+    """Fails the test if it runs for a minute, as it would waiting on a hung worker."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the sweep ran for 60 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _two_weight_sweep():
+    """A seeded labeled pool, and three cells over two weight settings."""
+    items = generate_synthetic_pool(canonical_pool_spec(total_count=200, seed=9))
+    pool = TrajectoryPool(tuple(items), frozenset(s.id for s in items[::10]))
+    heavy_h = MetricWeights(k_a=0.2, k_v=0.1, k_h=3.0)
+    grid = [
+        SamplingConfig(alpha=0.6, beta=0.4, budget=0.2, tau=20.0),
+        SamplingConfig(alpha=1.0, beta=0.2, budget=0.1, tau=8.0, weights=heavy_h),
+        SamplingConfig(alpha=0.0, beta=1.0, budget=30, tau=8.0),
+    ]
+    return pool, grid
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the sweep forks only on Linux")
+def test_experiment_rows_do_not_depend_on_the_process_count(monkeypatch, deadline):
+    pool, grid = _two_weight_sweep()
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    # 3, 2 and 4 cells at 1 to 4 processes: some with fewer cells than processes
+    for cells_grid, seeds in ((grid, (0,)), (grid[:2], (0,)), (grid[1:], (0, 1))):
+        want = oracle_experiment(pool, cells_grid, seeds=seeds, k_modes=10)
+        n_cells = len(cells_grid) * len(seeds)
+        for n_proc in (1, 2, 3, 4):
+            monkeypatch.setattr(surrogate, "cpu_workers", lambda n=n_proc: n)
+            forks.clear()
+            assert run_al_experiment(pool, cells_grid, seeds=seeds).rows == want, n_proc
+            assert len(forks) == min(n_proc, n_cells) - 1
+            _no_child_left()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the sweep forks only on Linux")
+@pytest.mark.parametrize("cell", [0, 5], ids=["callers-share", "workers-share"])
+def test_an_error_in_a_cell_reaches_the_caller(monkeypatch, deadline, cell):
+    # 6 cells in 3 processes: the caller runs cells 0 and 1, the last worker 4 and 5
+    pool, grid = _two_weight_sweep()
+    sample = surrogate.sampling_round
+    failing = (grid[cell // 2].budget, cell % 2)
+
+    def fail_one_cell(partition, cfg):
+        if (cfg.budget, cfg.seed) == failing:
+            raise InsufficientPool(f"no supply for cell {cell}")
+        return sample(partition, cfg)
+
+    monkeypatch.setattr(surrogate, "cpu_workers", lambda: 3)
+    monkeypatch.setattr(surrogate, "sampling_round", fail_one_cell)
+    with pytest.raises(InsufficientPool, match=f"^no supply for cell {cell}$"):
+        run_al_experiment(pool, grid, seeds=(0, 1))
+    _no_child_left()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the sweep forks only on Linux")
+def test_a_worker_that_fails_has_its_share_run_by_the_caller(monkeypatch, deadline):
+    pool, grid = _two_weight_sweep()
+    monkeypatch.setattr(surrogate, "cpu_workers", lambda: 1)
+    want = run_al_experiment(pool, grid, seeds=(0, 1)).rows
+    parent, score = os.getpid(), surrogate._score_ranked
+
+    def exit_in_a_worker(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return score(*args)
+
+    monkeypatch.setattr(surrogate, "cpu_workers", lambda: 3)
+    monkeypatch.setattr(surrogate, "_score_ranked", exit_in_a_worker)
+    assert run_al_experiment(pool, grid, seeds=(0, 1)).rows == want
+    _no_child_left()
 
 
 def test_negative_seeds_are_invalid_flag_values(monkeypatch):

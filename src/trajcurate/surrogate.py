@@ -374,7 +374,13 @@ def _run_forked(run_share: Callable[[Sequence], np.ndarray], cells: Sequence) ->
             os.waitpid(pid, 0)
 
 
-def _serve_share(run_share, share, write_end: int, read_ends: list[int], parent: int) -> NoReturn:
+def _serve_share(
+    run_share: Callable[[Sequence], np.ndarray],
+    share: Sequence,
+    write_end: int,
+    read_ends: list[int],
+    parent: int,
+) -> NoReturn:
     """A forked worker's whole life: run its share, write the rows, and end
     without running the parent's flushes or exit handlers. The worker is
     killed if its parent ends first, however the parent ends."""

@@ -272,16 +272,15 @@ def _row_block(
 def pairwise_distances(
     pool: TrajectoryPool | Sequence[TrajectoryState],
     w: MetricWeights = DEFAULT_WEIGHTS,
-    workers: int | None = None,
 ) -> CondensedDistanceMatrix:
     """Condensed pairwise distance matrix over a pool.
 
     A plain sequence of states is made a ``TrajectoryPool`` first.
-    ``workers`` threads partition the row space, by default one per CPU
-    the process may run on, at most four; numpy kernels release the GIL so
-    this scales on multicore boxes, and the output is byte-identical for
-    any worker count. The kernel's scratch goes back to the OS as each
-    task ends, so the result is the only memory the call keeps.
+    ``cpu_workers()`` threads partition the row space; numpy kernels
+    release the GIL so this scales on multicore boxes, and the output is
+    byte-identical for any worker count. The kernel's scratch goes back to
+    the OS as each task ends, so the result is the only memory the call
+    keeps.
     """
     if not isinstance(pool, TrajectoryPool):
         pool = TrajectoryPool(pool)
@@ -292,7 +291,7 @@ def pairwise_distances(
     out = np.empty(n * (n - 1) // 2, dtype=np.float64)
     # item-fastest copies, so each tile reads every column term contiguously
     pts, dyn = np.asfortranarray(pts), np.asfortranarray(dyn)
-    workers = max(1, cpu_workers() if workers is None else workers)
+    workers = cpu_workers()
     tile = max(1, min(16, _TILE_PAIRS // n))
     # small chunks keep the decreasing row costs balanced across threads
     chunk = tile * max(1, n // (workers * 8 * tile))

@@ -17,25 +17,25 @@ Labels change neither the linkage nor a query's distance ranking, so
 once per weight setting the sweep builds the dendrogram, and
 ``_rank_holdout`` ranks every held-out query against the whole training
 pool and tabulates its ADE against its first ranked rows; the tree is cut
-once per tau. The ranking runs in a thread beside the linkage. Per cell
-the sweep runs one sampling round on that cut and draws the baseline, and
-each distinct labeled set is scored once per process: ``_score_ranked`` finds a
-query's k nearest labeled rows as positions in its ranking, reads their
-ADE from the table and computes only the positions past the table's width.
-``_run_forked`` splits the cells across forked processes, one per CPU up
-to four, and the rows do not depend on how many there are.
+once per tau. Per cell the sweep runs one sampling round on that cut and
+draws the baseline, and each distinct labeled set is scored once per
+process: ``_score_ranked`` finds a query's k nearest labeled rows as
+positions in its ranking, reads their ADE from the table and computes only
+the positions past the table's width. ``_fork_each`` runs the ranking in a
+forked child beside the linkage, and then the cells in contiguous shares,
+one per CPU up to four; the rows do not depend on how many there are.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import signal
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Callable, NoReturn, Sequence
+from functools import cached_property, partial
+from typing import Callable, NoReturn, Sequence, TypeVar
 
 import numpy as np
 
@@ -56,6 +56,7 @@ from .states import TRAJECTORY_LEN, TrajectoryPool
 from .synth import largest_remainder, motif_key
 
 PREFIX_LEN = 2
+_T = TypeVar("_T")
 
 # the sweep's defaults: modes per prediction, held-out fraction, split seed
 DEFAULT_K_MODES = 10
@@ -245,7 +246,7 @@ def run_al_experiment(
     is cut once per tau, and a labeled set scored before in the same process
     (the same as an earlier cell's or its own baseline's) is not scored
     again. The cells then run in up to ``cpu_workers()`` processes
-    (``_run_forked``), with the same rows for any count.
+    (``_fork_each``), with the same rows for any count.
     """
     check_int(len(grid), 1, "number of configs")
     check_int(len(seeds), 1, "number of seeds")
@@ -279,11 +280,15 @@ def run_al_experiment(
     partitions: dict[tuple[MetricWeights, float], ClusterPartition] = {}
     for cfg in grid:
         if cfg.weights not in ranked:
-            # the ranking runs in a thread of its own beside the linkage
-            with ThreadPoolExecutor(max_workers=1) as ex:
-                ranking = ex.submit(_rank_holdout, held, by_id, cfg.weights)
-                tree = upgma_linkage_for_pool(working, cfg.weights)
-                ranked[cfg.weights] = (tree, *ranking.result())
+            order = _shared((len(held), len(by_id)), np.int32)
+            table = _shared((len(held), min(_TABLE_WIDTH, len(by_id))))
+
+            def rank() -> None:
+                order[:], table[:] = _rank_holdout(held, by_id, cfg.weights)
+
+            # the ranking runs in a child of its own beside the linkage
+            tree = _fork_each([partial(upgma_linkage_for_pool, working, cfg.weights), rank])
+            ranked[cfg.weights] = (tree, order, table)
         if (cfg.weights, cfg.tau) not in partitions:
             partitions[cfg.weights, cfg.tau] = pool_partition(working, cfg, ranked[cfg.weights][0])
 
@@ -300,10 +305,13 @@ def run_al_experiment(
             scores[key] = _score_ranked(held, by_id, order, labeled, k_modes, table)
         return scores[key]
 
-    def run_cells(share: Sequence[tuple[SamplingConfig, int]]) -> np.ndarray:
-        """Active made5 and made10, then random made5 and made10, per cell."""
-        made = np.empty((len(share), 4))
-        for i, (cfg, seed) in enumerate(share):
+    cells = [(cfg, seed) for cfg in grid for seed in seeds]
+    # active made5 and made10, then random made5 and made10, per cell
+    made = _shared((len(cells), 4))
+
+    def run_cells(lo: int, hi: int) -> None:
+        for i in range(lo, hi):
+            cfg, seed = cells[i]
             manifest = sampling_round(partitions[cfg.weights, cfg.tau], replace(cfg, seed=seed))
             take = len(manifest.selected)
             picked = np.fromiter(map(row_of.__getitem__, manifest.ids()), np.intp, take)
@@ -311,79 +319,70 @@ def run_al_experiment(
                 rng = phase_rng(seed, BASELINE_STREAM)
                 baselines[seed, take] = unlabeled_rows0[rng.permutation(n_unlabeled)[:take]]
             made[i] = *score(cfg.weights, picked), *score(cfg.weights, baselines[seed, take])
-        return made
 
-    cells = [(cfg, seed) for cfg in grid for seed in seeds]
-    made = _run_forked(run_cells, cells).tolist()
+    # contiguous shares, one per process
+    n_proc = min(cpu_workers(), len(cells))
+    bounds = [len(cells) * j // n_proc for j in range(n_proc + 1)]
+    _fork_each([partial(run_cells, lo, hi) for lo, hi in zip(bounds, bounds[1:])])
     rows: list[ExperimentRow] = []
-    for (cfg, seed), (made5a, made10a, made5r, made10r) in zip(cells, made):
+    for (cfg, seed), (made5a, made10a, made5r, made10r) in zip(cells, made.tolist()):
         budget = cfg.budget if isinstance(cfg.budget, float) else cfg.budget / n_unlabeled
         rows.append(ExperimentRow(budget, cfg.alpha, cfg.beta, seed, "active", made5a, made10a))
         rows.append(ExperimentRow(budget, cfg.alpha, cfg.beta, seed, "random", made5r, made10r))
     return ExperimentResult(rows=tuple(rows))
 
 
-def _run_forked(run_share: Callable[[Sequence], np.ndarray], cells: Sequence) -> np.ndarray:
-    """``run_share(cells)``, its float64 rows computed in up to
-    ``cpu_workers()`` processes.
+def _shared(shape: tuple[int, int], dtype: type = np.float64) -> np.ndarray:
+    """A zeroed array in an anonymous shared map: what a child forked after
+    this call writes to it, the caller reads."""
+    count = shape[0] * shape[1]
+    mem = mmap.mmap(-1, count * np.dtype(dtype).itemsize)
+    return np.frombuffer(mem, dtype, count).reshape(shape)
 
-    The cells are cut into contiguous shares, one per process. On Linux the
-    caller forks a worker for each share after the first and runs the first
-    itself; a worker sends its rows back through a pipe. A worker that ends
-    in an error or sends short rows has its share run again by the caller,
-    so an error surfaces here exactly as the one-process loop raises it, and
-    the rows are the same for any number of processes.
+
+def _fork_each(tasks: Sequence[Callable[[], _T]]) -> _T:
+    """Run every task once, the first in the caller, and return the first's result.
+
+    On Linux with ``cpu_workers() >= 2``, each later task runs in a child
+    forked before the first starts; elsewhere the caller runs them all, in
+    order. A task hands its results back by writing to arrays from
+    ``_shared``. After the first task the caller waits for each child in
+    turn and runs again, in order, every task whose child did not exit 0,
+    so an error surfaces here exactly as the one-process loop raises it.
+    No child outlives the call.
     """
-    n_proc = min(cpu_workers(), len(cells)) if sys.platform == "linux" else 1
-    bounds = [len(cells) * j // n_proc for j in range(n_proc + 1)]
-    shares = [cells[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     parent = os.getpid()
-    pids: list[int] = []  # workers not yet reaped
-    fds: list[int] = []  # pipe read ends not yet closed
+    pids: list[int] = []  # children not yet reaped, in task order
     try:
-        for share in shares[1:]:
-            fd, write_end = os.pipe()
-            fds.append(fd)
-            with warnings.catch_warnings():
-                # Python 3.12+ warns on fork while other threads run; the only
-                # ones left here are numpy's BLAS pool, which workers never call
-                warnings.filterwarnings(
-                    "ignore", "This process .* is multi-threaded", DeprecationWarning
-                )
-                pid = os.fork()
-            if pid == 0:
-                _serve_share(run_share, share, write_end, fds, parent)
-            os.close(write_end)
-            pids.append(pid)
-        parts = [run_share(shares[0])]
-        row_bytes = parts[0].itemsize * parts[0].shape[1]
-        for share in shares[1:]:
-            with open(fds.pop(0), "rb") as pipe:
-                data = pipe.read()
-            _, status = os.waitpid(pids.pop(0), 0)
-            if status == 0 and len(data) == row_bytes * len(share):
-                parts.append(np.frombuffer(data).reshape(len(share), -1))
-            else:
-                parts.append(run_share(share))
-        return np.concatenate(parts)
+        if sys.platform == "linux" and cpu_workers() >= 2:
+            for task in tasks[1:]:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns on fork while other threads run; the only
+                    # ones left here are numpy's BLAS pool, which children never call
+                    warnings.filterwarnings(
+                        "ignore", "This process .* is multi-threaded", DeprecationWarning
+                    )
+                    pid = os.fork()
+                if pid == 0:
+                    _serve(task, parent)
+                pids.append(pid)
+        first = tasks[0]()
+        for task in tasks[1:]:
+            failed = not pids or os.waitpid(pids[0], 0)[1] != 0
+            del pids[:1]
+            if failed:
+                task()
+        return first
     finally:
-        for fd in fds:
-            os.close(fd)
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
-def _serve_share(
-    run_share: Callable[[Sequence], np.ndarray],
-    share: Sequence,
-    write_end: int,
-    read_ends: list[int],
-    parent: int,
-) -> NoReturn:
-    """A forked worker's whole life: run its share, write the rows, and end
-    without running the parent's flushes or exit handlers. The worker is
-    killed if its parent ends first, however the parent ends."""
+def _serve(task: Callable[[], object], parent: int) -> NoReturn:
+    """A forked child's whole life: run its task and end without running the
+    parent's flushes or exit handlers. The child is killed if its parent
+    ends first, however the parent ends."""
     code = 1
     try:
         import ctypes
@@ -393,10 +392,7 @@ def _serve_share(
         prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
         if os.getppid() != parent:  # the parent ended before the signal was set
             return
-        for fd in read_ends:
-            os.close(fd)
-        with open(write_end, "wb") as pipe:
-            pipe.write(run_share(share).tobytes())
+        task()
         code = 0
     finally:
         os._exit(code)

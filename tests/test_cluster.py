@@ -14,6 +14,7 @@ from trajcurate import (
     flat_clusters,
     format_dendrogram,
     generate_synthetic_pool,
+    metric,
     pairwise_distances,
     synthetic_pool,
     upgma_linkage,
@@ -401,7 +402,10 @@ def test_linkage_and_cut_equal_oracles_on_lattice_pools(records, pick):
     dyn = np.zeros((n, 3))
     dyn[:, 0] = grid[:, 2]
     pool = TrajectoryPool.from_columns(ids, np.repeat(grid[:, None, :2], 12, axis=1), dyn)
-    m = pairwise_distances(pool, workers=1)
+    # a hypothesis test takes no function-scoped monkeypatch fixture
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric, "cpu_workers", lambda: 1)
+        m = pairwise_distances(pool)
     tree = check_dendrogram(upgma_linkage(m))
     assert tree == square_upgma_oracle(m)
     labeled = {id_ for id_, record in zip(ids, records) if record[3]}

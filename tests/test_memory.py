@@ -77,7 +77,7 @@ def test_loader_peak_is_a_few_columns(canonical_2k, tmp_path, suffix):
 
 
 _SCRATCH_CHILD = """
-from trajcurate.metric import pairwise_distances
+from trajcurate import metric
 from trajcurate.synth import canonical_pool_spec, synthetic_pool
 
 def status(key):
@@ -86,7 +86,8 @@ def status(key):
 
 pool = synthetic_pool(canonical_pool_spec(total_count=3000, seed=0))
 before = status("VmRSS")
-m = pairwise_distances(pool, workers=2)
+metric.cpu_workers = lambda: 2
+m = metric.pairwise_distances(pool)
 print(status("VmHWM") - before - m.values.nbytes)
 """
 

@@ -171,10 +171,11 @@ def test_pairwise_bytes_equal_row_oracle(n, workers, monkeypatch):
     states = random_states(rng, n)
     pts, dyn = pack_states(states)
     want = pairwise_oracle(pts, dyn).tobytes()
+    monkeypatch.setattr(metric, "cpu_workers", lambda: workers)
     # the default 16-row tiles, then tiles of 1,000 // n and 100 // n rows (at least 1)
     for tile_pairs in (metric._TILE_PAIRS, 1_000, 100):
         monkeypatch.setattr(metric, "_TILE_PAIRS", tile_pairs)
-        assert pairwise_distances(states, workers=workers).values.tobytes() == want, tile_pairs
+        assert pairwise_distances(states).values.tobytes() == want, tile_pairs
 
 
 @pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 1100])
@@ -190,11 +191,13 @@ def test_to_square_equals_row_mirror(n):
     assert np.array_equal(to_square(m), want)
 
 
-def test_pairwise_worker_determinism():
+def test_pairwise_worker_determinism(monkeypatch):
     rng = np.random.default_rng(4)
     states = random_states(rng, 120)
-    one = pairwise_distances(states, workers=1)
-    many = pairwise_distances(states, workers=4)
+    monkeypatch.setattr(metric, "cpu_workers", lambda: 1)
+    one = pairwise_distances(states)
+    monkeypatch.setattr(metric, "cpu_workers", lambda: 4)
+    many = pairwise_distances(states)
     assert one.values.tobytes() == many.values.tobytes()
 
 

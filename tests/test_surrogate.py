@@ -498,6 +498,19 @@ def deadline():
     signal.signal(signal.SIGALRM, old)
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """A list that gets an entry per ``os.fork`` call."""
+    calls, fork = [], os.fork
+
+    def counted_fork():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return calls
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -517,43 +530,42 @@ def _two_weight_sweep():
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the sweep forks only on Linux")
-def test_experiment_rows_do_not_depend_on_the_process_count(monkeypatch, deadline):
+def test_experiment_rows_do_not_depend_on_the_process_count(monkeypatch, deadline, forks):
     pool, grid = _two_weight_sweep()
-    forks, fork = [], os.fork
-
-    def counted_fork():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
     # 3, 2 and 4 cells at 1 to 4 processes: some with fewer cells than processes
     for cells_grid, seeds in ((grid, (0,)), (grid[:2], (0,)), (grid[1:], (0, 1))):
         want = oracle_experiment(pool, cells_grid, seeds=seeds, k_modes=10)
         n_cells = len(cells_grid) * len(seeds)
+        n_weights = len({cfg.weights for cfg in cells_grid})
         for n_proc in (1, 2, 3, 4):
             monkeypatch.setattr(surrogate, "cpu_workers", lambda n=n_proc: n)
             forks.clear()
             assert run_al_experiment(pool, cells_grid, seeds=seeds).rows == want, n_proc
-            assert len(forks) == min(n_proc, n_cells) - 1
+            # at two or more, one ranking child per weight setting, then a
+            # child for each share of the cells after the caller's
+            assert len(forks) == (n_weights + min(n_proc, n_cells) - 1 if n_proc > 1 else 0)
             _no_child_left()
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the sweep forks only on Linux")
-@pytest.mark.parametrize("cell", [0, 5], ids=["callers-share", "workers-share"])
-def test_an_error_in_a_cell_reaches_the_caller(monkeypatch, deadline, cell):
-    # 6 cells in 3 processes: the caller runs cells 0 and 1, the last worker 4 and 5
+@pytest.mark.parametrize(
+    "cells", [(0,), (5,), (2, 4)], ids=["callers-share", "workers-share", "two-workers-shares"]
+)
+def test_an_error_in_a_cell_reaches_the_caller(monkeypatch, deadline, cells):
+    # 6 cells in 3 processes: the caller runs cells 0 and 1, the workers 2
+    # and 3, and 4 and 5; the first failing cell's error is the one raised
     pool, grid = _two_weight_sweep()
     sample = surrogate.sampling_round
-    failing = (grid[cell // 2].budget, cell % 2)
+    failing = {(grid[cell // 2].budget, cell % 2): cell for cell in cells}
 
-    def fail_one_cell(partition, cfg):
-        if (cfg.budget, cfg.seed) == failing:
-            raise InsufficientPool(f"no supply for cell {cell}")
+    def fail_cells(partition, cfg):
+        if (cfg.budget, cfg.seed) in failing:
+            raise InsufficientPool(f"no supply for cell {failing[cfg.budget, cfg.seed]}")
         return sample(partition, cfg)
 
     monkeypatch.setattr(surrogate, "cpu_workers", lambda: 3)
-    monkeypatch.setattr(surrogate, "sampling_round", fail_one_cell)
-    with pytest.raises(InsufficientPool, match=f"^no supply for cell {cell}$"):
+    monkeypatch.setattr(surrogate, "sampling_round", fail_cells)
+    with pytest.raises(InsufficientPool, match=f"^no supply for cell {cells[0]}$"):
         run_al_experiment(pool, grid, seeds=(0, 1))
     _no_child_left()
 
@@ -573,6 +585,42 @@ def test_a_worker_that_fails_has_its_share_run_by_the_caller(monkeypatch, deadli
     monkeypatch.setattr(surrogate, "cpu_workers", lambda: 3)
     monkeypatch.setattr(surrogate, "_score_ranked", exit_in_a_worker)
     assert run_al_experiment(pool, grid, seeds=(0, 1)).rows == want
+    _no_child_left()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the sweep forks only on Linux")
+def test_a_ranking_child_that_fails_has_its_ranking_run_by_the_caller(monkeypatch, deadline):
+    pool, grid = _two_weight_sweep()
+    monkeypatch.setattr(surrogate, "cpu_workers", lambda: 1)
+    want = run_al_experiment(pool, grid, seeds=(0, 1)).rows
+    parent, rank, ranked = os.getpid(), surrogate._rank_holdout, []
+
+    def exit_in_a_child(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        ranked.append(args[2])
+        return rank(*args)
+
+    monkeypatch.setattr(surrogate, "cpu_workers", lambda: 2)
+    monkeypatch.setattr(surrogate, "_rank_holdout", exit_in_a_child)
+    assert run_al_experiment(pool, grid, seeds=(0, 1)).rows == want
+    # the caller ranked once per weight setting, after each child failed
+    assert ranked == [grid[0].weights, grid[1].weights]
+    _no_child_left()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the sweep forks only on Linux")
+def test_an_error_in_the_linkage_reaches_the_caller(monkeypatch, deadline, forks):
+    pool, grid = _two_weight_sweep()
+
+    def fail_linkage(pool, weights):
+        raise InsufficientPool("no linkage")
+
+    monkeypatch.setattr(surrogate, "cpu_workers", lambda: 2)
+    monkeypatch.setattr(surrogate, "upgma_linkage_for_pool", fail_linkage)
+    with pytest.raises(InsufficientPool, match="^no linkage$"):
+        run_al_experiment(pool, grid, seeds=(0, 1))
+    assert len(forks) == 1  # the ranking child was running
     _no_child_left()
 
 

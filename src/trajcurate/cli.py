@@ -286,10 +286,11 @@ _COMMANDS = {
     "stats": cmd_stats,
 }
 
-# SamplingConfig's checks name a parameter first; the error names its flag
+# the library's checks name a parameter first; the error names its flag
 _FLAGS = {
     "sample": {"alpha": "--alpha", "beta": "--beta", "tau": "--tau", "seed": "--seed"},
-    "simulate": {"alpha": "--alphas", "beta": "--betas", "tau": "--tau"},
+    "simulate": {"alpha": "--alphas", "beta": "--betas", "tau": "--tau", "budget": "--budgets",
+                 "holdout fraction": "--holdout"},
 }
 
 
@@ -302,14 +303,13 @@ def dispatch(argv: Sequence[str]) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except InvalidFlagValue as exc:
-        param, sep, rest = str(exc).partition(" ")
-        flag = _FLAGS.get(args.command, {}).get(param, param)
-        print(f"error: {flag}{sep}{rest}", file=sys.stderr)
-        return 2
     except (CurationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message = str(exc)
+        for param, flag in _FLAGS.get(args.command, {}).items():
+            if message.startswith(param + " "):
+                message = flag + message[len(param) :]
+        print(f"error: {message}", file=sys.stderr)
+        return 2 if isinstance(exc, InvalidFlagValue) else 1
 
 
 def main() -> None:

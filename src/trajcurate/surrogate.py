@@ -24,6 +24,9 @@ positions in its ranking, reads their ADE from the table and computes only
 the positions past the table's width. ``_fork_each`` runs the ranking in a
 forked child beside the linkage, and then the cells in contiguous shares,
 one per CPU up to four; the rows do not depend on how many there are.
+Each task fills shared maps its caller made, so the ranking holds one copy
+of its arrays in any process; run in one process (``taskset -c 0``, or off
+Linux), ``simulate`` on the 2k pool peaks at about 50 MiB.
 """
 
 from __future__ import annotations
@@ -151,27 +154,25 @@ def stratified_holdout(
 
 
 def _rank_holdout(
-    held: TrajectoryPool, train: TrajectoryPool, w: MetricWeights
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per query, the ``int32`` stable argsort of its prefix distances to
-    every training row, and the ADE of its first ``_TABLE_WIDTH`` ranked
-    rows (fewer when the row is shorter), in rank order.
+    held: TrajectoryPool, train: TrajectoryPool, w: MetricWeights,
+    order: np.ndarray, table: np.ndarray,
+) -> None:
+    """Fill ``order`` with each query's ``int32`` stable argsort of its
+    prefix distances to every training row, and ``table`` with the ADE of
+    its first ``table.shape[1]`` ranked rows, in rank order.
 
     ``train`` is the training pool in id order, so distance ties rank by
     id. Queries go through the kernel in blocks to bound temporaries.
     """
     qp, qd, lp, ld = held.points, held.dyn, train.points, train.dyn
-    order = np.empty((len(qp), len(lp)), dtype=np.int32)
-    table = np.empty((len(qp), min(_TABLE_WIDTH, len(lp))))
     for lo in range(0, len(qp), _QUERY_BLOCK):
         hi = lo + _QUERY_BLOCK
         with row_buffer(len(lp)):
             dist = _distance(qp[lo:hi, None], qd[lo:hi, None], lp[None], ld[None], w, PREFIX_LEN)
         order[lo:hi] = np.argsort(dist, axis=1, kind="stable")
-        modes, truth = lp[order[lo:hi, :_TABLE_WIDTH]], qp[lo:hi, None]
+        modes, truth = lp[order[lo:hi, : table.shape[1]]], qp[lo:hi, None]
         with row_buffer(table.shape[1]):
             table[lo:hi] = _distance(modes, _NO_DYN, truth, _NO_DYN, _POINTS_ONLY) / TRAJECTORY_LEN
-    return order, table
 
 
 def _score_ranked(
@@ -282,11 +283,8 @@ def run_al_experiment(
         if cfg.weights not in ranked:
             order = _shared((len(held), len(by_id)), np.int32)
             table = _shared((len(held), min(_TABLE_WIDTH, len(by_id))))
-
-            def rank() -> None:
-                order[:], table[:] = _rank_holdout(held, by_id, cfg.weights)
-
             # the ranking runs in a child of its own beside the linkage
+            rank = partial(_rank_holdout, held, by_id, cfg.weights, order, table)
             tree = _fork_each([partial(upgma_linkage_for_pool, working, cfg.weights), rank])
             ranked[cfg.weights] = (tree, order, table)
         if (cfg.weights, cfg.tau) not in partitions:

@@ -4,12 +4,14 @@ per-score surrogate scoring, the sampling round over id strings and sets
 (novelty refresh, novel and familiar phases), the per-record dynamics
 estimate, the per-step stop-then-turn motif and the union-find cut; the
 dendrogram structure check; the manifest and result-CSV readers that check
-the writers' round trips; plus the pool and dendrogram lookups only tests use
-and the parked-duplicates pool builder."""
+the writers' round trips; plus the pool and dendrogram lookups only tests use,
+the holdout ranking in arrays of its own, and the lattice and
+parked-duplicates pool builders."""
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -17,6 +19,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from hypothesis import strategies as st
 
 from trajcurate import (
     DEFAULT_WEIGHTS,
@@ -59,6 +62,7 @@ from trajcurate.sampling import (
 )
 from trajcurate.metric import _distance
 from trajcurate.states import _HEADING_EPS
+from trajcurate import surrogate
 from trajcurate.surrogate import PREFIX_LEN
 from trajcurate.synth import _DWELL_S, _TURN_RADIUS_M
 
@@ -265,6 +269,17 @@ def _score_split(
     made5 = float(ade[:, : min(5, k)].min(axis=1).mean())
     made10 = float(ade[:, : min(10, k)].min(axis=1).mean())
     return made5, made10
+
+
+def rank_holdout(
+    held: TrajectoryPool, train: TrajectoryPool, w: MetricWeights
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_rank_holdout``'s ranking and ADE table, in arrays of the shapes the
+    sweep gives it."""
+    order = np.empty((len(held), len(train)), dtype=np.int32)
+    table = np.empty((len(held), min(surrogate._TABLE_WIDTH, len(train))))
+    surrogate._rank_holdout(held, train, w, order, table)
+    return order, table
 
 
 def experiment_cells(result: ExperimentResult) -> tuple[tuple[float, float, float], ...]:
@@ -474,6 +489,25 @@ def cut_oracle(
         labeled_ids=labeled,
         rows=RankRows(rank_ids, labels, members, sizes),
     )
+
+
+# a lattice record: stationary at grid point (x, y) with speed v, and
+# whether it is labeled; 3 x 3 x 2 records make duplicates and ties common
+_LATTICE = list(itertools.product(range(3), range(3), range(2), (False, True)))
+lattice_records = st.integers(2, 120).flatmap(
+    lambda n: st.lists(st.sampled_from(_LATTICE), min_size=n, max_size=n)
+)
+
+
+def lattice_pool(records: Sequence[tuple[int, int, int, bool]]) -> TrajectoryPool:
+    """The lattice records as a pool whose ids sort in reverse record order,
+    so a tie broken by row and one broken by id differ."""
+    grid = np.array(records, dtype=np.float64)
+    ids = tuple(f"r{k:03d}" for k in reversed(range(len(grid))))
+    dyn = np.zeros((len(grid), 3))
+    dyn[:, 0] = grid[:, 2]
+    labeled = [id_ for id_, record in zip(ids, records) if record[3]]
+    return TrajectoryPool.from_columns(ids, np.repeat(grid[:, None, :2], 12, axis=1), dyn, labeled)
 
 
 def pool_row(pool: TrajectoryPool, id_: str) -> int:

@@ -410,6 +410,25 @@ def test_simulate_empty_holdout_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--holdout", "0.01"], "--holdout 0.01 holds out none of 20 trajectory-states"),
+        (
+            ["--grid", "custom", "--alphas", "0.5", "--betas", "0.5", "--budgets", "500"],
+            "--budgets 500 exceeds the unlabeled pool (16)",
+        ),
+    ],
+    ids=["holdout", "budgets"],
+)
+def test_simulate_pool_dependent_errors_name_their_flag(tmp_path, capsys, flags, message):
+    out = tmp_path / "r.csv"
+    argv = ["simulate", "--pool-size", "20", "--seeds", "1", "--out", str(out)]
+    assert dispatch(argv + flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 _LINE_IDS = tuple(f"m{i % 4}-{i}" for i in range(40))
 _CSV_HEADER = ",".join(
     ["id"] + [f"{axis}{k}" for k in range(1, 13) for axis in ("x", "y")] + ["v", "a", "h"]

@@ -1,4 +1,3 @@
-import itertools
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +9,6 @@ from trajcurate import (
     CondensedDistanceMatrix,
     Dendrogram,
     Merge,
-    TrajectoryPool,
     flat_clusters,
     format_dendrogram,
     generate_synthetic_pool,
@@ -30,6 +28,8 @@ from helpers import (
     cophenetic_distance,
     cophenetic_matrix,
     cut_oracle,
+    lattice_pool,
+    lattice_records,
     members_by_label,
     random_condensed,
     refresh_partition,
@@ -373,15 +373,7 @@ def test_cut_equals_union_find_oracle(name):
             assert_cut_equals_oracle(tree, tau, lab, pool.ids)
 
 
-# a lattice record: stationary at grid point (x, y) with speed v, and
-# whether it is labeled; 3 x 3 x 2 records make duplicates and ties common
-_LATTICE = list(itertools.product(range(3), range(3), range(2), (False, True)))
-_lattice_records = st.integers(2, 120).flatmap(
-    lambda n: st.lists(st.sampled_from(_LATTICE), min_size=n, max_size=n)
-)
-
-
-@given(records=_lattice_records, pick=st.integers(0, 2**16))
+@given(records=lattice_records, pick=st.integers(0, 2**16))
 @settings(max_examples=150)
 # found by this test: a Lance-Williams average rounded an ulp below both of
 # its terms, under a row's stored bound, so the linkage merged at 12.0125
@@ -396,22 +388,16 @@ _lattice_records = st.integers(2, 120).flatmap(
     pick=0,
 )
 def test_linkage_and_cut_equal_oracles_on_lattice_pools(records, pick):
-    grid = np.array(records, dtype=np.float64)
-    n = len(grid)
-    ids = tuple(f"r{k:03d}" for k in range(n))
-    dyn = np.zeros((n, 3))
-    dyn[:, 0] = grid[:, 2]
-    pool = TrajectoryPool.from_columns(ids, np.repeat(grid[:, None, :2], 12, axis=1), dyn)
+    pool = lattice_pool(records)
     # a hypothesis test takes no function-scoped monkeypatch fixture
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metric, "cpu_workers", lambda: 1)
         m = pairwise_distances(pool)
     tree = check_dendrogram(upgma_linkage(m))
     assert tree == square_upgma_oracle(m)
-    labeled = {id_ for id_, record in zip(ids, records) if record[3]}
     heights = [mg.height for mg in tree.merges]
     for tau in (0.0, heights[pick % len(heights)], np.inf):
-        assert_cut_equals_oracle(tree, tau, labeled, ids)
+        assert_cut_equals_oracle(tree, tau, pool.labeled_ids, pool.ids)
 
 
 def test_cophenetic_single_leaf():

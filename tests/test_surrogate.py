@@ -3,9 +3,12 @@ import signal
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajcurate import (
     ExperimentResult,
@@ -14,18 +17,22 @@ from trajcurate import (
     SamplingConfig,
     TrajectoryPool,
     canonical_pool_spec,
+    flat_clusters,
     generate_synthetic_pool,
+    metric,
     run_al_experiment,
+    sampling_round,
     stratified_holdout,
     synthetic_pool,
+    upgma_linkage,
 )
-from trajcurate.errors import InsufficientPool, InvalidFlagValue, ParseError
+from trajcurate.errors import EmptyUnlabeledPool, InsufficientPool, InvalidFlagValue, ParseError
 from trajcurate.io import load_trajectories, read_labeled_ids
-from trajcurate.metric import _distance
+from trajcurate.metric import _distance, pairwise_distances
 from trajcurate.sampling import BASELINE_STREAM, phase_rng
 from trajcurate.states import TRAJECTORY_LEN
 from trajcurate import surrogate
-from trajcurate.surrogate import PREFIX_LEN, _rank_holdout, _score_ranked
+from trajcurate.surrogate import PREFIX_LEN, _score_ranked
 
 from helpers import (
     EmptyTrainingPool,
@@ -34,13 +41,18 @@ from helpers import (
     _score_split,
     ade_oracle,
     experiment_cells,
+    id_space_round,
     improvement_over_random,
     knn_predict,
+    lattice_pool,
+    lattice_records,
     make_state,
     min_ade_k,
     pool_round,
     pool_row,
     prefix_distance,
+    rank_holdout,
+    refresh_partition,
     unlabeled_ids,
 )
 
@@ -176,7 +188,7 @@ def test_rank_holdout_ade_table_equals_numpy_mean_oracle_bytes():
     working = pool.take(train)
     ranked = working.take(sorted(range(len(working)), key=working.ids.__getitem__))
     queries = pool.take(held)
-    order, table = _rank_holdout(queries, ranked, MetricWeights())
+    order, table = rank_holdout(queries, ranked, MetricWeights())
     assert table.shape == (400, surrogate._TABLE_WIDTH)
     want = ade_oracle(ranked.points[order[:, : table.shape[1]]], queries.points[:, None])
     assert table.tobytes() == want.tobytes()
@@ -254,7 +266,7 @@ def test_ranked_scorer_equals_per_score_oracle():
     id_rows = [pool_row(train_pool, i) for i in by_id]
     queries, ranked = TrajectoryPool(tuple(items)).take(held), train_pool.take(id_rows)
     w = MetricWeights(k_a=0.1, k_v=0.05, k_h=2.0)
-    order, table = _rank_holdout(queries, ranked, w)
+    order, table = rank_holdout(queries, ranked, w)
     assert order.dtype == np.int32
     # with no columns, and with a narrow table, most ADEs are computed directly
     tables = (table[:, :0], table[:, :7])
@@ -283,7 +295,7 @@ def test_table_scorer_equals_per_score_oracle_at_any_table_width(monkeypatch, ta
     id_rows = [pool_row(train_pool, i) for i in by_id]
     queries, ranked = TrajectoryPool(tuple(items)).take(held), train_pool.take(id_rows)
     w = MetricWeights(k_a=0.1, k_v=0.05, k_h=2.0)
-    order, table = _rank_holdout(queries, ranked, w)
+    order, table = rank_holdout(queries, ranked, w)
     assert order.shape[1] == 272 and table.shape == (len(held), min(table_width, 272))
 
     rng = np.random.default_rng(12)
@@ -339,6 +351,80 @@ def test_experiment_rows_match_oracle_loop_across_weights():
     assert res.rows == oracle_experiment(pool, grid, seeds=(0, 1), k_modes=4)
 
 
+def _novelty_split(part):
+    return part.novel_clusters, part.singletons, part.familiar_clusters, part.labeled_ids
+
+
+# a config's alpha, beta, budget (a count or a fraction) and a pick of its tau
+_lattice_configs = st.lists(
+    st.tuples(
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.one_of(st.integers(1, 125), st.floats(0.0, 1.0, exclude_min=True)),
+        st.integers(0, 2**16),
+    ),
+    min_size=1,
+    max_size=2,
+)
+
+
+def test_round_and_sweep_equal_oracles_on_lattice_pools():
+    swept_ties = []  # the tied merges of every pool the sweep ran on
+
+    # at k_v 2 a speed step ties a grid step in the prefix distance but not
+    # in the ADE, so the ranking's tie order shows in the scores
+    @given(
+        lattice_records,
+        _lattice_configs,
+        st.sampled_from([MetricWeights(), MetricWeights(k_v=2.0)]),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
+    )
+    @settings(max_examples=150)
+    def check(records, configs, weights, seed, k_modes):
+        pool = lattice_pool(records)
+        # a hypothesis test takes no function-scoped monkeypatch fixture
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metric, "cpu_workers", lambda: 1)
+            mp.setattr(surrogate, "cpu_workers", lambda: 1)
+            tree = upgma_linkage(pairwise_distances(pool, weights))
+            heights = [m.height for m in tree.merges]
+            grid = [
+                SamplingConfig(alpha, beta, budget, heights[pick % len(heights)], weights, seed)
+                for alpha, beta, budget, pick in configs
+            ]
+            for cfg in grid:
+                part = flat_clusters(tree, cfg.tau, pool.labeled_ids, pool.ids)
+                id_part = refresh_partition(part, [])
+                assert _novelty_split(part) == _novelty_split(id_part)
+                if len(pool.labeled_ids) == len(pool):
+                    with pytest.raises(EmptyUnlabeledPool):
+                        sampling_round(part, cfg)
+                    continue
+                manifest = sampling_round(part, cfg)
+                assert manifest == id_space_round(id_part, cfg)
+                novel = [s.id for s in manifest.selected if s.phase.startswith("novel")]
+                after = flat_clusters(tree, cfg.tau, pool.labeled_ids.union(novel), pool.ids)
+                assert _novelty_split(after) == _novelty_split(refresh_partition(part, novel))
+
+            train, held = stratified_holdout(pool.ids)
+            n_unlabeled = sum(pool.ids[i] not in pool.labeled_ids for i in train)
+            if not (held and n_unlabeled):
+                return
+            # a count above the unlabeled rows is the sweep's InsufficientPool
+            grid = [
+                replace(cfg, budget=min(cfg.budget, n_unlabeled))
+                if isinstance(cfg.budget, int) else cfg
+                for cfg in grid
+            ]
+            got = run_al_experiment(pool, grid, seeds=(seed,), k_modes=k_modes).rows
+            assert got == oracle_experiment(pool, grid, (seed,), k_modes)
+        swept_ties.append(sum(a.height == b.height for a, b in zip(tree.merges, tree.merges[1:])))
+
+    check()
+    assert max(swept_ties) >= 10
+
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -363,7 +449,7 @@ def test_ranked_scorer_equals_oracle_on_rows_widened_apart():
     by_id = working.take(sorted(range(len(working)), key=working.ids.__getitem__))
     queries = pool.take(held)
     w = MetricWeights()
-    order, table = _rank_holdout(queries, by_id, w)
+    order, table = rank_holdout(queries, by_id, w)
     n = order.shape[1]
     assert n == 320
     # with no columns, and with a table narrower than most widened heads
@@ -396,7 +482,7 @@ def test_table_scorer_equals_oracle_inside_at_and_past_the_table_width():
     by_id = working.take(sorted(range(len(working)), key=working.ids.__getitem__))
     queries = pool.take(held)
     w = MetricWeights()
-    order, table = _rank_holdout(queries, by_id, w)
+    order, table = rank_holdout(queries, by_id, w)
     n, width = order.shape[1], table.shape[1]
     assert (n, width) == (320, 256)
 
@@ -545,6 +631,13 @@ def test_experiment_rows_do_not_depend_on_the_process_count(monkeypatch, deadlin
             # child for each share of the cells after the caller's
             assert len(forks) == (n_weights + min(n_proc, n_cells) - 1 if n_proc > 1 else 0)
             _no_child_left()
+    # off Linux the caller runs every task itself, at any process count
+    monkeypatch.setattr(surrogate, "cpu_workers", lambda: 2)
+    monkeypatch.setattr(surrogate, "sys", SimpleNamespace(platform="darwin"))
+    forks.clear()
+    assert run_al_experiment(pool, grid, seeds=(0,)).rows == oracle_experiment(pool, grid, (0,), 10)
+    assert not forks
+    _no_child_left()
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the sweep forks only on Linux")

@@ -15,7 +15,6 @@ from .metric import (
     CondensedDistanceMatrix,
     MetricWeights,
     pairwise_distances,
-    trajectory_state_distance,
     write_distance_matrix,
 )
 from .sampling import (
@@ -25,11 +24,7 @@ from .sampling import (
     plan_experiment_grid,
     sampling_round,
 )
-from .states import (
-    TrajectoryPool,
-    TrajectoryState,
-    estimate_dynamics,
-)
+from .states import TrajectoryPool, estimate_dynamics
 from .surrogate import (
     ExperimentResult,
     ExperimentRow,
@@ -40,7 +35,6 @@ from .synth import (
     MotifSpec,
     SyntheticPoolSpec,
     canonical_pool_spec,
-    generate_synthetic_pool,
     synthetic_pool,
 )
 
@@ -59,19 +53,16 @@ __all__ = [
     "SelectionManifest",
     "SyntheticPoolSpec",
     "TrajectoryPool",
-    "TrajectoryState",
     "canonical_pool_spec",
     "estimate_dynamics",
     "flat_clusters",
     "format_dendrogram",
-    "generate_synthetic_pool",
     "pairwise_distances",
     "plan_experiment_grid",
     "run_al_experiment",
     "sampling_round",
     "stratified_holdout",
     "synthetic_pool",
-    "trajectory_state_distance",
     "upgma_linkage",
     "write_distance_matrix",
 ]

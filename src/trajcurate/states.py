@@ -230,6 +230,3 @@ class _States(Sequence):
     def __getitem__(self, k: int) -> TrajectoryState:
         p = self._pool
         return TrajectoryState(p.ids[k], p.points[k].tolist(), *p.dyn[k].tolist())
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Sequence) and tuple(self) == tuple(other)

@@ -33,7 +33,6 @@ from trajcurate import (
     Selection,
     SelectionManifest,
     TrajectoryPool,
-    TrajectoryState,
     flat_clusters,
     pairwise_distances,
     plan_experiment_grid,
@@ -61,7 +60,7 @@ from trajcurate.sampling import (
     round_half_up,
 )
 from trajcurate.metric import _distance
-from trajcurate.states import _HEADING_EPS
+from trajcurate.states import _HEADING_EPS, TrajectoryState
 from trajcurate import surrogate
 from trajcurate.surrogate import PREFIX_LEN
 from trajcurate.synth import _DWELL_S, _TURN_RADIUS_M
@@ -107,6 +106,12 @@ def random_states(rng, n, scale=50.0):
             )
         )
     return states
+
+
+def states_of(pool: TrajectoryPool) -> list[TrajectoryState]:
+    """The pool's rows as records, for the oracles that take records."""
+    rows = zip(pool.ids, pool.points.tolist(), pool.dyn.tolist())
+    return [TrajectoryState(id_, points, *dyn) for id_, points, dyn in rows]
 
 
 def with_parked(pool: TrajectoryPool, parked: int) -> TrajectoryPool:
@@ -518,10 +523,6 @@ def pool_row(pool: TrajectoryPool, id_: str) -> int:
         raise UnknownId(f"no trajectory with id {id_!r}") from None
 
 
-def by_id(pool: TrajectoryPool, id_: str) -> TrajectoryState:
-    return pool.items[pool_row(pool, id_)]
-
-
 def unlabeled_ids(pool: TrajectoryPool) -> frozenset[str]:
     """The pool's ids outside its labeled set, the ones a round may pick."""
     return frozenset(pool.ids) - pool.labeled_ids
@@ -702,7 +703,7 @@ def check_round_invariants(fix_seed, check_determinism=False):
     alpha = float(rng.choice(ALPHA_GRID))
     beta = float(rng.choice(BETA_GRID))
     n_unlabeled = len(unlabeled_ids(pool))
-    budget = int(rng.integers(1, len(pool.items) + 4))
+    budget = int(rng.integers(1, len(pool) + 4))
     cfg = SamplingConfig(
         alpha=alpha, beta=beta, budget=budget, tau=10.0, seed=int(rng.integers(2**32))
     )
@@ -719,10 +720,10 @@ def check_round_invariants(fix_seed, check_determinism=False):
     assert manifest.novel_quota + manifest.familiar_quota == budget
 
     part = flat_clusters(
-        upgma_linkage(pairwise_distances(pool.items, cfg.weights)),
+        upgma_linkage(pairwise_distances(pool, cfg.weights)),
         cfg.tau,
         labeled_ids=pool.labeled_ids,
-        leaf_ids=[s.id for s in pool.items],
+        leaf_ids=pool.ids,
     )
     novel = [s for s in manifest.selected if s.phase.startswith("novel")]
     # novel depth cap, one visit per cluster

@@ -29,14 +29,12 @@ import pytest
 from trajcurate import (
     MetricWeights,
     SamplingConfig,
-    TrajectoryPool,
     flat_clusters,
-    generate_synthetic_pool,
     run_al_experiment,
     synthetic_pool,
-    trajectory_state_distance,
     upgma_linkage,
 )
+from trajcurate.metric import trajectory_state_distance
 from trajcurate.surrogate import DEFAULT_SPLIT_SEED
 from trajcurate.synth import CANONICAL_TAU, canonical_pool_spec
 
@@ -171,8 +169,7 @@ def test_criterion_sampling_invariants():
 
 def test_criterion_phase_transition_direction():
     with Budget("phase-transition-direction", 300.0):
-        items = generate_synthetic_pool(canonical_pool_spec())
-        pool = TrajectoryPool(tuple(items))
+        pool = synthetic_pool(canonical_pool_spec())
         grid = [
             SamplingConfig(alpha=0.0, beta=0.2, budget=0.05, tau=CANONICAL_TAU),
             SamplingConfig(alpha=1.0, beta=0.2, budget=0.05, tau=CANONICAL_TAU),
@@ -193,9 +190,7 @@ def test_criterion_phase_transition_direction():
 
 
 _SCALE_POOLS = {
-    "tie-free": lambda: TrajectoryPool(
-        tuple(generate_synthetic_pool(canonical_pool_spec(total_count=10_000, seed=3)))
-    ),
+    "tie-free": lambda: synthetic_pool(canonical_pool_spec(total_count=10_000, seed=3)),
     # 2,000 exact duplicates, as parked agents fill real pools
     "duplicates": lambda: with_parked(synthetic_pool(canonical_pool_spec(8_000, seed=3)), 2_000),
 }
@@ -253,9 +248,8 @@ def test_criterion_reference_metrics_out_of_scope():
 def test_criterion_cli_reproducibility(tmp_path):
     from trajcurate.io import write_trajectories
 
-    items = generate_synthetic_pool(canonical_pool_spec(total_count=150, seed=4))
     pool_path = tmp_path / "pool.jsonl"
-    write_trajectories(TrajectoryPool(tuple(items)), pool_path)
+    write_trajectories(synthetic_pool(canonical_pool_spec(total_count=150, seed=4)), pool_path)
     with Budget("cli-reproducibility", 120.0):
         def run(args):
             from trajcurate.cli import dispatch

@@ -7,7 +7,6 @@ import pytest
 from trajcurate import (
     TrajectoryPool,
     canonical_pool_spec,
-    generate_synthetic_pool,
     synthetic_pool,
 )
 from trajcurate.cli import dispatch, parse_budget, parse_weights
@@ -34,9 +33,8 @@ def pool_file(tmp_path):
 
 @pytest.fixture
 def synth_file(tmp_path):
-    items = generate_synthetic_pool(canonical_pool_spec(total_count=120, seed=12))
     path = tmp_path / "synth.jsonl"
-    write_trajectories(TrajectoryPool(tuple(items)), path)
+    write_trajectories(synthetic_pool(canonical_pool_spec(total_count=120, seed=12)), path)
     return path
 
 

@@ -11,7 +11,6 @@ from trajcurate import (
     Merge,
     flat_clusters,
     format_dendrogram,
-    generate_synthetic_pool,
     metric,
     pairwise_distances,
     synthetic_pool,
@@ -310,7 +309,7 @@ def test_condensed_linkage_equals_square_oracle_random():
 
 
 _ORACLE_POOLS = {
-    "canonical-2k": lambda: generate_synthetic_pool(canonical_pool_spec(2000)),
+    "canonical-2k": lambda: synthetic_pool(canonical_pool_spec(2000)),
     "tie-plateau": _tie_plateau_states,
     # 200 exact duplicates: the linkage settles their ties from one row,
     # the oracle gathers every tied pair and sorts by the full key
@@ -327,8 +326,7 @@ def test_condensed_linkage_equals_square_oracle_pools(pool):
 @pytest.mark.parametrize("tau", [10.0, CANONICAL_TAU])
 def test_linkage_matches_scipy_average_at_2k(tau):
     hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
-    states = generate_synthetic_pool(canonical_pool_spec(2000))
-    m = pairwise_distances(states)
+    m = pairwise_distances(synthetic_pool(canonical_pool_spec(2000)))
     assert len(np.unique(m.values)) == len(m.values), "the data must be tie-free"
     tree = upgma_linkage(m)
     z = hierarchy.linkage(m.values, method="average")

@@ -7,7 +7,6 @@ import pytest
 from trajcurate import (
     SamplingConfig,
     TrajectoryPool,
-    TrajectoryState,
     flat_clusters,
     pairwise_distances,
     upgma_linkage,
@@ -28,6 +27,7 @@ from trajcurate.io import (
     write_manifest,
     write_trajectories,
 )
+from trajcurate.states import TrajectoryState
 from trajcurate.surrogate import ExperimentResult, ExperimentRow
 
 from helpers import (
@@ -331,7 +331,7 @@ def test_csv_without_labeled_column(tmp_path):
     trimmed = [",".join(line.split(",")[:-1]) for line in lines]
     path.write_text("\n".join(trimmed) + "\n")
     back = load_trajectories(path)
-    assert back.items == pool.items
+    assert back == TrajectoryPool.from_columns(pool.ids, pool.points, pool.dyn)
     assert back.labeled_ids == frozenset()
 
 

@@ -22,11 +22,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trajcurate import CondensedDistanceMatrix, TrajectoryPool, upgma_linkage
+from trajcurate import CondensedDistanceMatrix, upgma_linkage
 from trajcurate.cli import dispatch
 from trajcurate.errors import NonFiniteValue
 from trajcurate.io import load_trajectories, write_trajectories
-from trajcurate.synth import canonical_pool_spec, generate_synthetic_pool
+from trajcurate.synth import canonical_pool_spec, synthetic_pool
 
 POOL_SIZE = 2000
 MATRIX_BYTES = 8 * POOL_SIZE * (POOL_SIZE - 1) // 2
@@ -35,8 +35,7 @@ MATRIX_BYTES = 8 * POOL_SIZE * (POOL_SIZE - 1) // 2
 @pytest.fixture(scope="module")
 def canonical_2k(tmp_path_factory):
     path = tmp_path_factory.mktemp("pool") / "pool.jsonl"
-    items = generate_synthetic_pool(canonical_pool_spec(total_count=POOL_SIZE, seed=0))
-    write_trajectories(TrajectoryPool(tuple(items)), path)
+    write_trajectories(synthetic_pool(canonical_pool_spec(total_count=POOL_SIZE, seed=0)), path)
     return path
 
 

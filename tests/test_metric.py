@@ -6,15 +6,13 @@ from hypothesis import strategies as st
 from trajcurate import (
     CondensedDistanceMatrix,
     MetricWeights,
-    TrajectoryState,
     metric,
     pairwise_distances,
-    trajectory_state_distance,
     write_distance_matrix,
 )
 from trajcurate.errors import NonFiniteValue, ParseError
-from trajcurate.metric import _distance, condensed_index
-from trajcurate.states import MAX_ABS, TRAJECTORY_LEN, pack_states
+from trajcurate.metric import _distance, condensed_index, trajectory_state_distance
+from trajcurate.states import MAX_ABS, TRAJECTORY_LEN, TrajectoryState, pack_states
 from trajcurate.surrogate import PREFIX_LEN
 
 from helpers import (

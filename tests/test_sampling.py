@@ -8,7 +8,6 @@ from trajcurate import (
     TrajectoryPool,
     canonical_pool_spec,
     flat_clusters,
-    generate_synthetic_pool,
     plan_experiment_grid,
     sampling_round,
     synthetic_pool,
@@ -42,12 +41,14 @@ from helpers import (
     sample_novel,
     stationary_state,
     unlabeled_ids,
+    with_labeled,
+    with_parked,
 )
 
 
 def cut_pool(pool, tau=10.0):
-    tree = upgma_linkage(pairwise_distances(pool.items))
-    return flat_clusters(tree, tau, labeled_ids=pool.labeled_ids, leaf_ids=[s.id for s in pool.items])
+    tree = upgma_linkage(pairwise_distances(pool))
+    return flat_clusters(tree, tau, labeled_ids=pool.labeled_ids, leaf_ids=pool.ids)
 
 
 def group(prefix, n, x, labeled=0):
@@ -288,7 +289,7 @@ def test_round_with_injected_dendrogram_matches():
     items, labels = group("c", 12, x=0.0, labeled=3)
     pool = TrajectoryPool(tuple(items), frozenset(labels))
     cfg = SamplingConfig(alpha=0.4, beta=0.5, budget=5, seed=8)
-    tree = upgma_linkage(pairwise_distances(pool.items, cfg.weights))
+    tree = upgma_linkage(pairwise_distances(pool, cfg.weights))
     part = pool_partition(pool, cfg, tree)
     assert part == pool_partition(pool, cfg)
     assert sampling_round(part, cfg) == pool_round(pool, cfg)
@@ -337,13 +338,11 @@ def _oracle_pool(kind, seed):
     in shuffled file order (so leaf order is not id order), optionally with
     a labeled subset."""
     rng = np.random.default_rng(seed)
-    items = generate_synthetic_pool(canonical_pool_spec(total_count=270, seed=seed))
-    if kind.startswith("ties"):
-        items += [stationary_state(f"parked-{k:03d}", x=0.0) for k in range(30)]
-    items = [items[int(k)] for k in rng.permutation(len(items))]
+    pool = synthetic_pool(canonical_pool_spec(total_count=270, seed=seed))
+    pool = with_parked(pool, 30 if kind.startswith("ties") else 0)
+    pool = pool.take(rng.permutation(len(pool)))
     frac = 0.2 if kind.endswith("labeled") else 0.0
-    labeled = {s.id for s in items if rng.random() < frac}
-    return TrajectoryPool(tuple(items), frozenset(labeled))
+    return with_labeled(pool, [id_ for id_ in pool.ids if rng.random() < frac])
 
 
 ORACLE_CONFIGS = (

@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trajcurate import (
-    TrajectoryPool,
-    TrajectoryState,
-    estimate_dynamics,
-)
+from trajcurate import TrajectoryPool, estimate_dynamics
 from trajcurate.errors import (
     DuplicateId,
     EmptyId,
@@ -20,10 +16,10 @@ from trajcurate.errors import (
     ZeroDt,
 )
 
-from trajcurate.states import _HEADING_EPS, MAX_ABS, _dynamics
+from trajcurate.states import _HEADING_EPS, MAX_ABS, TrajectoryState, _dynamics
 from trajcurate.synth import DT, N_PAST, _tracks, canonical_pool_spec
 
-from helpers import by_id, dynamics_oracle, unlabeled_ids, with_labeled
+from helpers import dynamics_oracle, pool_row, unlabeled_ids, with_labeled
 
 VALID = {
     "id": "veh-1",
@@ -140,13 +136,13 @@ def test_pool_invariants():
     pool = TrajectoryPool((a, b), frozenset({"veh-1"}))
     assert unlabeled_ids(pool) == {"veh-2"}
     assert len(pool) == 2
-    assert by_id(pool, "veh-2") == b
+    assert pool.items[1] == b
     with pytest.raises(DuplicateId):
         TrajectoryPool((a, a))
     with pytest.raises(UnknownId):
         TrajectoryPool((a, b), frozenset({"ghost"}))
     with pytest.raises(UnknownId):
-        by_id(pool, "ghost")
+        pool_row(pool, "ghost")
 
 
 def test_pool_with_labeled():

@@ -18,7 +18,6 @@ from trajcurate import (
     TrajectoryPool,
     canonical_pool_spec,
     flat_clusters,
-    generate_synthetic_pool,
     metric,
     run_al_experiment,
     sampling_round,
@@ -53,7 +52,9 @@ from helpers import (
     prefix_distance,
     rank_holdout,
     refresh_partition,
+    states_of,
     unlabeled_ids,
+    with_labeled,
 )
 
 
@@ -195,8 +196,7 @@ def test_rank_holdout_ade_table_equals_numpy_mean_oracle_bytes():
 
 
 def test_stratified_holdout_counts():
-    pool = generate_synthetic_pool(canonical_pool_spec(total_count=500, seed=2))
-    ids = [s.id for s in pool]
+    ids = synthetic_pool(canonical_pool_spec(total_count=500, seed=2)).ids
     train, held = stratified_holdout(ids, fraction=0.2, seed=1)
     assert len(held) == 100
     assert sorted(train + held) == list(range(500))
@@ -208,8 +208,8 @@ def test_stratified_holdout_counts():
     from trajcurate.synth import motif_key
 
     groups: dict[str, list[int]] = {}
-    for i, s in enumerate(pool):
-        groups.setdefault(motif_key(s.id), []).append(i)
+    for i, id_ in enumerate(ids):
+        groups.setdefault(motif_key(id_), []).append(i)
     held_set = set(held)
     for members in groups.values():
         got = sum(1 for i in members if i in held_set)
@@ -219,11 +219,11 @@ def test_stratified_holdout_counts():
 
 @pytest.mark.parametrize("k_modes", [3, 10])
 def test_score_split_matches_knn_oracle(k_modes):
-    items = generate_synthetic_pool(canonical_pool_spec(total_count=200, seed=3))
-    pool = TrajectoryPool(tuple(items))
-    train, held = stratified_holdout([s.id for s in items], fraction=0.2, seed=1)
+    pool = synthetic_pool(canonical_pool_spec(total_count=200, seed=3))
+    items = states_of(pool)  # the oracle's records
+    train, held = stratified_holdout(pool.ids, fraction=0.2, seed=1)
     rng = np.random.default_rng(0)
-    labeled_rows = sorted(rng.choice(train, size=60, replace=False), key=lambda r: items[r].id)
+    labeled_rows = sorted(rng.choice(train, size=60, replace=False), key=pool.ids.__getitem__)
     w = MetricWeights(k_a=0.1, k_v=0.05, k_h=2.0)
 
     qp, qd = pool.points[held], pool.dyn[held]
@@ -247,24 +247,26 @@ def pool_with_twins(n=300, seed=4, twins=40):
     the rest shift the unobserved tail, so the tie order changes which
     future a query is scored against.
     """
-    items = generate_synthetic_pool(canonical_pool_spec(total_count=n, seed=seed))
-
-    def twin(s, id_, k):
-        tail = tuple((x + 0.5, y - 0.25) for x, y in s.points[PREFIX_LEN:])
-        return replace(s, id=id_, points=s.points if k % 2 else s.points[:PREFIX_LEN] + tail)
-
-    copies = [twin(s, f"a-twin-{s.id}", k) for k, s in enumerate(items[: twins // 2])]
-    copies += [twin(s, f"{s.id}-twin", k) for k, s in enumerate(items[-(twins // 2) :])]
-    return items + copies
+    pool = synthetic_pool(canonical_pool_spec(total_count=n, seed=seed))
+    half = twins // 2
+    rows = [*range(half), *range(n - half, n)]
+    ids = [f"a-twin-{id_}" for id_ in pool.ids[:half]] + [f"{id_}-twin" for id_ in pool.ids[n - half :]]
+    points = pool.points[rows]
+    points[np.arange(twins) % half % 2 == 0, PREFIX_LEN:] += (0.5, -0.25)
+    return TrajectoryPool.from_columns(
+        pool.ids + tuple(ids),
+        np.concatenate([pool.points, points]),
+        np.concatenate([pool.dyn, pool.dyn[rows]]),
+    )
 
 
 def test_ranked_scorer_equals_per_score_oracle():
-    items = pool_with_twins()
-    train, held = stratified_holdout([s.id for s in items], fraction=0.2, seed=1)
-    train_pool = TrajectoryPool(tuple(items[i] for i in train))
+    pool = pool_with_twins()
+    train, held = stratified_holdout(pool.ids, fraction=0.2, seed=1)
+    train_pool = pool.take(train)
     by_id = sorted(train_pool.ids)
     id_rows = [pool_row(train_pool, i) for i in by_id]
-    queries, ranked = TrajectoryPool(tuple(items)).take(held), train_pool.take(id_rows)
+    queries, ranked = pool.take(held), train_pool.take(id_rows)
     w = MetricWeights(k_a=0.1, k_v=0.05, k_h=2.0)
     order, table = rank_holdout(queries, ranked, w)
     assert order.dtype == np.int32
@@ -288,12 +290,12 @@ def test_ranked_scorer_equals_per_score_oracle():
 def test_table_scorer_equals_per_score_oracle_at_any_table_width(monkeypatch, table_width):
     # 272 training rows: a 1000-column table holds whole rows
     monkeypatch.setattr(surrogate, "_TABLE_WIDTH", table_width)
-    items = pool_with_twins()
-    train, held = stratified_holdout([s.id for s in items], fraction=0.2, seed=1)
-    train_pool = TrajectoryPool(tuple(items[i] for i in train))
+    pool = pool_with_twins()
+    train, held = stratified_holdout(pool.ids, fraction=0.2, seed=1)
+    train_pool = pool.take(train)
     by_id = sorted(train_pool.ids)
     id_rows = [pool_row(train_pool, i) for i in by_id]
-    queries, ranked = TrajectoryPool(tuple(items)).take(held), train_pool.take(id_rows)
+    queries, ranked = pool.take(held), train_pool.take(id_rows)
     w = MetricWeights(k_a=0.1, k_v=0.05, k_h=2.0)
     order, table = rank_holdout(queries, ranked, w)
     assert order.shape[1] == 272 and table.shape == (len(held), min(table_width, 272))
@@ -315,8 +317,7 @@ def oracle_experiment(pool, grid, seeds, k_modes):
     """run_al_experiment written as a plain loop over the per-score oracle."""
     train, held = stratified_holdout(pool.ids, 0.2, 1)
     qp, qd = pool.points[held], pool.dyn[held]
-    items = tuple(pool.items[i] for i in train)
-    working = TrajectoryPool(items, pool.labeled_ids & {s.id for s in items})
+    working = pool.take(train)
     unlabeled0 = sorted(unlabeled_ids(working))
     rows = []
     for cfg in grid:
@@ -337,8 +338,8 @@ def oracle_experiment(pool, grid, seeds, k_modes):
 
 
 def test_experiment_rows_match_oracle_loop_across_weights():
-    items = pool_with_twins(n=160, seed=5, twins=20)
-    pool = TrajectoryPool(tuple(items), frozenset(s.id for s in items[::9]))
+    pool = pool_with_twins(n=160, seed=5, twins=20)
+    pool = with_labeled(pool, pool.ids[::9])
     heavy_h = MetricWeights(k_a=0.2, k_v=0.1, k_h=3.0)
     grid = [
         SamplingConfig(alpha=0.4, beta=0.6, budget=0.2, tau=20.0),
@@ -604,8 +605,8 @@ def _no_child_left():
 
 def _two_weight_sweep():
     """A seeded labeled pool, and three cells over two weight settings."""
-    items = generate_synthetic_pool(canonical_pool_spec(total_count=200, seed=9))
-    pool = TrajectoryPool(tuple(items), frozenset(s.id for s in items[::10]))
+    pool = synthetic_pool(canonical_pool_spec(total_count=200, seed=9))
+    pool = with_labeled(pool, pool.ids[::10])
     heavy_h = MetricWeights(k_a=0.2, k_v=0.1, k_h=3.0)
     grid = [
         SamplingConfig(alpha=0.6, beta=0.4, budget=0.2, tau=20.0),
@@ -759,7 +760,7 @@ def test_experiment_rows_match_oracle_loop_on_pool_400():
 
 
 def test_experiment_empty_holdout_is_insufficient_pool():
-    pool = TrajectoryPool(tuple(generate_synthetic_pool(canonical_pool_spec(total_count=100, seed=8))))
+    pool = synthetic_pool(canonical_pool_spec(total_count=100, seed=8))
     grid = [SamplingConfig(alpha=0.5, beta=0.5, budget=0.2, tau=30.0)]
     for fraction in (0.0, 0.004):
         with pytest.raises(InsufficientPool):
@@ -794,7 +795,7 @@ def test_stratified_holdout_rejects_fraction_above_one():
 
 
 def test_experiment_row_accounting_and_pairing():
-    pool = TrajectoryPool(tuple(generate_synthetic_pool(canonical_pool_spec(total_count=120, seed=6))))
+    pool = synthetic_pool(canonical_pool_spec(total_count=120, seed=6))
     grid = [
         SamplingConfig(alpha=0.0, beta=0.5, budget=0.25, tau=30.0),
         SamplingConfig(alpha=1.0, beta=0.5, budget=0.25, tau=30.0),
@@ -813,7 +814,7 @@ def test_experiment_row_accounting_and_pairing():
 
 
 def test_experiment_saturation_budget_matches_random():
-    pool = TrajectoryPool(tuple(generate_synthetic_pool(canonical_pool_spec(total_count=100, seed=8))))
+    pool = synthetic_pool(canonical_pool_spec(total_count=100, seed=8))
     grid = [SamplingConfig(alpha=0.6, beta=0.4, budget=1.0, tau=30.0)]
     res = run_al_experiment(pool, grid, seeds=(0,), k_modes=5)
     active = next(r for r in res.rows if r.strategy == "active")
@@ -823,7 +824,7 @@ def test_experiment_saturation_budget_matches_random():
 
 
 def test_experiment_insufficient_pool():
-    pool = TrajectoryPool(tuple(generate_synthetic_pool(canonical_pool_spec(total_count=50, seed=8))))
+    pool = synthetic_pool(canonical_pool_spec(total_count=50, seed=8))
     grid = [SamplingConfig(alpha=0.5, beta=0.5, budget=10_000, tau=30.0)]
     with pytest.raises(InsufficientPool):
         run_al_experiment(pool, grid, seeds=(0,))
@@ -846,9 +847,8 @@ def test_experiment_result_validation_and_helpers():
 
 
 def test_experiment_with_seeded_labeled_pool():
-    items = generate_synthetic_pool(canonical_pool_spec(total_count=200, seed=9))
-    labeled = frozenset(s.id for s in items[:20])
-    pool = TrajectoryPool(tuple(items), labeled)
+    pool = synthetic_pool(canonical_pool_spec(total_count=200, seed=9))
+    pool = with_labeled(pool, pool.ids[:20])
     grid = [SamplingConfig(alpha=0.0, beta=0.5, budget=0.3, tau=30.0)]
     res = run_al_experiment(pool, grid, seeds=(0,))
     # with familiar supply available, alpha=0 actually exercises the familiar phase

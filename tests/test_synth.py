@@ -1,9 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from trajcurate import MotifSpec, SyntheticPoolSpec, canonical_pool_spec, generate_synthetic_pool
+from trajcurate import MotifSpec, SyntheticPoolSpec, canonical_pool_spec, synthetic_pool
 from trajcurate.errors import InvalidSpec
 from trajcurate.synth import (
     _T_GRID,
@@ -19,7 +20,29 @@ from helpers import stop_then_turn_oracle
 
 def test_generator_deterministic():
     spec = canonical_pool_spec(total_count=200, seed=5)
-    assert generate_synthetic_pool(spec) == generate_synthetic_pool(spec)
+    assert synthetic_pool(spec) == synthetic_pool(spec)
+
+
+def test_record_adapters_the_benchmark_uses(tmp_path):
+    # perfbench/workloads.py builds its pools through records, with these
+    # names from these modules
+    from trajcurate.io import load_trajectories, write_trajectories
+    from trajcurate.metric import pairwise_distances, trajectory_state_distance
+    from trajcurate.states import TrajectoryPool, TrajectoryState
+    from trajcurate.synth import generate_synthetic_pool
+
+    spec = canonical_pool_spec(total_count=60, seed=5)
+    pool = synthetic_pool(spec)
+    states = generate_synthetic_pool(spec)
+    assert states == list(pool.items)
+    assert len(pool.items) == 60 and pool.items[7] == states[7]
+    assert isinstance(states[7], TrajectoryState)
+    assert TrajectoryPool(tuple(states)) == pool
+    matrix = pairwise_distances(states)
+    assert matrix.values.tobytes() == pairwise_distances(pool).values.tobytes()
+    assert matrix.get(3, 41) == trajectory_state_distance(states[3], states[41])
+    write_trajectories(TrajectoryPool(tuple(states)), tmp_path / "pool.jsonl")
+    assert load_trajectories(tmp_path / "pool.jsonl") == pool
 
 
 def test_counts_follow_weights_exactly():
@@ -31,11 +54,11 @@ def test_counts_follow_weights_exactly():
         total_count=100,
         seed=0,
     )
-    pool = generate_synthetic_pool(spec)
-    assert len(pool) == 100
-    assert sum(1 for s in pool if s.id.startswith("straight")) == 90
-    assert sum(1 for s in pool if s.id.startswith("u-turn")) == 10
-    assert len({s.id for s in pool}) == 100
+    ids = synthetic_pool(spec).ids
+    assert len(ids) == 100
+    assert sum(1 for id_ in ids if id_.startswith("straight")) == 90
+    assert sum(1 for id_ in ids if id_.startswith("u-turn")) == 10
+    assert len(set(ids)) == 100
 
 
 def test_noise_free_straight_is_exact():
@@ -44,9 +67,9 @@ def test_noise_free_straight_is_exact():
         total_count=3,
         seed=9,
     )
-    for s in generate_synthetic_pool(spec):
-        assert s.points == tuple((0.5 * k * 10.0, 0.0) for k in range(1, 13))
-        assert (s.v, s.a, s.h) == (10.0, 0.0, 0.0)
+    pool = synthetic_pool(spec)
+    assert pool.points.tolist() == [[[0.5 * k * 10.0, 0.0] for k in range(1, 13)]] * 3
+    assert pool.dyn.tolist() == [[10.0, 0.0, 0.0]] * 3
 
 
 def test_noise_free_arc_dynamics_consistent():
@@ -56,12 +79,12 @@ def test_noise_free_arc_dynamics_consistent():
         total_count=1,
         seed=2,
     )
-    (s,) = generate_synthetic_pool(spec)
+    ((v, a, h),) = synthetic_pool(spec).dyn.tolist()
     # chord speed of a constant-rate arc: v0 * sin(w dt / 2) / (w dt / 2)
     chord = v0 * math.sin(omega * DT / 2) / (omega * DT / 2)
-    assert s.v == pytest.approx(chord, rel=1e-12)
-    assert s.h == pytest.approx(omega, abs=1e-12)
-    assert abs(s.a) < 1e-9
+    assert v == pytest.approx(chord, rel=1e-12)
+    assert h == pytest.approx(omega, abs=1e-12)
+    assert abs(a) < 1e-9
 
 
 def test_right_turn_mirrors_left():
@@ -71,13 +94,11 @@ def test_right_turn_mirrors_left():
             total_count=1,
             seed=4,
         )
-        return generate_synthetic_pool(spec)[0]
+        return synthetic_pool(spec)
 
     left, right = one("left-turn"), one("right-turn")
-    for (lx, ly), (rx, ry) in zip(left.points, right.points):
-        assert lx == pytest.approx(rx, abs=1e-12)
-        assert ly == pytest.approx(-ry, abs=1e-12)
-    assert left.h == pytest.approx(-right.h, abs=1e-12)
+    np.testing.assert_allclose(left.points, right.points * (1.0, -1.0), rtol=0, atol=1e-12)
+    assert left.dyn[0, 2] == pytest.approx(-right.dyn[0, 2], abs=1e-12)
 
 
 def test_stop_motif_comes_to_rest():
@@ -86,21 +107,21 @@ def test_stop_motif_comes_to_rest():
         total_count=1,
         seed=1,
     )
-    (s,) = generate_synthetic_pool(spec)
+    pool = synthetic_pool(spec)
+    ((v, a, _),) = pool.dyn.tolist()
     # stops after v0/d = 4 s at x = v0^2 / (2 d) = 16 m; tail points pinned there
-    assert s.points[-1] == (16.0, 0.0)
-    assert s.points[-2] == (16.0, 0.0)
+    assert pool.points[0, -2:].tolist() == [[16.0, 0.0], [16.0, 0.0]]
     # chord speed of the final past segment of a decelerating track: v0 + d dt / 2
-    assert s.v == pytest.approx(8.5, rel=1e-12)
-    assert s.a == pytest.approx(-2.0, rel=1e-12)
+    assert v == pytest.approx(8.5, rel=1e-12)
+    assert a == pytest.approx(-2.0, rel=1e-12)
 
 
 def test_noisy_dynamics_match_reestimation():
     # the recorded state must be what estimate_dynamics sees in the noisy past
     spec = canonical_pool_spec(total_count=100, seed=3)
-    pool = generate_synthetic_pool(spec)
-    assert all(np.isfinite([s.v, s.a, s.h]).all() for s in pool)
-    v_values = [s.v for s in pool if s.id.startswith("straight-m00")]
+    pool = synthetic_pool(spec)
+    assert np.isfinite(pool.dyn).all()
+    v_values = [v for id_, v in zip(pool.ids, pool.dyn[:, 0].tolist()) if id_.startswith("straight-m00")]
     assert v_values and all(10.0 < v < 16.0 for v in v_values)
 
 
@@ -139,11 +160,9 @@ def test_canonical_spec_shape():
     rare = [m for m in spec.motifs if m.weight <= 0.01]
     assert len(dense) == 8 and len(rare) == 40
     assert math.fsum(m.weight for m in spec.motifs) == pytest.approx(1.0, abs=1e-9)
-    pool = generate_synthetic_pool(canonical_pool_spec(total_count=2000))
-    assert len(pool) == 2000
-    counts: dict[str, int] = {}
-    for s in pool:
-        counts[motif_key(s.id)] = counts.get(motif_key(s.id), 0) + 1
+    ids = synthetic_pool(canonical_pool_spec(total_count=2000)).ids
+    assert len(ids) == 2000
+    counts = Counter(map(motif_key, ids))
     dense_counts = sorted(c for c in counts.values() if c > 20)
     assert dense_counts == [225] * 8
     assert sum(c for c in counts.values() if c <= 20) == 200
@@ -161,9 +180,9 @@ def test_past_grid_shape():
         total_count=1,
         seed=0,
     )
-    (s,) = generate_synthetic_pool(spec)
+    pool = synthetic_pool(spec)
     assert N_PAST == 5
-    assert s.points[0] == (2.0, 0.0)  # first future point at t = 0.5 s
+    assert pool.points[0, 0].tolist() == [2.0, 0.0]  # first future point at t = 0.5 s
 
 
 def test_block_stop_then_turn_matches_per_step_formula():

@@ -12,7 +12,6 @@ import argparse
 import sys
 from collections import Counter
 from dataclasses import astuple
-from pathlib import Path
 from typing import Sequence
 
 from . import __version__
@@ -28,6 +27,7 @@ from .errors import CurationError, InvalidFlagValue, NonFiniteValue, UnknownId
 from .io import (
     export_clusters,
     load_trajectories,
+    open_output,
     read_labeled_ids,
     sha256_file,
     write_experiment_csv,
@@ -275,7 +275,8 @@ def cmd_stats(args) -> int:
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
     if args.out:
-        Path(args.out).write_text(report, encoding="utf-8")
+        with open_output(args.out, encoding="utf-8") as fh:
+            fh.write(report)
     return 0
 
 
@@ -303,8 +304,8 @@ def dispatch(argv: Sequence[str]) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (CurationError, OSError) as exc:
-        message = str(exc)
+    except (CurationError, OSError, MemoryError) as exc:
+        message = f"not enough memory: {exc}" if isinstance(exc, MemoryError) else str(exc)
         for param, flag in _FLAGS.get(args.command, {}).items():
             if message.startswith(param + " "):
                 message = flag + message[len(param) :]

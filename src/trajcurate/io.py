@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 from array import array
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -41,6 +42,19 @@ _CSV_FIELDS = (
 # numbers per record: the coordinates, then v, a and h
 _N_VALUES = 2 * TRAJECTORY_LEN + 3
 _NAN_ROW = [float("nan")] * _N_VALUES
+
+
+@contextmanager
+def open_output(path, mode: str = "w", **kwargs):
+    """``open(path, mode)`` for an output file. A write error that names no
+    file, such as a full disk's, is raised again naming ``path``."""
+    try:
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = str(path)
+        raise
 
 
 def _fmt(x: float) -> str:
@@ -244,12 +258,12 @@ def export_clusters(p: ClusterPartition, t: Dendrogram, out_dir) -> tuple[Path, 
     out.mkdir(parents=True, exist_ok=True)
     assignments_path = out / "assignments.csv"
     dendro_path = out / "dendrogram.txt"
-    with open(assignments_path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(assignments_path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "cluster", "novelty_class"])
         for id_ in p.assignments:
             writer.writerow([id_, p.assignments[id_], p.novelty_class(id_)])
-    with open(dendro_path, "w", encoding="utf-8") as fh:
+    with open_output(dendro_path, encoding="utf-8") as fh:
         fh.write(format_dendrogram(t))
     return assignments_path, dendro_path
 
@@ -270,7 +284,7 @@ def write_manifest(m: SelectionManifest, out_path, input_digest: str = "") -> No
     # merging keeps the head's keys first; the rest follow in field order
     body = asdict(replace(m, selected=()))
     body["selected"] = [s._asdict() for s in m.selected]
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with open_output(out_path, encoding="utf-8") as fh:
         json.dump({**head, **body}, fh, indent=2)
         fh.write("\n")
 
@@ -293,7 +307,7 @@ _RESULT_HEADER = ["budget", "alpha", "beta", "seed", "strategy", "made5", "made1
 
 
 def write_experiment_csv(result: ExperimentResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_RESULT_HEADER)
         for r in result.rows:

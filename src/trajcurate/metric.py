@@ -309,7 +309,8 @@ def pairwise_distances(
 
 def write_distance_matrix(m: CondensedDistanceMatrix, path) -> None:
     """Binary dump: magic "TSDM", u32 version, u64 n, little-endian f64 values."""
-    with open(path, "wb") as fh:
+    from .io import open_output  # io imports this module through cluster
+    with open_output(path, "wb") as fh:
         fh.write(_MATRIX_MAGIC)
         fh.write(struct.pack("<I", _MATRIX_VERSION))
         fh.write(struct.pack("<Q", m.n))

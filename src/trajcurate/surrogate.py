@@ -360,7 +360,10 @@ def _fork_each(tasks: Sequence[Callable[[], _T]]) -> _T:
                     warnings.filterwarnings(
                         "ignore", "This process .* is multi-threaded", DeprecationWarning
                     )
-                    pid = os.fork()
+                    try:
+                        pid = os.fork()
+                    except OSError:  # no more processes: the caller runs the rest
+                        break
                 if pid == 0:
                     _serve(task, parent)
                 pids.append(pid)

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import warnings
 
 import numpy as np
@@ -9,6 +11,7 @@ from trajcurate import (
     canonical_pool_spec,
     synthetic_pool,
 )
+from trajcurate import cli
 from trajcurate.cli import dispatch, parse_budget, parse_weights
 from trajcurate.errors import InvalidFlagValue
 from trajcurate.io import sha256_file, write_trajectories
@@ -577,6 +580,31 @@ def test_empty_input_names_the_file(tmp_path, capsys, command, name, text):
     err = capsys.readouterr().err
     assert code == 1
     assert str(path) in err and "no trajectory records" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["cluster", "sample", "simulate", "stats"])
+def test_a_full_disk_names_the_output(synth_file, tmp_path, capsys, command):
+    flags = {
+        "cluster": ["--out", str(tmp_path), "--matrix-out", "/dev/full"],
+        "sample": ["--alpha", "0.5", "--beta", "0.5", "--budget", "5", "--out", "/dev/full"],
+        "simulate": ["--seeds", "1", "--out", "/dev/full"],
+        "stats": ["--out", "/dev/full"],
+    }[command]
+    assert dispatch([command, "--input", str(synth_file), *flags]) == 1
+    no_space = os.strerror(errno.ENOSPC)
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {no_space}: '/dev/full'\n"
+
+
+def test_running_out_of_memory_is_one_error_line(monkeypatch, synth_file, tmp_path, capsys):
+    message = "Unable to allocate 381. MiB for an array with shape (49995000,) and data type float64"
+
+    def no_memory(pool, weights):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "pairwise_distances", no_memory)
+    assert dispatch(["cluster", "--input", str(synth_file), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: not enough memory: {message}\n"
 
 
 def test_stats_command(pool_file, tmp_path, capsys):

@@ -15,6 +15,7 @@ resident set of a fresh process instead.
 
 import contextlib
 import io
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -101,6 +102,30 @@ def test_distance_scratch_is_not_held():
     )
     excess = int(child.stdout)
     assert excess <= 3 * 2**20, excess / 2**20
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the address space on Linux")
+def test_running_out_of_memory_is_one_error_line(tmp_path):
+    # 420 MiB of address space cannot hold the 10k pool's 381 MiB matrix
+    # beside the interpreter; the same run passes under 600 MiB
+    import resource
+
+    path = tmp_path / "pool.jsonl"
+    write_trajectories(synthetic_pool(canonical_pool_spec(total_count=10_000, seed=0)), path)
+    limit = 420 << 20
+    child = subprocess.run(
+        [sys.executable, "-m", "trajcurate.cli", "cluster", "--input", str(path), "--out", str(tmp_path)],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        # BLAS threads reserve address space per CPU
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True,
+        text=True,
+    )
+    assert (child.returncode, child.stderr) == (
+        1,
+        "error: not enough memory: Unable to allocate 381. MiB for an array with shape "
+        "(49995000,) and data type float64\n",
+    )
 
 
 def _tie_heavy(rng, n):

@@ -1,6 +1,9 @@
+import errno
 import os
 import signal
+import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -598,6 +601,22 @@ def forks(monkeypatch):
     return calls
 
 
+@pytest.fixture(params=[1, 2, 4], ids=["first", "second", "fourth"])
+def forks_until_a_limit(request, monkeypatch):
+    """As ``forks``, but from the ``request.param``-th call on ``os.fork``
+    raises, as it does when the process limit is reached."""
+    calls, fork = [], os.fork
+
+    def limited_fork():
+        calls.append(1)
+        if len(calls) >= request.param:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", limited_fork)
+    return calls
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -683,6 +702,18 @@ def test_a_worker_that_fails_has_its_share_run_by_the_caller(monkeypatch, deadli
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the sweep forks only on Linux")
+def test_a_failed_fork_has_its_task_run_by_the_caller(monkeypatch, deadline, forks_until_a_limit):
+    pool, grid = _two_weight_sweep()
+    monkeypatch.setattr(surrogate, "cpu_workers", lambda: 1)
+    want = run_al_experiment(pool, grid, seeds=(0, 1)).rows
+    # forks 1 and 2 start the two ranking children, 3 and 4 the cells' shares
+    monkeypatch.setattr(surrogate, "cpu_workers", lambda: 3)
+    assert run_al_experiment(pool, grid, seeds=(0, 1)).rows == want
+    assert len(forks_until_a_limit) >= 3
+    _no_child_left()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the sweep forks only on Linux")
 def test_a_ranking_child_that_fails_has_its_ranking_run_by_the_caller(monkeypatch, deadline):
     pool, grid = _two_weight_sweep()
     monkeypatch.setattr(surrogate, "cpu_workers", lambda: 1)
@@ -701,6 +732,46 @@ def test_a_ranking_child_that_fails_has_its_ranking_run_by_the_caller(monkeypatc
     # the caller ranked once per weight setting, after each child failed
     assert ranked == [grid[0].weights, grid[1].weights]
     _no_child_left()
+
+
+_SLEEPING_SWEEP = """
+import time
+from trajcurate import surrogate
+surrogate.cpu_workers = lambda: 2
+surrogate._fork_each([lambda: time.sleep(60), lambda: time.sleep(60)])
+"""
+
+
+def _running(pid):
+    """Whether ``pid`` runs: neither gone nor a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(") ", 1)[1][0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(
+    not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+    reason="needs Linux's /proc children lists",
+)
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
+def test_a_killed_caller_leaves_no_child(sig):
+    caller = subprocess.Popen([sys.executable, "-c", _SLEEPING_SWEEP])
+    children, deadline = [], time.monotonic() + 30
+    try:
+        while not children and caller.poll() is None and time.monotonic() < deadline:
+            with open(f"/proc/{caller.pid}/task/{caller.pid}/children") as fh:
+                children = fh.read().split()
+    finally:
+        caller.send_signal(sig)
+        caller.wait()
+    assert children, "the caller started no child"
+    # each child's task sleeps for a minute, so only the death signal ends it now
+    deadline = time.monotonic() + 10
+    while any(map(_running, children)) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not any(map(_running, children))
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the sweep forks only on Linux")

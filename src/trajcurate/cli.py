@@ -305,7 +305,9 @@ def dispatch(argv: Sequence[str]) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (CurationError, OSError, MemoryError) as exc:
-        message = f"not enough memory: {exc}" if isinstance(exc, MemoryError) else str(exc)
+        message = str(exc)
+        if isinstance(exc, MemoryError):  # numpy's names the array; Python's is empty
+            message = ": ".join(filter(None, ("not enough memory", message)))
         for param, flag in _FLAGS.get(args.command, {}).items():
             if message.startswith(param + " "):
                 message = flag + message[len(param) :]

@@ -46,8 +46,7 @@ _NAN_ROW = [float("nan")] * _N_VALUES
 
 @contextmanager
 def open_output(path, mode: str = "w", **kwargs):
-    """``open(path, mode)`` for an output file. A write error that names no
-    file, such as a full disk's, is raised again naming ``path``."""
+    """``open`` for an output file: a write error that names no file names ``path``."""
     try:
         with open(path, mode, **kwargs) as fh:
             yield fh

@@ -10,12 +10,12 @@ from .cluster import (
     format_dendrogram,
     upgma_linkage,
 )
+from .io import write_distance_matrix
 from .metric import (
     DEFAULT_WEIGHTS,
     CondensedDistanceMatrix,
     MetricWeights,
     pairwise_distances,
-    write_distance_matrix,
 )
 from .sampling import (
     SamplingConfig,

@@ -30,10 +30,11 @@ from .io import (
     open_output,
     read_labeled_ids,
     sha256_file,
+    write_distance_matrix,
     write_experiment_csv,
     write_manifest,
 )
-from .metric import DEFAULT_WEIGHTS, MetricWeights, pairwise_distances, write_distance_matrix
+from .metric import DEFAULT_WEIGHTS, MetricWeights, pairwise_distances
 from .sampling import (
     DEFAULT_GRID_ALPHAS,
     DEFAULT_GRID_BETAS,

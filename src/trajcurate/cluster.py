@@ -195,13 +195,6 @@ class ClusterPartition:
         mask.flags.writeable = False
         return mask
 
-    @cached_property
-    def novel_candidates(self) -> tuple[int, ...]:
-        """The novel phase's candidates: the novel cluster labels ascending,
-        then the labels of the singletons in id order."""
-        singles = map(self.assignments.__getitem__, sorted(self.singletons))
-        return (*sorted(self.novel_clusters), *singles)
-
     def novelty_class(self, id_) -> str:
         """The novelty class of ``id_``, as named in the module docstring."""
         label = self.assignments[id_]

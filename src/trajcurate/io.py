@@ -1,4 +1,4 @@
-"""File formats: trajectory records, cluster exports, manifests, result CSVs.
+"""File formats: trajectory records, matrix dumps, cluster exports, manifests, result CSVs.
 
 Trajectory record schemas (one record per agent):
 
@@ -17,7 +17,10 @@ digest of the ingested pool file.
 from __future__ import annotations
 
 import csv
+import errno
 import json
+import os
+import struct
 from array import array
 from contextlib import contextmanager
 from dataclasses import asdict, replace
@@ -28,11 +31,14 @@ import numpy as np
 from . import __version__
 from .cluster import ClusterPartition, Dendrogram, format_dendrogram
 from .errors import CurationError, EmptyId, ParseError, WrongPointCount
+from .metric import CondensedDistanceMatrix
 from .sampling import SelectionManifest
 from .states import TRAJECTORY_LEN, TrajectoryPool
 from .surrogate import ExperimentResult
 
 MANIFEST_SCHEMA_VERSION = 1
+_MATRIX_MAGIC = b"TSDM"
+_MATRIX_VERSION = 1
 
 _CSV_FIELDS = (
     ["id"]
@@ -246,6 +252,13 @@ def read_labeled_ids(path) -> frozenset[str]:
         return frozenset(line.strip() for line in _utf8_lines(fh, path) if line.strip())
 
 
+def write_distance_matrix(m: CondensedDistanceMatrix, path) -> None:
+    """Binary dump: magic "TSDM", u32 version, u64 n, little-endian f64 values."""
+    with open_output(path, "wb") as fh:
+        fh.write(struct.pack("<4sIQ", _MATRIX_MAGIC, _MATRIX_VERSION, m.n))
+        fh.write(m.values.astype("<f8", copy=False).data)
+
+
 # ---------------------------------------------------------------------------
 # cluster exports
 # ---------------------------------------------------------------------------
@@ -254,7 +267,10 @@ def read_labeled_ids(path) -> frozenset[str]:
 def export_clusters(p: ClusterPartition, t: Dendrogram, out_dir) -> tuple[Path, Path]:
     """Write ``assignments.csv`` and ``dendrogram.txt`` under ``out_dir``."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:  # a file, not a directory, is in the way
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out)) from None
     assignments_path = out / "assignments.csv"
     dendro_path = out / "dendrogram.txt"
     with open_output(assignments_path, encoding="utf-8", newline="") as fh:

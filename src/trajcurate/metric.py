@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import mmap
 import os
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -40,9 +39,6 @@ import numpy as np
 
 from .errors import NonFiniteValue, ParseError
 from .states import MAX_ABS, TRAJECTORY_LEN, TrajectoryPool, TrajectoryState, pack_states
-
-_MATRIX_MAGIC = b"TSDM"
-_MATRIX_VERSION = 1
 
 # pairs per kernel call in pairwise_distances. A tile of rows x n pairs
 # computes in five rows x n float64 scratch arrays, so a tile takes up to
@@ -128,6 +124,26 @@ def condensed_index(n: int, i: int, j: int) -> int:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
+@contextmanager
+def row_buffer(row: int):
+    """Within the block, numpy's ufunc buffer is no longer than ``row``
+    elements (a multiple of 16, as numpy requires), and never longer than
+    before.
+
+    numpy 2.x runs a broadcast ufunc such as (16, 1) - (1, 1599) about 4x
+    slower per element while its buffer (8192 elements by default) is
+    longer than the row: 1.06 against 0.24 ns at 1,599 columns, numpy
+    2.4.6. The buffer size changes no result. The setting belongs to the
+    calling thread, and the block restores it.
+    """
+    old = np.getbufsize()
+    np.setbufsize(max(16, min(old, row - row % 16)))
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
 def _distance(
     pa, da, pb, db, w: MetricWeights, prefix_len: int = TRAJECTORY_LEN, scratch=None
 ) -> np.ndarray:
@@ -147,7 +163,7 @@ def _distance(
 
     Everything is computed in place in five float64 arrays of the broadcast
     shape: ``scratch`` if given, else new ones. The distances are returned
-    in the first.
+    in the first. numpy's buffer is held to one row of them meanwhile.
     """
     if scratch is None:
         shape = np.broadcast_shapes(pa.shape[:-2], pb.shape[:-2])
@@ -162,28 +178,29 @@ def _distance(
         dx += dy
         return np.sqrt(dx, out=dx)
 
-    term(0, d)
-    if prefix_len < 8:
-        for k in range(1, prefix_len):
-            d += term(k, t)
-    else:
-        d += term(1, t)
-        term(2, pair)
-        pair += term(3, t)
-        d += pair
-        term(4, quad)
-        quad += term(5, t)
-        term(6, pair)
-        pair += term(7, t)
-        quad += pair
-        d += quad
-        for k in range(8, prefix_len):
-            d += term(k, t)
-    for col, weight in ((1, w.k_a), (0, w.k_v), (2, w.k_h)):
-        np.subtract(da[..., col], db[..., col], out=t)
-        np.abs(t, out=t)
-        t *= weight
-        d += t
+    with row_buffer(d.shape[-1] if d.ndim else 1):
+        term(0, d)
+        if prefix_len < 8:
+            for k in range(1, prefix_len):
+                d += term(k, t)
+        else:
+            d += term(1, t)
+            term(2, pair)
+            pair += term(3, t)
+            d += pair
+            term(4, quad)
+            quad += term(5, t)
+            term(6, pair)
+            pair += term(7, t)
+            quad += pair
+            d += quad
+            for k in range(8, prefix_len):
+                d += term(k, t)
+        for col, weight in ((1, w.k_a), (0, w.k_v), (2, w.k_h)):
+            np.subtract(da[..., col], db[..., col], out=t)
+            np.abs(t, out=t)
+            t *= weight
+            d += t
     return d
 
 
@@ -202,26 +219,6 @@ def cpu_workers() -> int:
     if hasattr(os, "sched_getaffinity"):
         return min(4, len(os.sched_getaffinity(0)))
     return min(4, os.cpu_count() or 1)
-
-
-@contextmanager
-def row_buffer(row: int):
-    """Within the block, numpy's ufunc buffer is no longer than ``row``
-    elements (a multiple of 16, as numpy requires), and never longer than
-    before.
-
-    numpy 2.x runs a broadcast ufunc such as (16, 1) - (1, 1599) about 4x
-    slower per element while its buffer (8192 elements by default) is
-    longer than the row: 1.06 against 0.24 ns at 1,599 columns, numpy
-    2.4.6. The buffer size changes no result. The setting belongs to the
-    calling thread, and the block restores it.
-    """
-    old = np.getbufsize()
-    np.setbufsize(max(16, min(old, row - row % 16)))
-    try:
-        yield
-    finally:
-        np.setbufsize(old)
 
 
 def _row_block(
@@ -253,15 +250,14 @@ def _row_block(
         rows, cols = slice(lo, hi), slice(lo + 1, None)
         shape = (5, hi - lo, n - 1 - lo)
         scratch = np.frombuffer(mem, count=shape[0] * shape[1] * shape[2]).reshape(shape)
-        with row_buffer(shape[2]):
-            block = _distance(
-                pts[rows, None],
-                dyn[rows, None],
-                pts[None, cols],
-                dyn[None, cols],
-                w,
-                scratch=scratch,
-            )
+        block = _distance(
+            pts[rows, None],
+            dyn[rows, None],
+            pts[None, cols],
+            dyn[None, cols],
+            w,
+            scratch=scratch,
+        )
         for i in range(lo, hi):
             start = condensed_index(n, i, i + 1)
             out[start : start + n - 1 - i] = block[i - lo, i - lo :]
@@ -305,13 +301,3 @@ def pairwise_distances(
             f.result()
     # a bounded pool (states.MAX_ABS) cannot give a NaN, infinite or negative distance
     return CondensedDistanceMatrix._unchecked(n, out)
-
-
-def write_distance_matrix(m: CondensedDistanceMatrix, path) -> None:
-    """Binary dump: magic "TSDM", u32 version, u64 n, little-endian f64 values."""
-    from .io import open_output  # io imports this module through cluster
-    with open_output(path, "wb") as fh:
-        fh.write(_MATRIX_MAGIC)
-        fh.write(struct.pack("<I", _MATRIX_VERSION))
-        fh.write(struct.pack("<Q", m.n))
-        fh.write(m.values.astype("<f8", copy=False).data)

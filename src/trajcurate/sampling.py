@@ -22,11 +22,11 @@ pure function of (pool, config).
 
 A round runs on the cut's rank rows, the pool's items in sorted-id order
 (``ClusterPartition.rows``): a boolean mask marks the rows labeled or
-picked so far. The novel phase draws from the partition's own novelty
-split; the familiar phase re-splits with one bincount over the labels of
-the marked rows, the novel picks among them. Every candidate and member
-list is in ascending rows or sorted ids, so each phase makes its PCG64
-draws on the same lists, in the same order, as over sorted id strings.
+picked so far, and the round reads the labeled set from it alone. Both
+phases split the cut with one bincount over the labels of the marked
+rows, the novel picks among them for the familiar phase. Every candidate
+and member list is in ascending rows or sorted ids, so each phase makes
+its PCG64 draws on the same lists, in the same order, as over sorted ids.
 """
 
 from __future__ import annotations
@@ -183,20 +183,22 @@ def sampling_round(partition: ClusterPartition, cfg: SamplingConfig) -> Selectio
     fills any shortfall from the remaining unlabeled rows.
     """
     rows = partition.rows
-    n_unlabeled = len(rows.ids) - len(partition.labeled_ids)
+    taken = partition.labeled_rows.copy()
+    n_unlabeled = taken.size - np.count_nonzero(taken)
     if not n_unlabeled:
         raise EmptyUnlabeledPool("no unlabeled trajectory-states to sample")
     if partition.tau != cfg.tau:  # the manifest echoes cfg
         raise ParseError(f"partition was cut at tau {partition.tau}, config has tau {cfg.tau}")
     budget = resolve_budget(cfg.budget, n_unlabeled)
-    taken = partition.labeled_rows.copy()
 
     novel_quota = round_half_up(cfg.alpha * budget)
     familiar_quota = budget - novel_quota
 
-    # novel phase: clusters without a labeled member, then singletons by id;
-    # a picked candidate is out of the running for the rest of the round
-    candidates = list(partition.novel_candidates)
+    # novel phase: untaken clusters of 2 or more rows by label, then untaken
+    # singletons by row; a picked one is out of the running for the round
+    novel = np.bincount(rows.labels[taken], minlength=len(rows.sizes)) == 0
+    candidates = np.flatnonzero(novel & (rows.sizes > 1)).tolist()
+    candidates += rows.labels[(novel & (rows.sizes == 1))[rows.labels]].tolist()
     rng = phase_rng(cfg.seed, NOVEL_STREAM)
     novel_rows: list[int] = []
     while novel_quota - len(novel_rows) > 0 and candidates:

@@ -44,7 +44,7 @@ import numpy as np
 
 from .cluster import ClusterPartition, Dendrogram, is_real
 from .errors import InsufficientPool, InvalidFlagValue
-from .metric import MetricWeights, _distance, cpu_workers, row_buffer
+from .metric import MetricWeights, _distance, cpu_workers
 from .sampling import (
     BASELINE_STREAM,
     HOLDOUT_STREAM,
@@ -167,12 +167,10 @@ def _rank_holdout(
     qp, qd, lp, ld = held.points, held.dyn, train.points, train.dyn
     for lo in range(0, len(qp), _QUERY_BLOCK):
         hi = lo + _QUERY_BLOCK
-        with row_buffer(len(lp)):
-            dist = _distance(qp[lo:hi, None], qd[lo:hi, None], lp[None], ld[None], w, PREFIX_LEN)
+        dist = _distance(qp[lo:hi, None], qd[lo:hi, None], lp[None], ld[None], w, PREFIX_LEN)
         order[lo:hi] = np.argsort(dist, axis=1, kind="stable")
         modes, truth = lp[order[lo:hi, : table.shape[1]]], qp[lo:hi, None]
-        with row_buffer(table.shape[1]):
-            table[lo:hi] = _distance(modes, _NO_DYN, truth, _NO_DYN, _POINTS_ONLY) / TRAJECTORY_LEN
+        table[lo:hi] = _distance(modes, _NO_DYN, truth, _NO_DYN, _POINTS_ONLY) / TRAJECTORY_LEN
 
 
 def _score_ranked(

@@ -596,6 +596,19 @@ def test_a_full_disk_names_the_output(synth_file, tmp_path, capsys, command):
     assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {no_space}: '/dev/full'\n"
 
 
+@pytest.mark.parametrize("kind", ["file", "/dev/full", "below a file"])
+def test_cluster_out_that_is_not_a_directory_names_the_fault(synth_file, tmp_path, capsys, kind):
+    if kind == "/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = {"file": str(afile), "/dev/full": "/dev/full", "below a file": str(afile / "sub")}[kind]
+    assert dispatch(["cluster", "--input", str(synth_file), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: {out!r}\n"
+    assert afile.read_text() == ""
+
+
 # numpy's MemoryError names the array; one that Python raises is empty
 @pytest.mark.parametrize(
     "message",

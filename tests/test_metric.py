@@ -224,6 +224,40 @@ def test_kernel_scratch_gives_the_same_bytes(case):
     assert got.tobytes() == want.tobytes()
 
 
+def test_kernel_holds_its_own_buffer_and_restores_it():
+    # the buffer size changes no result, and the kernel leaves it as it was,
+    # also when it raises
+    rng = np.random.default_rng(9)
+    pts, dyn = pack_states(random_states(rng, 1615))
+    w = MetricWeights(k_a=0.3, k_v=0.2, k_h=1.7)
+    seen = []
+
+    class Probe(np.ndarray):  # records the buffer size as the kernel reads points
+        def __getitem__(self, key):
+            seen.append(np.getbufsize())
+            return np.asarray(self)[key]
+
+    args = (pts[:16, None].view(Probe), dyn[:16, None], pts[None, 16:], dyn[None, 16:])
+    old = np.getbufsize()
+    try:
+        results = []
+        for size, held in ((8192, 1584), (16, 16)):  # a row is 1,599 columns
+            np.setbufsize(size)
+            seen.clear()
+            results.append(_distance(*args, w).tobytes())
+            assert set(seen) == {held} and np.getbufsize() == size
+            with pytest.raises(IndexError):
+                _distance(*args, w, prefix_len=13)
+            assert np.getbufsize() == size
+        assert results[0] == results[1]
+        # a 0-d call, (12, 2) against (12, 2), is its one-row batch
+        point = _distance(pts[0], dyn[0], pts[1], dyn[1], w)
+        assert point.shape == () and np.getbufsize() == 16
+        assert point.tobytes() == _distance(pts[:1], dyn[:1], pts[1:2], dyn[1:2], w).tobytes()
+    finally:
+        np.setbufsize(old)
+
+
 def test_default_workers_follow_the_cpu_affinity(monkeypatch):
     seen = []
 

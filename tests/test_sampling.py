@@ -257,6 +257,38 @@ def test_cold_canonical_pool_rounds_pick_fallback_or_familiar_in_novel_clusters(
         assert {s.cluster for s in m.selected[20:]} <= touched
 
 
+def _canonical_400_cut():
+    pool = synthetic_pool(canonical_pool_spec(total_count=400))
+    cfg = SamplingConfig(alpha=0.6, beta=0.4, budget=0.2, tau=CANONICAL_TAU)
+    tree = upgma_linkage(pairwise_distances(pool, cfg.weights))
+    return pool, cfg, tree, pool_partition(pool, cfg, tree)
+
+
+def test_a_warm_start_by_replacing_the_labeled_ids_equals_a_fresh_cut():
+    # the round reads the labeled set from the cut's mask alone, so a cut
+    # with new labels needs no new novelty split
+    pool, cfg, tree, part = _canonical_400_cut()
+    labeled = frozenset(sampling_round(part, cfg).ids())
+    fresh = flat_clusters(tree, cfg.tau, labeled_ids=labeled, leaf_ids=pool.ids)
+    cfg = replace(cfg, seed=4)
+    warm = sampling_round(replace(part, labeled_ids=labeled), cfg)
+    assert warm == sampling_round(fresh, cfg)
+    assert not labeled & set(warm.ids())
+    assert {s.phase for s in warm.selected} >= {PHASE_NOVEL_CLUSTER, PHASE_FAMILIAR}
+
+
+def test_a_round_ignores_the_partitions_novelty_sets():
+    pool, cfg, tree, part = _canonical_400_cut()
+    warm = flat_clusters(tree, cfg.tau, labeled_ids=pool.ids[::7], leaf_ids=pool.ids)
+    for p in (part, warm):
+        empty = frozenset()
+        hollow = replace(p, novel_clusters=empty, singletons=empty, familiar_clusters=empty)
+        for seed in range(3):
+            assert sampling_round(hollow, replace(cfg, seed=seed)) == sampling_round(
+                p, replace(cfg, seed=seed)
+            )
+
+
 def test_round_requires_unlabeled():
     items, _ = group("c", 3, x=0.0)
     pool = TrajectoryPool(tuple(items), frozenset(s.id for s in items))

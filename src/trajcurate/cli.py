@@ -259,7 +259,7 @@ def cmd_stats(args) -> int:
     tree, part = _tree_and_cut(args)
     n, n_labeled = tree.n_leaves, len(part.labeled_ids)
     histogram = Counter(part.rows.sizes.tolist())
-    labeled_classes = Counter(map(part.novelty_class, part.labeled_ids))
+    free, single = part.hits == 0, part.rows.sizes == 1
     lines = [
         f"items: {n} labeled: {n_labeled} unlabeled: {n - n_labeled}",
         f"tau: {part.tau:.17g}",
@@ -268,10 +268,10 @@ def cmd_stats(args) -> int:
     ]
     lines += [f"  size {size}: {count}" for size, count in sorted(histogram.items())]
     lines += [
-        f"novel clusters (no labeled member, size >= 2): {len(part.novel_clusters)}",
-        f"unclustered singletons: {len(part.singletons)}",
-        f"familiar clusters: {len(part.familiar_clusters)}",
-        f"labeled singletons: {labeled_classes['labeled-singleton']}",
+        f"novel clusters (no labeled member, size >= 2): {(free & ~single).sum()}",
+        f"unclustered singletons: {(free & single).sum()}",
+        f"familiar clusters: {(~free).sum()}",
+        f"labeled singletons: {(~free & single).sum()}",
     ]
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)

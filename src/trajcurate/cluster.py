@@ -4,8 +4,9 @@ The dendrogram is built by repeatedly merging the pair of active clusters
 with the smallest average inter-member distance; the recorded merge height
 is that average. Flat clusters at threshold tau are the maximal subtrees
 whose root height is <= tau, which bounds every within-cluster cophenetic
-distance by tau. The partition is then split by novelty relative to a
-labeled id set, and each id gets the novelty class of its cluster:
+distance by tau. The partition is then split by novelty relative to its
+labeled id set, from which the split is derived and never stored, and
+each id gets the novelty class of its cluster:
 
   * novel: a cluster of >= 2 members, none labeled
   * singleton: a 1-member cluster whose member is unlabeled
@@ -174,18 +175,20 @@ class ClusterPartition:
     """Flat clusters at threshold tau, split by novelty against a labeled set.
 
     Labels are dense integers assigned in order of each cluster's minimum
-    leaf index. ``novel_clusters`` and ``familiar_clusters`` hold labels,
-    ``singletons`` the ids of the novel singletons.
+    leaf index. Every novelty view derives from ``labeled_ids``, less any id
+    that names no leaf, so ``dataclasses.replace(p, labeled_ids=...)``
+    equals a fresh cut with those labels.
     """
 
     assignments: Mapping[Hashable, int]
-    novel_clusters: frozenset[int]
-    singletons: frozenset
-    familiar_clusters: frozenset[int]
     tau: float
     labeled_ids: frozenset
     # the cut over rank rows; derived once by flat_clusters
     rows: RankRows = field(repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        labeled = frozenset(self.assignments.keys() & self.labeled_ids)
+        object.__setattr__(self, "labeled_ids", labeled)
 
     @cached_property
     def labeled_rows(self) -> np.ndarray:
@@ -195,15 +198,21 @@ class ClusterPartition:
         mask.flags.writeable = False
         return mask
 
+    @cached_property
+    def hits(self) -> np.ndarray:
+        """The labeled member count of each cluster label, read-only: a cluster
+        with none is novel, or an unclustered singleton if it has one member."""
+        hits = np.bincount(self.rows.labels[self.labeled_rows], minlength=len(self.rows.sizes))
+        hits.flags.writeable = False
+        return hits
+
     def novelty_class(self, id_) -> str:
         """The novelty class of ``id_``, as named in the module docstring."""
         label = self.assignments[id_]
-        if label in self.novel_clusters:
-            return "novel"
-        if label not in self.familiar_clusters:
-            return "singleton"
-        # a familiar 1-member cluster's only member is a labeled one
-        return "labeled-singleton" if self.rows.sizes[label] == 1 else "familiar"
+        single = self.rows.sizes[label] == 1
+        if self.hits[label]:  # a familiar 1-member cluster's only member is labeled
+            return "labeled-singleton" if single else "familiar"
+        return "singleton" if single else "novel"
 
 
 def is_real(value) -> bool:
@@ -261,20 +270,7 @@ def flat_clusters(
         a.flags.writeable = False
     rows = RankRows(rank_ids, labels, members, sizes)
 
-    labeled = frozenset(labeled_ids) & set(ids)
-    labeled_labels = np.fromiter(map(assignments.__getitem__, labeled), np.intp, len(labeled))
-    hits = np.bincount(labeled_labels, minlength=len(sizes))
-    free = hits == 0
-    single = np.flatnonzero((free & (sizes == 1))[labels])
-    return ClusterPartition(
-        assignments=assignments,
-        novel_clusters=frozenset(np.flatnonzero(free & (sizes >= 2)).tolist()),
-        singletons=frozenset(map(rank_ids.__getitem__, single.tolist())),
-        familiar_clusters=frozenset(np.flatnonzero(hits).tolist()),
-        tau=float(tau),
-        labeled_ids=labeled,
-        rows=rows,
-    )
+    return ClusterPartition(assignments, float(tau), labeled_ids, rows)
 
 
 def format_dendrogram(t: Dendrogram) -> str:

@@ -21,12 +21,12 @@ random baseline from 3 and its holdout split from 4), so a manifest is a
 pure function of (pool, config).
 
 A round runs on the cut's rank rows, the pool's items in sorted-id order
-(``ClusterPartition.rows``): a boolean mask marks the rows labeled or
-picked so far, and the round reads the labeled set from it alone. Both
-phases split the cut with one bincount over the labels of the marked
-rows, the novel picks among them for the familiar phase. Every candidate
-and member list is in ascending rows or sorted ids, so each phase makes
-its PCG64 draws on the same lists, in the same order, as over sorted ids.
+(``ClusterPartition.rows``). The novel phase splits the cut by its labeled
+count per cluster (``ClusterPartition.hits``); a boolean mask then marks
+the rows labeled or picked so far, and the familiar phase counts again
+over the labels of the marked rows. Every candidate and member list is in
+ascending rows or sorted ids, so each phase makes its PCG64 draws on the
+same lists, in the same order, as over sorted ids.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def sampling_round(partition: ClusterPartition, cfg: SamplingConfig) -> Selectio
 
     # novel phase: untaken clusters of 2 or more rows by label, then untaken
     # singletons by row; a picked one is out of the running for the round
-    novel = np.bincount(rows.labels[taken], minlength=len(rows.sizes)) == 0
+    novel = partition.hits == 0
     candidates = np.flatnonzero(novel & (rows.sizes > 1)).tolist()
     candidates += rows.labels[(novel & (rows.sizes == 1))[rows.labels]].tolist()
     rng = phase_rng(cfg.seed, NOVEL_STREAM)

@@ -271,9 +271,6 @@ def run_al_experiment(
     # training rows in id order, so the ranking breaks distance ties by id
     by_id = working.take(sorted(range(len(working)), key=working.ids.__getitem__))
     row_of = dict(zip(by_id.ids, range(len(by_id))))
-    labeled0 = np.fromiter(map(working.labeled_ids.__contains__, by_id.ids), bool, len(by_id))
-    # the id-sorted unlabeled ids are the unlabeled rows, ascending
-    unlabeled_rows0 = np.flatnonzero(~labeled0)
 
     ranked: dict[MetricWeights, tuple[Dendrogram, np.ndarray, np.ndarray]] = {}
     partitions: dict[tuple[MetricWeights, float], ClusterPartition] = {}
@@ -287,6 +284,9 @@ def run_al_experiment(
             ranked[cfg.weights] = (tree, order, table)
         if (cfg.weights, cfg.tau) not in partitions:
             partitions[cfg.weights, cfg.tau] = pool_partition(working, cfg, ranked[cfg.weights][0])
+    # every cut's rows are by_id's, so the unlabeled rows ascend by id
+    labeled0 = partitions[grid[0].weights, grid[0].tau].labeled_rows
+    unlabeled_rows0 = np.flatnonzero(~labeled0)
 
     # the baseline draw depends only on (seed, size)
     baselines: dict[tuple[int, int], np.ndarray] = {}

@@ -14,7 +14,7 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -483,13 +483,8 @@ def cut_oracle(
     sizes = np.bincount(labels)
     members = tuple(np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1]))
     labeled = frozenset(labeled_ids) & set(ids)
-    by_label = {label: [ids[leaf] for leaf in leaves] for label, leaves in enumerate(ordered)}
-    novel, single, familiar = _split_novelty(by_label, labeled)
     return ClusterPartition(
         assignments=assignments,
-        novel_clusters=novel,
-        singletons=single,
-        familiar_clusters=familiar,
         tau=float(tau),
         labeled_ids=labeled,
         rows=RankRows(rank_ids, labels, members, sizes),
@@ -733,19 +728,20 @@ def check_round_invariants(fix_seed, check_determinism=False):
     for label, count in per_cluster.items():
         assert count <= cluster_cap(beta, int(part.rows.sizes[label]))
     # novel picks come from the novel side of the start-of-round partition
+    novel_labels, singles, _ = novelty_split(part)
     for s in novel:
         if s.phase == PHASE_NOVEL_CLUSTER:
-            assert s.cluster in part.novel_clusters
+            assert s.cluster in novel_labels
         else:
-            assert s.phase == PHASE_NOVEL_SINGLETON and s.id in part.singletons
+            assert s.phase == PHASE_NOVEL_SINGLETON and s.id in singles
     # novel-fraction accounting when supply sufficed
     if manifest.novel_shortfall == 0:
         assert len(novel) == manifest.novel_quota
     # familiar picks come from familiar clusters of the refreshed partition
-    refreshed = refresh_partition(part, [s.id for s in novel])
+    _, _, familiar = novelty_split(refresh_partition(part, [s.id for s in novel]))
     for s in manifest.selected:
         if s.phase == PHASE_FAMILIAR:
-            assert s.cluster in refreshed.familiar_clusters
+            assert s.cluster in familiar
     # alpha extremes degenerate to one phase (plus fallback)
     phases = {s.phase for s in manifest.selected}
     if alpha == 0.0:
@@ -786,23 +782,38 @@ def _split_novelty(
     return frozenset(novel), frozenset(single), frozenset(familiar)
 
 
+def novelty_split(p: ClusterPartition) -> tuple[frozenset, frozenset, frozenset]:
+    """The cut's novel cluster labels, novel singleton ids and familiar
+    cluster labels, split over id sets apart from the package's count."""
+    return _split_novelty(members_by_label(p), p.labeled_ids)
+
+
+def novelty_classes(p: ClusterPartition) -> dict:
+    """Each id's novelty class, as the package's ``novelty_class`` gives it."""
+    return {id_: p.novelty_class(id_) for id_ in p.assignments}
+
+
+def oracle_novelty_classes(p: ClusterPartition) -> dict:
+    """Each id's novelty class, from ``novelty_split``."""
+    novel, single, _ = novelty_split(p)
+
+    def novelty(id_, label: int) -> str:
+        if label in novel:
+            return "novel"
+        if id_ in single:
+            return "singleton"
+        return "labeled-singleton" if p.rows.sizes[label] == 1 else "familiar"
+
+    return {id_: novelty(id_, label) for id_, label in p.assignments.items()}
+
+
 def refresh_partition(p: ClusterPartition, newly_labeled: Iterable) -> ClusterPartition:
-    """Re-split novelty after ids were labeled mid-round, without re-clustering."""
+    """The cut with ids labeled mid-round added to its labels, without re-clustering."""
     new = frozenset(newly_labeled)
     unknown = new - set(p.assignments)
     if unknown:
         raise UnknownId(f"ids not in partition: {sorted(unknown)[:5]}")
-    labeled = p.labeled_ids | new
-    novel, single, familiar = _split_novelty(members_by_label(p), labeled)
-    return ClusterPartition(
-        assignments=p.assignments,
-        novel_clusters=novel,
-        singletons=single,
-        familiar_clusters=familiar,
-        tau=p.tau,
-        labeled_ids=labeled,
-        rows=p.rows,
-    )
+    return replace(p, labeled_ids=p.labeled_ids | new)
 
 
 def sample_novel(
@@ -820,9 +831,10 @@ def sample_novel(
     of the round. Returns (ids, shortfall).
     """
     unlabeled = set(unlabeled)
+    novel, single, _ = novelty_split(p)
     candidates: list[tuple[str, object]] = [
-        ("c", label) for label in sorted(p.novel_clusters)
-    ] + [("s", sid) for sid in sorted(p.singletons)]
+        ("c", label) for label in sorted(novel)
+    ] + [("s", sid) for sid in sorted(single)]
     picked: list = []
     while quota - len(picked) > 0 and candidates:
         k = int(rng.integers(len(candidates)))
@@ -857,12 +869,13 @@ def sample_familiar(
     (pass index, label, count) triples.
     """
     remaining = set(unlabeled)
+    _, _, familiar = novelty_split(p)
     picked: list = []
     pass_idx = 0
     while quota - len(picked) > 0:
         eligible = [
             label
-            for label in sorted(p.familiar_clusters)
+            for label in sorted(familiar)
             if any(m in remaining for m in cluster_members(p, label))
         ]
         if not eligible:

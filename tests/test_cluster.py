@@ -30,6 +30,8 @@ from helpers import (
     lattice_pool,
     lattice_records,
     members_by_label,
+    novelty_classes,
+    oracle_novelty_classes,
     random_condensed,
     refresh_partition,
     square_upgma_oracle,
@@ -117,8 +119,7 @@ def test_flat_clusters_extremes():
     assert set(whole.assignments.values()) == {0}
     shattered = flat_clusters(tree, tau=0.5)
     assert sorted(shattered.assignments.values()) == [0, 1, 2]
-    assert shattered.singletons == {0, 1, 2}
-    assert shattered.novel_clusters == frozenset()
+    assert novelty_classes(shattered) == {0: "singleton", 1: "singleton", 2: "singleton"}
 
 
 @pytest.mark.parametrize("tau", [-1.0, float("nan"), True])
@@ -136,9 +137,7 @@ def test_flat_clusters_three_leaf_split():
     tree = upgma_linkage(THREE_LEAF)
     p = flat_clusters(tree, tau=2.0, leaf_ids=["A", "B", "C"])
     assert p.assignments == {"A": 0, "B": 0, "C": 1}
-    assert p.novel_clusters == {0}
-    assert p.singletons == {"C"}
-    assert p.familiar_clusters == frozenset()
+    assert novelty_classes(p) == {"A": "novel", "B": "novel", "C": "singleton"}
     assert cluster_members(p, 0) == ("A", "B")
 
 
@@ -152,9 +151,7 @@ def test_flat_cluster_boundary_inclusive():
 def test_flat_clusters_labeled_split():
     tree = upgma_linkage(THREE_LEAF)
     p = flat_clusters(tree, tau=2.0, labeled_ids={"A"}, leaf_ids=["A", "B", "C"])
-    assert p.familiar_clusters == {0}
-    assert p.novel_clusters == frozenset()
-    assert p.singletons == {"C"}
+    assert novelty_classes(p) == {"A": "familiar", "B": "familiar", "C": "singleton"}
     assert [m for m in cluster_members(p, 0) if m not in p.labeled_ids] == ["B"]
     assert p.labeled_rows.tolist() == [True, False, False]
 
@@ -165,14 +162,10 @@ def test_refresh_partition_cases():
     assert refresh_partition(p, []) == p
     # labeling one member of a novel cluster moves it to familiar
     p1 = refresh_partition(p, ["B"])
-    assert p1.novel_clusters == frozenset()
-    assert p1.familiar_clusters == {0}
-    assert p1.singletons == {"C"}
+    assert novelty_classes(p1) == {"A": "familiar", "B": "familiar", "C": "singleton"}
     # labeling a singleton removes it from the novel side entirely
     p2 = refresh_partition(p, ["C"])
-    assert p2.singletons == frozenset()
-    assert p2.familiar_clusters == {1}
-    assert p2.novel_clusters == {0}
+    assert novelty_classes(p2) == {"A": "novel", "B": "novel", "C": "labeled-singleton"}
     with pytest.raises(UnknownId):
         refresh_partition(p, ["Z"])
 
@@ -189,9 +182,8 @@ def test_refresh_equals_recut_with_grown_labels():
         p = flat_clusters(tree, tau, labeled_ids=labels0)
         merged = flat_clusters(tree, tau, labeled_ids=labels0 | extra)
         refreshed = refresh_partition(p, extra)
-        assert refreshed.novel_clusters == merged.novel_clusters
-        assert refreshed.singletons == merged.singletons
-        assert refreshed.familiar_clusters == merged.familiar_clusters
+        assert refreshed == merged
+        assert novelty_classes(refreshed) == oracle_novelty_classes(merged)
 
 
 def test_members_by_label_groups_assignments_once():
@@ -343,6 +335,7 @@ def assert_cut_equals_oracle(tree, tau, labeled, ids):
     got = flat_clusters(tree, tau, labeled_ids=labeled, leaf_ids=ids)
     want = cut_oracle(tree, tau, labeled_ids=labeled, leaf_ids=ids)
     assert got == want
+    assert novelty_classes(got) == oracle_novelty_classes(want)
     assert list(got.assignments.items()) == list(want.assignments.items())
     assert got.rows.ids == want.rows.ids
     assert got.rows.labels.tolist() == want.rows.labels.tolist()

@@ -45,6 +45,13 @@ def test_labeled_cluster_assignments(tmp_path):
     assert sha256_file(tmp_path / "assignments.csv") == GOLDEN["labeled/assignments.csv"]
 
 
+def test_stats_report(tmp_path):
+    # the cold census: no cluster is familiar
+    out = tmp_path / "stats.txt"
+    assert dispatch(["stats", "--input", str(POOL), "--out", str(out)]) == 0
+    assert sha256_file(out) == GOLDEN["stats.txt"]
+
+
 def test_labeled_stats_report(tmp_path):
     out = tmp_path / "stats.txt"
     argv = ["stats", "--input", str(POOL), "--labeled", str(LABELED), "--out", str(out)]

@@ -14,6 +14,7 @@ from trajcurate import (
     upgma_linkage,
 )
 from trajcurate.errors import EmptyUnlabeledPool, InvalidFlagValue, ParseError
+from trajcurate.io import export_clusters
 from trajcurate import sampling
 from trajcurate.metric import pairwise_distances
 from trajcurate.sampling import (
@@ -35,8 +36,9 @@ from helpers import (
     check_round_invariants,
     default_experiment_grid,
     id_space_round,
+    novelty_classes,
+    novelty_split,
     pool_round,
-    refresh_partition,
     sample_familiar,
     sample_novel,
     stationary_state,
@@ -130,7 +132,7 @@ def test_sample_novel_singletons_uniform():
     items = [stationary_state(s, x=i * 100.0) for i, s in enumerate("abc")]
     pool = TrajectoryPool(tuple(items))
     p = cut_pool(pool)
-    assert p.singletons == {"a", "b", "c"}
+    assert novelty_split(p) == (frozenset(), {"a", "b", "c"}, frozenset())
     seen = set()
     for seed in range(40):
         ids, shortfall = sample_novel(p, unlabeled_ids(pool), 2, 1.0, phase_rng(seed, 0))
@@ -264,29 +266,29 @@ def _canonical_400_cut():
     return pool, cfg, tree, pool_partition(pool, cfg, tree)
 
 
-def test_a_warm_start_by_replacing_the_labeled_ids_equals_a_fresh_cut():
-    # the round reads the labeled set from the cut's mask alone, so a cut
-    # with new labels needs no new novelty split
+def test_a_warm_start_by_replacing_the_labeled_ids_equals_a_fresh_cut(tmp_path):
+    # the cut stores only its labeled set and derives its novelty split from
+    # it, so a cut with new labels needs no new linkage and no new split
     pool, cfg, tree, part = _canonical_400_cut()
     labeled = frozenset(sampling_round(part, cfg).ids())
     fresh = flat_clusters(tree, cfg.tau, labeled_ids=labeled, leaf_ids=pool.ids)
+    replaced = replace(part, labeled_ids=labeled)
+    # an id that names no leaf is dropped on both paths
+    ghost = labeled | {"ghost"}
+    assert replaced == fresh == replace(part, labeled_ids=ghost) == flat_clusters(
+        tree, cfg.tau, labeled_ids=ghost, leaf_ids=pool.ids
+    )
+    classes = novelty_classes(fresh)
+    assert novelty_classes(replaced) == classes != novelty_classes(part)
+    assert len(classes) == len(pool) and {"novel", "familiar"} <= set(classes.values())
+    replaced_csv, _ = export_clusters(replaced, tree, tmp_path / "replaced")
+    fresh_csv, _ = export_clusters(fresh, tree, tmp_path / "fresh")
+    assert replaced_csv.read_bytes() == fresh_csv.read_bytes()
     cfg = replace(cfg, seed=4)
-    warm = sampling_round(replace(part, labeled_ids=labeled), cfg)
+    warm = sampling_round(replaced, cfg)
     assert warm == sampling_round(fresh, cfg)
     assert not labeled & set(warm.ids())
     assert {s.phase for s in warm.selected} >= {PHASE_NOVEL_CLUSTER, PHASE_FAMILIAR}
-
-
-def test_a_round_ignores_the_partitions_novelty_sets():
-    pool, cfg, tree, part = _canonical_400_cut()
-    warm = flat_clusters(tree, cfg.tau, labeled_ids=pool.ids[::7], leaf_ids=pool.ids)
-    for p in (part, warm):
-        empty = frozenset()
-        hollow = replace(p, novel_clusters=empty, singletons=empty, familiar_clusters=empty)
-        for seed in range(3):
-            assert sampling_round(hollow, replace(cfg, seed=seed)) == sampling_round(
-                p, replace(cfg, seed=seed)
-            )
 
 
 def test_round_requires_unlabeled():
@@ -395,13 +397,12 @@ ORACLE_CONFIGS = (
 def test_row_round_equals_id_space_oracle(kind, tau):
     pool = _oracle_pool(kind, seed=len(kind))
     part = pool_partition(pool, SamplingConfig(alpha=0.5, beta=0.5, budget=1, tau=tau))
-    # the oracle splits novelty itself, over id sets
-    id_part = refresh_partition(part, [])
     manifests = []
     for k, (alpha, beta, budget) in enumerate(ORACLE_CONFIGS):
         cfg = SamplingConfig(alpha=alpha, beta=beta, budget=budget, tau=tau, seed=17 * k + 3)
         manifest = sampling_round(part, cfg)
-        assert manifest == id_space_round(id_part, cfg)
+        # the oracle splits novelty itself, over id sets
+        assert manifest == id_space_round(part, cfg)
         manifests.append(manifest)
     assert any(m.fallback_count for m in manifests)
     if tau > 0:  # at tau 0 canonical clusters are singletons, with nothing left to revisit

@@ -50,6 +50,8 @@ from helpers import (
     lattice_records,
     make_state,
     min_ade_k,
+    novelty_classes,
+    oracle_novelty_classes,
     pool_round,
     pool_row,
     prefix_distance,
@@ -355,10 +357,6 @@ def test_experiment_rows_match_oracle_loop_across_weights():
     assert res.rows == oracle_experiment(pool, grid, seeds=(0, 1), k_modes=4)
 
 
-def _novelty_split(part):
-    return part.novel_clusters, part.singletons, part.familiar_clusters, part.labeled_ids
-
-
 # a config's alpha, beta, budget (a count or a fraction) and a pick of its tau
 _lattice_configs = st.lists(
     st.tuples(
@@ -399,17 +397,18 @@ def test_round_and_sweep_equal_oracles_on_lattice_pools():
             ]
             for cfg in grid:
                 part = flat_clusters(tree, cfg.tau, pool.labeled_ids, pool.ids)
-                id_part = refresh_partition(part, [])
-                assert _novelty_split(part) == _novelty_split(id_part)
+                assert novelty_classes(part) == oracle_novelty_classes(part)
                 if len(pool.labeled_ids) == len(pool):
                     with pytest.raises(EmptyUnlabeledPool):
                         sampling_round(part, cfg)
                     continue
                 manifest = sampling_round(part, cfg)
-                assert manifest == id_space_round(id_part, cfg)
+                assert manifest == id_space_round(part, cfg)
                 novel = [s.id for s in manifest.selected if s.phase.startswith("novel")]
                 after = flat_clusters(tree, cfg.tau, pool.labeled_ids.union(novel), pool.ids)
-                assert _novelty_split(after) == _novelty_split(refresh_partition(part, novel))
+                refreshed = refresh_partition(part, novel)
+                assert refreshed == after
+                assert novelty_classes(refreshed) == oracle_novelty_classes(after)
 
             train, held = stratified_holdout(pool.ids)
             n_unlabeled = sum(pool.ids[i] not in pool.labeled_ids for i in train)

@@ -784,7 +784,7 @@ def _split_novelty(
 
 def novelty_split(p: ClusterPartition) -> tuple[frozenset, frozenset, frozenset]:
     """The cut's novel cluster labels, novel singleton ids and familiar
-    cluster labels, split over id sets apart from the package's count."""
+    cluster labels, split over id sets, independently of the package."""
     return _split_novelty(members_by_label(p), p.labeled_ids)
 
 
